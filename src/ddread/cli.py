@@ -54,20 +54,25 @@ def _write_curve_csv(path, config, curve: CoherenceCurve, normalized: bool):
             values = values / peak
     with open(path, "w") as fh:
         fh.write(_header(config))
+        mode = f"propagator_mode={curve.propagator_mode}"
         if curve.axis == "tau":
-            fh.write(f"# axis=tau n_pulses={curve.n_pulses}\n")
+            fh.write(f"# axis=tau n_pulses={curve.n_pulses} {mode}\n")
             fh.write("tau_ns,coherence\n")
             for t, v in zip(curve.abscissa, values):
                 fh.write(f"{_fmt(t / NS)},{_fmt(v)}\n")
         else:
-            fh.write(f"# axis=n tau_ns={_fmt(curve.tau / NS)}\n")
+            fh.write(f"# axis=n tau_ns={_fmt(curve.tau / NS)} {mode}\n")
             fh.write("n_pulses,coherence\n")
             for n, v in zip(curve.abscissa, values):
                 fh.write(f"{int(n)},{_fmt(v)}\n")
 
 
 def read_curve_csv(path) -> CoherenceCurve:
-    """Load a curve written by ``scan`` (metadata comes from the # axis line)."""
+    """Load a curve written by ``scan`` (metadata comes from the # axis line).
+
+    Files without a ``propagator_mode`` key were written before it existed
+    and are read as "exact".
+    """
     meta = {}
     xs, ys = [], []
     with open(path) as fh:
@@ -87,14 +92,17 @@ def read_curve_csv(path) -> CoherenceCurve:
             xs.append(float(a))
             ys.append(float(b))
     axis = meta.get("axis")
+    mode = meta.get("propagator_mode", "exact")
     if axis == "tau":
         return CoherenceCurve(axis="tau", abscissa=np.asarray(xs) * NS,
                               values=np.asarray(ys),
-                              n_pulses=int(meta["n_pulses"]))
+                              n_pulses=int(meta["n_pulses"]),
+                              propagator_mode=mode)
     if axis == "n":
         return CoherenceCurve(axis="n", abscissa=np.asarray(xs),
                               values=np.asarray(ys),
-                              tau=float(meta["tau_ns"]) * NS)
+                              tau=float(meta["tau_ns"]) * NS,
+                              propagator_mode=mode)
     raise ValueError(f"{path}: missing or unknown axis metadata")
 
 
@@ -225,7 +233,11 @@ def cmd_analyze(config: RunConfig, out_dir: Path, trace_path) -> int:
 
 def cmd_fit(config: RunConfig, out_dir: Path, curve_paths) -> int:
     curves = [read_curve_csv(p) for p in curve_paths]
-    fit = fit_hyperfine(curves, config.field, consts=config.constants)
+    modes = sorted({c.propagator_mode for c in curves})
+    if len(modes) > 1:
+        raise ConfigError(f"fit: curves come from different propagator modes {modes}")
+    fit = fit_hyperfine(curves, config.field, consts=config.constants,
+                        propagator_mode=modes[0])
     payload = {
         "a_par_khz": fit.a_par / TWO_PI_KHZ,
         "a_perp_khz": fit.a_perp / TWO_PI_KHZ,
@@ -252,9 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--normalized", action="store_true",
                         help="scale coherence outputs to unit peak")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="worker threads (0 = auto); accepted for "
-                             "interface stability, computation is vectorized")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("scan", help="1D coherence scan (mode from config)")
     sub.add_parser("map2d", help="coherence on a (tau, N) grid")

@@ -19,9 +19,8 @@ from .spincore import (
     FieldConfig,
     HyperfineSpin,
     PhysicalConstants,
-    _propagators_exact_batch,
     conditional_propagator_exact,
-    conditional_propagator_magnus,
+    conditional_propagators,
     effective_frame,
     spin_operator,
 )
@@ -35,7 +34,9 @@ class CoherenceCurve:
 
     ``n_pulses`` records the fixed pulse number of a tau-scan; ``tau`` the
     fixed half-interval of an N-scan.  Either may be None for curves built
-    outside the scan helpers; fitting requires them.
+    outside the scan helpers; fitting requires them.  ``propagator_mode`` is
+    the propagator model that produced the values ("exact" for measured
+    data), so that a fit can use the same forward model.
     """
 
     axis: str
@@ -43,6 +44,7 @@ class CoherenceCurve:
     values: np.ndarray
     n_pulses: int | None = None
     tau: float | None = None
+    propagator_mode: str = "exact"
 
     def __post_init__(self):
         if self.axis not in ("tau", "n"):
@@ -91,16 +93,9 @@ def coherence_single(
 ) -> float:
     """Signed electron coherence from one bath spin."""
     rho = _check_density_matrix(nuclear_state)
-    if propagator_mode == "exact":
-        (u_plus,), (u_minus,) = _propagators_exact_batch(
-            spin, fieldcfg, seq.n_pulses, np.array([seq.tau]), consts
-        )
-    elif propagator_mode == "magnus":
-        frame = effective_frame(spin, fieldcfg, consts)
-        u_plus = conditional_propagator_magnus(frame, seq, "plus")
-        u_minus = conditional_propagator_magnus(frame, seq, "minus")
-    else:
-        raise ValueError(f"unknown propagator_mode {propagator_mode!r}")
+    u_plus, u_minus = conditional_propagators(
+        spin, fieldcfg, seq.n_pulses, seq.tau, propagator_mode, consts
+    )
     return float(np.real(np.trace(rho @ u_plus.conj().T @ u_minus)))
 
 
@@ -112,34 +107,22 @@ def coherence_bath(
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> float:
     """Product of single-spin coherences at rho = I/2 (independent spins)."""
-    out = 1.0
-    for spin in spins:
-        out *= coherence_single(
-            spin, fieldcfg, seq, MIXED_STATE, propagator_mode, consts
-        )
-    return out
+    return float(_bath_curve_tau(
+        spins, fieldcfg, seq.n_pulses, seq.tau, propagator_mode, consts
+    ))
 
 
 def _bath_curve_tau(spins, fieldcfg, n_pulses, taus, propagator_mode, consts):
-    total = np.ones(len(taus))
+    """Bath coherence at rho = I/2 on the broadcast grid of pulse numbers
+    and half-intervals: one propagator call per spin."""
+    total = np.ones(np.broadcast_shapes(np.shape(n_pulses), np.shape(taus)))
     for spin in spins:
-        if propagator_mode == "exact":
-            u_plus, u_minus = _propagators_exact_batch(
-                spin, fieldcfg, n_pulses, taus, consts
-            )
-            total *= 0.5 * np.real(
-                np.einsum("tij,tij->t", u_plus.conj(), u_minus)
-            )
-        else:
-            frame = effective_frame(spin, fieldcfg, consts)
-            vals = [
-                coherence_single(
-                    spin, fieldcfg, CpmgSequence(n_pulses, t),
-                    MIXED_STATE, propagator_mode, consts,
-                )
-                for t in taus
-            ]
-            total *= np.array(vals)
+        u_plus, u_minus = conditional_propagators(
+            spin, fieldcfg, n_pulses, taus, propagator_mode, consts
+        )
+        total *= 0.5 * np.real(
+            np.einsum("...ij,...ij->...", u_plus.conj(), u_minus)
+        )
     return total
 
 
@@ -161,7 +144,7 @@ def scan_tau(
         raise ValueError("empty tau range")
     values = _bath_curve_tau(spins, fieldcfg, n_pulses, taus, propagator_mode, consts)
     return CoherenceCurve(axis="tau", abscissa=taus, values=np.clip(values, -1, 1),
-                          n_pulses=int(n_pulses))
+                          n_pulses=int(n_pulses), propagator_mode=propagator_mode)
 
 
 def scan_n(
@@ -176,15 +159,10 @@ def scan_n(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     ns = np.arange(1, n_max + 1)
-    values = np.array(
-        [
-            coherence_bath(spins, fieldcfg, CpmgSequence(int(n), tau),
-                           propagator_mode, consts)
-            for n in ns
-        ]
-    )
+    values = _bath_curve_tau(spins, fieldcfg, ns, tau, propagator_mode, consts)
     return CoherenceCurve(axis="n", abscissa=ns.astype(float),
-                          values=np.clip(values, -1, 1), tau=float(tau))
+                          values=np.clip(values, -1, 1), tau=float(tau),
+                          propagator_mode=propagator_mode)
 
 
 def scan_2d(
@@ -203,13 +181,11 @@ def scan_2d(
     if not (0 < lo < hi) or step <= 0:
         raise ValueError("tau_range must be positive increasing and step > 0")
     taus = np.arange(lo, hi + step / 2.0, step)
-    values = np.empty((len(taus), len(n_list)))
-    for j, n in enumerate(n_list):
-        values[:, j] = _bath_curve_tau(
-            spins, fieldcfg, int(n), taus, propagator_mode, consts
-        )
+    n_grid = np.asarray(n_list, dtype=int)
+    values = _bath_curve_tau(spins, fieldcfg, n_grid[None, :], taus[:, None],
+                             propagator_mode, consts)
     return CoherenceMap2D(
-        tau_grid=taus, n_grid=np.asarray(n_list, dtype=int),
+        tau_grid=taus, n_grid=n_grid,
         values=np.clip(values, -1, 1),
     )
 

@@ -24,8 +24,7 @@ from .spincore import (
     FieldConfig,
     HyperfineSpin,
     PhysicalConstants,
-    conditional_propagator_exact,
-    conditional_propagator_magnus,
+    conditional_propagators,
     effective_frame,
     spin_operator,
 )
@@ -83,19 +82,12 @@ def measurement_channel(
     which is trace preserving for any unitary pair and projective exactly at
     2 N Phi = pi/2.
     """
-    if propagator_mode == "exact":
-        u_plus = conditional_propagator_exact(spin, fieldcfg, seq, "plus", consts)
-        u_minus = conditional_propagator_exact(spin, fieldcfg, seq, "minus", consts)
-    elif propagator_mode == "magnus":
-        frame = effective_frame(spin, fieldcfg, consts)
-        u_plus = conditional_propagator_magnus(frame, seq, "plus")
-        u_minus = conditional_propagator_magnus(frame, seq, "minus")
-    else:
-        raise ValueError(f"unknown propagator_mode {propagator_mode!r}")
     frame = effective_frame(spin, fieldcfg, consts)
+    u_plus, u_minus = conditional_propagators(
+        spin, fieldcfg, seq.n_pulses, seq.tau, propagator_mode, consts, frame
+    )
     _, vecs = np.linalg.eigh(spin_operator(frame.n_perp))
-    kraus_0 = (u_minus - 1.0j * u_plus) / 2.0
-    kraus_1 = (u_minus + 1.0j * u_plus) / 2.0
+    kraus_0, kraus_1 = _kraus_pair(u_plus, u_minus)
     # label "up" the locked state more likely to give the bright outcome 0,
     # so high photon counts track hidden state +1
     p0 = [float(np.linalg.norm(kraus_0 @ vecs[:, j]) ** 2) for j in (0, 1)]
@@ -104,6 +96,11 @@ def measurement_channel(
         kraus_0=kraus_0, kraus_1=kraus_1,
         basis_up=vecs[:, i_up], basis_down=vecs[:, 1 - i_up],
     )
+
+
+def _kraus_pair(u_plus: np.ndarray, u_minus: np.ndarray):
+    """(K_0, K_1) of ``measurement_channel`` for (batches of) propagator pairs."""
+    return (u_minus - 1.0j * u_plus) / 2.0, (u_minus + 1.0j * u_plus) / 2.0
 
 
 def joint_premeasurement_state(
@@ -133,26 +130,25 @@ def entanglement_vs_n(
     """
     frame = effective_frame(spin, fieldcfg, consts)
     ns = np.arange(1, n_max + 1)
-    entropies = np.empty(len(ns))
-    phases = np.empty(len(ns))
-    for i, n in enumerate(ns):
-        seq = CpmgSequence(int(n), tau)
-        channel = measurement_channel(spin, fieldcfg, seq, propagator_mode, consts)
-        psi_n = (channel.basis_up + channel.basis_down) / np.sqrt(2.0)
-        psi = joint_premeasurement_state(channel, psi_n)
-        # reduced electron state: trace over the nucleus
-        block = psi.reshape(2, 2)
-        rho_e = block @ block.conj().T
-        evals = np.linalg.eigvalsh(rho_e)
-        evals = np.clip(evals, 1e-18, 1.0)
-        entropies[i] = float(-(evals * np.log2(evals)).sum())
-        # recover the propagators: U_minus = K0 + K1, U_plus = i (K0 - K1);
-        # the eigenphase gap of U_plus^dag U_minus is twice the conditional
-        # rotation angle 2 N Phi.
-        u_minus = channel.kraus_0 + channel.kraus_1
-        u_plus = 1.0j * (channel.kraus_0 - channel.kraus_1)
-        u_rel = np.linalg.eigvals(u_plus.conj().T @ u_minus)
-        phases[i] = float(abs(np.angle(u_rel[0] / u_rel[1]))) / 2.0
+    u_plus, u_minus = conditional_propagators(
+        spin, fieldcfg, ns, tau, propagator_mode, consts, frame
+    )
+    kraus_0, kraus_1 = _kraus_pair(u_plus, u_minus)
+    # (|up> + |down>) / sqrt(2) does not depend on which locked state the
+    # channel labels "up", so the label is not needed here
+    _, vecs = np.linalg.eigh(spin_operator(frame.n_perp))
+    psi_n = (vecs[:, 0] + vecs[:, 1]) / np.sqrt(2.0)
+    # joint state before readout, one row per electron outcome
+    block = np.stack([kraus_0 @ psi_n, kraus_1 @ psi_n], axis=1)
+    block /= np.linalg.norm(block, axis=(1, 2))[:, None, None]
+    # reduced electron state: trace over the nucleus
+    rho_e = block @ block.conj().transpose(0, 2, 1)
+    evals = np.clip(np.linalg.eigvalsh(rho_e), 1e-18, 1.0)
+    entropies = -(evals * np.log2(evals)).sum(axis=1)
+    # the eigenphase gap of U_plus^dag U_minus is twice the conditional
+    # rotation angle 2 N Phi
+    u_rel = np.linalg.eigvals(u_plus.conj().transpose(0, 2, 1) @ u_minus)
+    phases = np.abs(np.angle(u_rel[:, 0] / u_rel[:, 1])) / 2.0
     return ns, entropies, phases
 
 

@@ -12,8 +12,6 @@ frequency in Hz happens at configuration boundaries, not here.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -250,12 +248,37 @@ def filter_function(omega: float, seq: CpmgSequence) -> float:
     return abs(filter_sum(omega, seq))
 
 
-def _branch_sign(branch: str) -> int:
-    if branch == "plus":
-        return 1
-    if branch == "minus":
-        return -1
-    raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
+def _branch_index(branch: str) -> int:
+    """Position of a branch in the (U_plus, U_minus) pair."""
+    if branch not in ("plus", "minus"):
+        raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
+    return 0 if branch == "plus" else 1
+
+
+def conditional_propagators(
+    spin: HyperfineSpin,
+    fieldcfg: FieldConfig,
+    n_pulses,
+    taus,
+    propagator_mode: str = "exact",
+    consts: PhysicalConstants = DEFAULT_CONSTANTS,
+    frame: EffectiveFrame | None = None,
+):
+    """(U_plus, U_minus) of CPMG-N on the broadcast grid of ``n_pulses`` x ``taus``.
+
+    Both arrays have the broadcast shape + (2, 2).  Each branch is one cycle
+    tau-pi-2tau-pi-tau raised to N // 2 in SU(2) closed form, then one
+    half-cycle for odd N (Taminiau et al., PRL 109, 137602 (2012)), so the
+    cost does not grow with N.  The one reader of ``propagator_mode``;
+    ``frame`` passes the spin's effective frame when the caller has it.
+    """
+    if propagator_mode == "exact":
+        return _propagators_exact_batch(spin, fieldcfg, n_pulses, taus, consts)
+    if propagator_mode == "magnus":
+        if frame is None:
+            frame = effective_frame(spin, fieldcfg, consts)
+        return _propagators_magnus_batch(frame, n_pulses, taus)
+    raise ValueError(f"unknown propagator_mode {propagator_mode!r}")
 
 
 def conditional_propagator_exact(
@@ -270,108 +293,89 @@ def conditional_propagator_exact(
     The 'plus' branch sees (A + gamma_n B).I during the first interval; each
     ideal pi-flip swaps the two interval Hamiltonians.
     """
-    idx = 0 if _branch_sign(branch) > 0 else 1
-    pair = _propagators_exact_batch(
-        spin, fieldcfg, seq.n_pulses, np.array([seq.tau]), consts
-    )
-    return pair[idx][0]
+    return _propagators_exact_batch(
+        spin, fieldcfg, seq.n_pulses, seq.tau, consts
+    )[_branch_index(branch)]
 
 
 def _propagators_exact_batch(
     spin: HyperfineSpin,
     fieldcfg: FieldConfig,
-    n_pulses: int,
-    taus: np.ndarray,
+    n_pulses,
+    taus,
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ):
-    """Exact (U_plus, U_minus) for a whole array of pulse half-intervals.
+    """Exact (U_plus, U_minus) for broadcast arrays of pulse numbers and taus.
 
-    Returns two arrays of shape (len(taus), 2, 2).  The interval rotations
-    about each branch Hamiltonian are built in closed form, so the cost is
-    n_pulses + 1 batched 2x2 products.
+    With a = exp(-i h_plus.I tau) and b = exp(-i h_minus.I tau) built in
+    closed form, the 'plus' branch runs a, b b, a a, ..., so its half-cycle
+    is H_plus = b a and its cycle a b b a = H_minus H_plus; the 'minus'
+    branch swaps a and b.
     """
     taus = np.asarray(taus, dtype=float)
     b_vec = np.array([0.0, 0.0, consts.gamma_n * fieldcfg.b_magnitude])
-    h_plus = spin.a_vec + b_vec
-    h_minus = b_vec
-
-    def rotors(h_vec, durations):
-        # exp(-i h.I d) for each duration; h fixed.
-        mag = np.linalg.norm(h_vec)
-        if mag == 0:
-            out = np.zeros((len(durations), 2, 2), dtype=complex)
-            out[:] = IDENTITY_2
-            return out
-        sigma = 2.0 * spin_operator(h_vec / mag)
-        half = mag * durations / 2.0
-        return (
-            np.cos(half)[:, None, None] * IDENTITY_2
-            - 1.0j * np.sin(half)[:, None, None] * sigma
-        )
-
-    # interval durations: tau, 2tau, ..., 2tau, tau
-    u_plus = None
-    u_minus = None
-    for p in range(n_pulses + 1):
-        dur = taus if p in (0, n_pulses) else 2.0 * taus
-        r_plus = rotors(h_plus, dur)
-        r_minus = rotors(h_minus, dur)
-        # branch 'plus' sees h_plus on even intervals
-        step_p = r_plus if p % 2 == 0 else r_minus
-        step_m = r_minus if p % 2 == 0 else r_plus
-        if u_plus is None:
-            u_plus, u_minus = step_p, step_m
-        else:
-            u_plus = step_p @ u_plus
-            u_minus = step_m @ u_minus
-    return u_plus, u_minus
+    a = _rotor(spin.a_vec + b_vec, taus)
+    b = _rotor(b_vec, taus)
+    half_plus, half_minus = _quaternion_product(b, a), _quaternion_product(a, b)
+    cycles = (_quaternion_product(half_minus, half_plus),
+              _quaternion_product(half_plus, half_minus))
+    return _cpmg_pair(cycles, (half_plus, half_minus), n_pulses, np.eye(3))
 
 
-def _cycle_quaternion(
-    omega: float, a_perp: float, edges: tuple, sgn: int
-) -> tuple:
-    """First-order propagator of one toggling block as a unit quaternion.
+def _rotor(h_vec: np.ndarray, taus: np.ndarray) -> tuple:
+    """exp(-i h.I tau) as unit quaternions, one per tau."""
+    mag = float(np.linalg.norm(h_vec))
+    axis = h_vec / mag if mag > 0.0 else np.zeros(3)
+    s = np.sin(mag * taus / 2.0)
+    return (np.cos(mag * taus / 2.0), s * axis[0], s * axis[1], s * axis[2])
 
-    ``edges`` are the block's boundary times from its own start, the branch
-    sign s(t) starts at +1 and flips at each interior edge.  The block
-    propagator is W exp(-i sgn M): W = exp(-i omega I_par t) is the exact
-    precession over the block and M = (a_perp / 2)(Re g I_perp - Im g
-    I_cross) with the filter phase g = int s(t) exp(i omega t) dt.  A
-    quaternion (w, x, y, z) stands for w 1 - i (x, y, z).sigma with the
-    vector part in (n_perp, n_cross, n_par) coordinates.
+
+def _cycle_quaternions(omega: float, a_perp: float, edges: tuple) -> tuple:
+    """First-order propagators of one toggling block, (plus, minus) branch.
+
+    ``edges`` are the block's boundary times after its start at t = 0 (arrays
+    of equal shape); the branch sign s(t) starts at +/-1 and flips at each
+    interior edge.  The block propagator is W exp(-/+ i M): W = exp(-i omega
+    I_par t) is the exact precession over the block and M = (a_perp / 2)(Re g
+    I_perp - Im g I_cross) with the filter phase g = int s(t) exp(i omega t)
+    dt.  A quaternion (w, x, y, z) stands for w 1 - i (x, y, z).sigma with
+    the vector part in (n_perp, n_cross, n_par) coordinates.
     """
     g = 0j
     sign = 1.0
-    prev = 1.0 + 0j  # exp(i omega edges[0]); blocks start at t = 0
-    for t in edges[1:]:
-        cur = cmath.exp(1.0j * omega * t)
-        g += sign * (cur - prev)
+    prev = 1.0 + 0j  # exp(i omega t) at the block start
+    for t in edges:
+        cur = np.exp(1.0j * omega * t)
+        g = g + sign * (cur - prev)
         prev = cur
         sign = -sign
-    g /= 1.0j * omega
+    g = g / (1.0j * omega)
     mx = a_perp / 2.0 * g.real
     my = -a_perp / 2.0 * g.imag
-    angle = math.hypot(mx, my)
-    c = math.cos(angle / 2.0)
-    s = sgn * math.sin(angle / 2.0) / angle if angle > 0.0 else 0.0
+    angle = np.hypot(mx, my)
+    c = np.cos(angle / 2.0)
+    s = np.sin(angle / 2.0) / np.where(angle > 0.0, angle, 1.0)
     mx, my = s * mx, s * my
     half = omega * edges[-1] / 2.0
-    cw, sw = math.cos(half), math.sin(half)
-    # Hamilton product (cw, 0, 0, sw) * (c, mx, my, 0)
-    return (cw * c, cw * mx - sw * my, cw * my + sw * mx, sw * c)
+    cw, sw = np.cos(half), np.sin(half)
+    # Hamilton product (cw, 0, 0, sw) * (c, +/-mx, +/-my, 0)
+    return tuple(
+        (cw * c, cw * px - sw * py, cw * py + sw * px, sw * c)
+        for px, py in ((mx, my), (-mx, -my))
+    )
 
 
-def _quaternion_power(q: tuple, k: int) -> tuple:
-    """q**k for a unit quaternion: (cos k a, sin k a m) with q = (cos a, sin a m).
+def _quaternion_power(q: tuple, k) -> tuple:
+    """q**k for unit quaternions: (cos k a, sin k a m) with q = (cos a, sin a m).
 
     When the vector part vanishes (q = +/-1) the axis m is undefined and the
     power is (+/-1)**k with no vector part.
     """
     w, x, y, z = q
-    norm_v = math.sqrt(x * x + y * y + z * z)
-    alpha = math.atan2(norm_v, w)
-    f = math.sin(k * alpha) / norm_v if norm_v > 0.0 else 0.0
-    return (math.cos(k * alpha), f * x, f * y, f * z)
+    norm_v = np.sqrt(x * x + y * y + z * z)
+    alpha = np.arctan2(norm_v, w)
+    f = np.sin(k * alpha) / np.where(norm_v > 0.0, norm_v, 1.0)
+    return (np.cos(k * alpha), f * x, f * y, f * z)
 
 
 def _quaternion_product(p: tuple, q: tuple) -> tuple:
@@ -384,6 +388,44 @@ def _quaternion_product(p: tuple, q: tuple) -> tuple:
         pw * qy + qw * py + pz * qx - px * qz,
         pw * qz + qw * pz + px * qy - py * qx,
     )
+
+
+def _cpmg_pair(cycles: tuple, halves: tuple, n_pulses, axes) -> tuple:
+    """(U_plus, U_minus) from each branch's cycle and half-cycle quaternions.
+
+    CPMG-N is cycle**(N // 2), then the half-cycle for odd N; ``axes`` are
+    the lab vectors of the quaternions' vector coordinates.
+    """
+    n_pulses = np.asarray(n_pulses)
+    if np.any(n_pulses < 1):
+        raise ValueError("pulse numbers must be >= 1")
+    k, odd = np.divmod(n_pulses, 2)
+    pair = []
+    for cycle, half in zip(cycles, halves):
+        even = _quaternion_power(cycle, k)
+        w, x, y, z = (np.where(odd == 1, h, e)
+                      for h, e in zip(_quaternion_product(half, even), even))
+        vx, vy, vz = (x * e1 + y * e2 + z * e3 for e1, e2, e3 in zip(*axes))
+        u = np.empty(w.shape + (2, 2), dtype=complex)
+        u[..., 0, 0] = w - 1.0j * vz
+        u[..., 0, 1] = -vy - 1.0j * vx
+        u[..., 1, 0] = vy - 1.0j * vx
+        u[..., 1, 1] = w + 1.0j * vz
+        pair.append(u)
+    return tuple(pair)
+
+
+def _propagators_magnus_batch(frame: EffectiveFrame, n_pulses, taus):
+    """First-order (U_plus, U_minus) for broadcast arrays of pulse numbers
+    and taus; see ``conditional_propagator_magnus``."""
+    if frame.omega < DEGENERATE_OMEGA:
+        raise DegenerateFrameError("Magnus propagator needs omega > 0")
+    taus = np.asarray(taus, dtype=float)
+    omega, a_perp = frame.omega, frame.a_perp
+    cycles = _cycle_quaternions(omega, a_perp, (taus, 3.0 * taus, 4.0 * taus))
+    halves = _cycle_quaternions(omega, a_perp, (taus, 2.0 * taus))
+    return _cpmg_pair(cycles, halves, n_pulses,
+                      (frame.n_perp, frame.n_cross, frame.n_par))
 
 
 def conditional_propagator_magnus(
@@ -422,19 +464,5 @@ def conditional_propagator_magnus(
     and the coherence error of this model stays below B (acceptance
     criterion 2 checks it case by case).
     """
-    sgn = _branch_sign(branch)
-    if frame.omega < DEGENERATE_OMEGA:
-        raise DegenerateFrameError("Magnus propagator needs omega > 0")
-    omega, a_perp, tau = frame.omega, frame.a_perp, seq.tau
-    k, odd = divmod(seq.n_pulses, 2)
-    q = _quaternion_power(
-        _cycle_quaternion(omega, a_perp, (0.0, tau, 3.0 * tau, 4.0 * tau), sgn), k
-    )
-    if odd:
-        half = _cycle_quaternion(omega, a_perp, (0.0, tau, 2.0 * tau), sgn)
-        q = _quaternion_product(half, q)
-    w, x, y, z = q
-    vx, vy, vz = x * frame.n_perp + y * frame.n_cross + z * frame.n_par
-    return np.array(
-        [[complex(w, -vz), complex(-vy, -vx)], [complex(vy, -vx), complex(w, vz)]]
-    )
+    pair = _propagators_magnus_batch(frame, seq.n_pulses, seq.tau)
+    return pair[_branch_index(branch)]

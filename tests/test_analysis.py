@@ -277,3 +277,27 @@ def test_fit_truth_is_global_minimum(field_305):
         - data
     )
     assert res_truth <= fit.residual + 1e-9
+
+
+def test_fit_propagates_forward_model_errors(field_305, scan_spin, monkeypatch):
+    """An error inside a local refinement is raised, not skipped as a bad start."""
+    import ddread.analysis as analysis
+
+    class ModelError(Exception):
+        pass
+
+    curve = scan_tau([scan_spin], field_305, 12, (420e-9, 580e-9), 8e-9)
+    n_grid = 4
+    calls = []
+    original = analysis._fit_model_values
+
+    def failing_after_coarse_grid(*args):
+        calls.append(1)
+        if len(calls) > n_grid * n_grid:
+            raise ModelError("forward model failed")
+        return original(*args)
+
+    monkeypatch.setattr(analysis, "_fit_model_values", failing_after_coarse_grid)
+    with pytest.raises(ModelError):
+        fit_hyperfine([curve], field_305, n_grid=n_grid)
+    assert len(calls) == n_grid * n_grid + 1

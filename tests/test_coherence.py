@@ -103,6 +103,21 @@ def test_scan_2d_dips_deepen_with_n(field_305, scan_spin):
     assert mins[0] > mins[1] > mins[2]
 
 
+def test_scans_match_per_cell_bath_coherence(field_305, bath_305):
+    tau = 456e-9
+    n_list = [1, 2, 5, 12, 33]
+    for mode in ("exact", "magnus"):
+        curve = scan_n(bath_305, field_305, tau, 40, propagator_mode=mode)
+        ref = [coherence_bath(bath_305, field_305, CpmgSequence(int(n), tau), mode)
+               for n in curve.abscissa]
+        assert np.max(np.abs(curve.values - ref)) < 1e-12
+        cmap = scan_2d(bath_305, field_305, (300e-9, 500e-9), 10e-9, n_list,
+                       propagator_mode=mode)
+        ref = [[coherence_bath(bath_305, field_305, CpmgSequence(n, t), mode)
+                for n in n_list] for t in cmap.tau_grid]
+        assert np.max(np.abs(cmap.values - np.array(ref))) < 1e-12
+
+
 def test_find_dips_on_synthetic_cosine():
     x = np.linspace(0.0, 2.0, 101)
     y = 1.0 - 0.8 * np.exp(-((x - 0.9371) / 0.15) ** 2)

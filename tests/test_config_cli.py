@@ -1,6 +1,7 @@
 """YAML configuration schema and the command-line surface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,7 +116,7 @@ def test_cli_scan_header_and_hash(tmp_path):
     lines = (tmp_path / "scan_tau.csv").read_text().splitlines()
     assert lines[0].startswith("# config_sha256=")
     assert "seed=11" in lines[0]
-    assert lines[1] == "# axis=tau n_pulses=12"
+    assert lines[1] == "# axis=tau n_pulses=12 propagator_mode=exact"
     assert lines[2] == "tau_ns,coherence"
 
 
@@ -131,12 +132,17 @@ def test_cli_map2d(tmp_path):
 
 
 def test_cli_curve_csv_roundtrip(tmp_path):
-    path = write_config(tmp_path, BASE)
+    path = write_config(tmp_path, {**BASE, "propagator_mode": "magnus"})
     main(["--config", path, "--out", str(tmp_path), "scan"])
-    curve = read_curve_csv(tmp_path / "scan_tau.csv")
+    out = tmp_path / "scan_tau.csv"
+    curve = read_curve_csv(out)
     assert curve.axis == "tau"
     assert curve.n_pulses == 12
     assert curve.abscissa[0] == pytest.approx(400e-9)
+    assert curve.propagator_mode == "magnus"
+    # files written before the mode was recorded hold exact-model curves
+    out.write_text(out.read_text().replace(" propagator_mode=magnus", ""))
+    assert read_curve_csv(out).propagator_mode == "exact"
 
 
 def test_cli_ssr_analyze_roundtrip(tmp_path):
@@ -201,3 +207,21 @@ def test_cli_fit_roundtrip(tmp_path):
     assert fit["a_par_khz"] == pytest.approx(330.0, rel=0.01)
     assert fit["a_perp_khz"] == pytest.approx(200.0, rel=0.01)
     assert not fit["degenerate"]
+
+
+def test_cli_fit_uses_the_scan_model(tmp_path):
+    """The demo config scans with the magnus model; the fit must use it too."""
+    demo = str(Path(__file__).resolve().parent.parent / "demos" / "run_config.yaml")
+    assert main(["--config", demo, "--out", str(tmp_path), "scan"]) == 0
+    scan = tmp_path / "scan_tau.csv"
+    assert main(["--config", demo, "--out", str(tmp_path), "fit", str(scan)]) == 0
+    fit = json.loads((tmp_path / "hyperfine_fit.json").read_text())
+    truth = yaml.safe_load(Path(demo).read_text())["spins"][0]
+    assert fit["a_par_khz"] == pytest.approx(truth["a_par_khz"], rel=1e-6)
+    assert fit["a_perp_khz"] == pytest.approx(truth["a_perp_khz"], rel=1e-6)
+    # curves from different models are refused as a configuration error
+    exact = tmp_path / "scan_exact.csv"
+    exact.write_text(scan.read_text().replace("propagator_mode=magnus",
+                                              "propagator_mode=exact"))
+    assert main(["--config", demo, "--out", str(tmp_path),
+                 "fit", str(scan), str(exact)]) == 2

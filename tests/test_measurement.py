@@ -8,6 +8,7 @@ from ddread.measurement import (
     PhotonTrace,
     ReadoutConfig,
     entanglement_vs_n,
+    joint_premeasurement_state,
     measurement_channel,
     simulate_point,
     simulate_trace,
@@ -120,6 +121,27 @@ def test_entanglement_curve(field_691, readout_spin, field_305, scan_spin,
     ns2, entropy2, _ = entanglement_vs_n(scan_spin, field_305,
                                          scan_spin_resonant_tau, 8, "magnus")
     assert ns2[np.argmax(entropy2)] == 4
+
+
+def test_entanglement_matches_per_n_channels(field_305, scan_spin):
+    """The batched curve against one measurement channel per pulse number."""
+    tau = 470e-9
+    for mode in ("exact", "magnus"):
+        ns, entropy, phases = entanglement_vs_n(scan_spin, field_305, tau, 33,
+                                                mode)
+        for n, s_n, phase in zip(ns, entropy, phases):
+            ch = measurement_channel(scan_spin, field_305,
+                                     CpmgSequence(int(n), tau), mode)
+            psi = joint_premeasurement_state(
+                ch, (ch.basis_up + ch.basis_down) / np.sqrt(2.0))
+            evals = np.clip(np.linalg.eigvalsh(
+                psi.reshape(2, 2) @ psi.reshape(2, 2).conj().T), 1e-18, 1.0)
+            assert s_n == pytest.approx(-(evals * np.log2(evals)).sum(), abs=1e-12)
+            u_minus = ch.kraus_0 + ch.kraus_1
+            u_plus = 1.0j * (ch.kraus_0 - ch.kraus_1)
+            u_rel = np.linalg.eigvals(u_plus.conj().T @ u_minus)
+            assert phase == pytest.approx(
+                abs(np.angle(u_rel[0] / u_rel[1])) / 2.0, abs=1e-12)
 
 
 def test_entanglement_pi_periodic(field_691, readout_spin):

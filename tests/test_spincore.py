@@ -17,6 +17,7 @@ from ddread.spincore import (
     HyperfineSpin,
     conditional_propagator_exact,
     conditional_propagator_magnus,
+    conditional_propagators,
     effective_frame,
     filter_function,
     is_unitary,
@@ -50,6 +51,37 @@ def oracle_propagator(spin, fieldcfg, seq, branch, consts=DEFAULT_CONSTANTS):
         dt = edges[k + 1] - edges[k]
         u = expm(-1.0j * order[k % 2] * dt) @ u
     return u
+
+
+def oracle_product(spin, fieldcfg, n_pulses, taus, consts=DEFAULT_CONSTANTS):
+    """(U_plus, U_minus) as the product of the N + 1 interval rotations
+    tau, 2 tau, ..., 2 tau, tau, each built in closed form, for one N and an
+    array of taus."""
+    taus = np.asarray(taus, dtype=float)
+    b_vec = np.array([0.0, 0.0, consts.gamma_n * fieldcfg.b_magnitude])
+    h_plus = spin.a_vec + b_vec
+    h_minus = b_vec
+
+    def rotors(h_vec, durations):
+        mag = np.linalg.norm(h_vec)
+        if mag == 0:
+            out = np.zeros((len(durations), 2, 2), dtype=complex)
+            out[:] = np.eye(2)
+            return out
+        sigma = 2.0 * spin_operator(h_vec / mag)
+        half = mag * durations / 2.0
+        return (np.cos(half)[:, None, None] * np.eye(2)
+                - 1.0j * np.sin(half)[:, None, None] * sigma)
+
+    u_plus = u_minus = np.eye(2, dtype=complex)
+    for p in range(n_pulses + 1):
+        dur = taus if p in (0, n_pulses) else 2.0 * taus
+        r_plus = rotors(h_plus, dur)
+        r_minus = rotors(h_minus, dur)
+        # branch 'plus' sees h_plus on even intervals
+        u_plus = (r_plus if p % 2 == 0 else r_minus) @ u_plus
+        u_minus = (r_minus if p % 2 == 0 else r_plus) @ u_minus
+    return u_plus, u_minus
 
 
 # ---------------------------------------------------------------- frames
@@ -169,6 +201,64 @@ def test_exact_propagator_matches_expm_oracle(field_305):
             ref = oracle_propagator(spin, field_305, seq, branch)
             assert np.linalg.norm(u - ref) < 1e-9
             assert is_unitary(u)
+
+
+def _assert_kernel_matches_product(spin, fieldcfg, taus, n_values):
+    taus = np.asarray(taus, dtype=float)
+    n_values = np.asarray(n_values)
+    got = conditional_propagators(spin, fieldcfg, n_values[None, :],
+                                  taus[:, None], "exact")
+    for j, n in enumerate(n_values):
+        ref = oracle_product(spin, fieldcfg, int(n), taus)
+        for u, r in zip(got, ref):
+            assert np.max(np.abs(u[:, j] - r)) < 1e-12
+
+
+def test_exact_kernel_matches_product_form(field_305, scan_spin, bath_305):
+    """Closed form in N against the interval-by-interval product, N = 1..64."""
+    taus = np.linspace(100e-9, 900e-9, 21)
+    for spin in [scan_spin] + list(bath_305):
+        _assert_kernel_matches_product(spin, field_305, taus, np.arange(1, 65))
+
+
+def test_exact_kernel_degenerate_inputs(field_305, scan_spin):
+    """Zero field (h_minus = 0), a decoupled spin (A = 0), a_perp = 0 at
+    omega tau = pi/2 (cycle -1) and omega tau = pi (cycle +1)."""
+    n_values = np.arange(1, 65)
+    coupled = effective_frame(scan_spin, field_305)
+    axial = spin_from_frame_components(coupled.a_par, 0.0, field_305)
+    axial_omega = effective_frame(axial, field_305).omega
+    cases = [
+        (scan_spin, FieldConfig(0.0), [150e-9, 456e-9]),
+        (HyperfineSpin(np.zeros(3)), field_305, [150e-9, 456e-9]),
+        (axial, field_305, [np.pi / (2.0 * axial_omega), np.pi / axial_omega]),
+        (scan_spin, field_305, [np.pi / coupled.omega]),
+    ]
+    for spin, fieldcfg, taus in cases:
+        _assert_kernel_matches_product(spin, fieldcfg, taus, n_values)
+
+
+def test_magnus_batch_matches_single_calls(field_305, scan_spin):
+    frame = effective_frame(scan_spin, field_305)
+    taus = np.linspace(100e-9, 900e-9, 9)
+    n_values = np.arange(1, 34)
+    got = conditional_propagators(scan_spin, field_305, n_values[None, :],
+                                  taus[:, None], "magnus")
+    for i, tau in enumerate(taus):
+        for j, n in enumerate(n_values):
+            seq = CpmgSequence(int(n), float(tau))
+            for u, branch in zip(got, ("plus", "minus")):
+                ref = conditional_propagator_magnus(frame, seq, branch)
+                assert np.max(np.abs(u[i, j] - ref)) < 1e-13
+
+
+def test_kernel_rejects_bad_mode_and_pulse_number(field_305, scan_spin):
+    with pytest.raises(ValueError):
+        conditional_propagators(scan_spin, field_305, 4, 300e-9, "approximate")
+    for mode in ("exact", "magnus"):
+        with pytest.raises(ValueError):
+            conditional_propagators(scan_spin, field_305, np.array([2, 0]),
+                                    300e-9, mode)
 
 
 def test_decoupled_spin_pure_precession(field_305):
