@@ -286,14 +286,13 @@ def fit_hyperfine(
     n_grid: int = 20,
     grid_range: tuple = (2.0 * np.pi * 10e3, 2.0 * np.pi * 1e6),
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
-    propagator_mode: str = "exact",
 ) -> HyperfineFit:
     """Recover (a_par, a_perp) from coherence scans by least squares.
 
     A 20x20 coarse grid over ``grid_range`` seeds local refinements from the
     best handful of starts (trust-region least squares on the forward model
-    of ``propagator_mode``, which should be the model that produced the
-    curves; "exact" for measured data); ties in the final residual break
+    that produced the curves, their common ``propagator_mode``; curves of
+    different modes are refused); ties in the final residual break
     toward the lexicographically smallest (a_par, a_perp).  A fit whose
     residual is insensitive to a_par (decoupled data) is flagged degenerate
     instead of reporting a spurious parallel coupling.
@@ -310,6 +309,10 @@ def fit_hyperfine(
             raise ValueError("tau-scan curve is missing its pulse number")
         if c.axis == "n" and c.tau is None:
             raise ValueError("N-scan curve is missing its tau")
+    modes = sorted({c.propagator_mode for c in curves})
+    if len(modes) > 1:
+        raise ValueError(f"curves come from different propagator modes {modes}")
+    propagator_mode = modes[0]
     data = np.concatenate([c.values for c in curves])
 
     def residual_vec(params):

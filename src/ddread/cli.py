@@ -232,12 +232,13 @@ def cmd_analyze(config: RunConfig, out_dir: Path, trace_path) -> int:
 
 
 def cmd_fit(config: RunConfig, out_dir: Path, curve_paths) -> int:
-    curves = [read_curve_csv(p) for p in curve_paths]
-    modes = sorted({c.propagator_mode for c in curves})
-    if len(modes) > 1:
-        raise ConfigError(f"fit: curves come from different propagator modes {modes}")
-    fit = fit_hyperfine(curves, config.field, consts=config.constants,
-                        propagator_mode=modes[0])
+    # bad curve metadata, e.g. an unknown or mixed propagator mode, is bad
+    # input, not a failed run
+    try:
+        curves = [read_curve_csv(p) for p in curve_paths]
+        fit = fit_hyperfine(curves, config.field, consts=config.constants)
+    except ValueError as exc:
+        raise ConfigError(f"fit: {exc}") from exc
     payload = {
         "a_par_khz": fit.a_par / TWO_PI_KHZ,
         "a_perp_khz": fit.a_perp / TWO_PI_KHZ,

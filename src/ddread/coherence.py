@@ -53,6 +53,8 @@ class CoherenceCurve:
             raise ValueError("abscissa/values length mismatch")
         if np.any(np.abs(self.values) > 1.0 + 1e-9):
             raise ValueError("coherence values must lie in [-1, 1]")
+        if self.propagator_mode not in ("exact", "magnus"):
+            raise ValueError("propagator_mode must be 'exact' or 'magnus'")
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,7 @@ def measurement_channel(
     """
     frame = effective_frame(spin, fieldcfg, consts)
     u_plus, u_minus = conditional_propagators(
-        spin, fieldcfg, seq.n_pulses, seq.tau, propagator_mode, consts, frame
+        spin, fieldcfg, seq.n_pulses, seq.tau, propagator_mode, consts
     )
     _, vecs = np.linalg.eigh(spin_operator(frame.n_perp))
     kraus_0, kraus_1 = _kraus_pair(u_plus, u_minus)
@@ -131,7 +131,7 @@ def entanglement_vs_n(
     frame = effective_frame(spin, fieldcfg, consts)
     ns = np.arange(1, n_max + 1)
     u_plus, u_minus = conditional_propagators(
-        spin, fieldcfg, ns, tau, propagator_mode, consts, frame
+        spin, fieldcfg, ns, tau, propagator_mode, consts
     )
     kraus_0, kraus_1 = _kraus_pair(u_plus, u_minus)
     # (|up> + |down>) / sqrt(2) does not depend on which locked state the

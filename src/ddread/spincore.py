@@ -262,22 +262,20 @@ def conditional_propagators(
     taus,
     propagator_mode: str = "exact",
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
-    frame: EffectiveFrame | None = None,
 ):
     """(U_plus, U_minus) of CPMG-N on the broadcast grid of ``n_pulses`` x ``taus``.
 
     Both arrays have the broadcast shape + (2, 2).  Each branch is one cycle
     tau-pi-2tau-pi-tau raised to N // 2 in SU(2) closed form, then one
     half-cycle for odd N (Taminiau et al., PRL 109, 137602 (2012)), so the
-    cost does not grow with N.  The one reader of ``propagator_mode``;
-    ``frame`` passes the spin's effective frame when the caller has it.
+    cost does not grow with N.  The one reader of ``propagator_mode``.
     """
     if propagator_mode == "exact":
         return _propagators_exact_batch(spin, fieldcfg, n_pulses, taus, consts)
     if propagator_mode == "magnus":
-        if frame is None:
-            frame = effective_frame(spin, fieldcfg, consts)
-        return _propagators_magnus_batch(frame, n_pulses, taus)
+        return _propagators_magnus_batch(
+            effective_frame(spin, fieldcfg, consts), n_pulses, taus
+        )
     raise ValueError(f"unknown propagator_mode {propagator_mode!r}")
 
 

@@ -301,3 +301,26 @@ def test_fit_propagates_forward_model_errors(field_305, scan_spin, monkeypatch):
     with pytest.raises(ModelError):
         fit_hyperfine([curve], field_305, n_grid=n_grid)
     assert len(calls) == n_grid * n_grid + 1
+
+
+def test_fit_uses_the_curves_model(field_305):
+    """Magnus curves are fitted with the magnus model; mixed modes are refused."""
+    from dataclasses import replace
+
+    a_par = 330.0 * TWO_PI_KHZ
+    a_perp = 200.0 * TWO_PI_KHZ
+    spin = spin_from_frame_components(a_par, a_perp, field_305)
+    tau_res = np.pi / (2.0 * effective_frame(spin, field_305).omega)
+    curves = [
+        scan_tau([spin], field_305, 12, (tau_res * 0.75, tau_res * 1.25),
+                 tau_res * 0.5 / 40, "magnus"),
+        scan_n([spin], field_305, tau_res, 24, "magnus"),
+    ]
+    assert {c.propagator_mode for c in curves} == {"magnus"}
+    fit = fit_hyperfine(curves, field_305, n_grid=8)
+    assert fit.a_par == pytest.approx(a_par, rel=1e-6)
+    assert fit.a_perp == pytest.approx(a_perp, rel=1e-6)
+    assert fit.residual < 1e-9
+    mixed = [curves[0], replace(curves[1], propagator_mode="exact")]
+    with pytest.raises(ValueError, match="different propagator modes"):
+        fit_hyperfine(mixed, field_305, n_grid=2)

@@ -190,3 +190,10 @@ def test_curve_invariants_and_errors(field_305, scan_spin):
     with pytest.raises(ValueError):
         CoherenceCurve(axis="bogus", abscissa=np.array([1.0]),
                        values=np.array([0.5]))
+
+
+def test_curve_rejects_unknown_propagator_mode():
+    with pytest.raises(ValueError, match="propagator_mode"):
+        CoherenceCurve(axis="tau", abscissa=np.array([1.0]),
+                       values=np.array([0.5]), n_pulses=4,
+                       propagator_mode="magnsu")

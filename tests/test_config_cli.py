@@ -209,6 +209,16 @@ def test_cli_fit_roundtrip(tmp_path):
     assert not fit["degenerate"]
 
 
+def test_cli_fit_unknown_mode_exits_2(tmp_path):
+    """A curve file naming an unknown propagator mode is bad input (exit 2)."""
+    demo = str(Path(__file__).resolve().parent.parent / "demos" / "run_config.yaml")
+    curve = tmp_path / "scan_tau.csv"
+    curve.write_text("# axis=tau n_pulses=12 propagator_mode=magnsu\n"
+                     "tau_ns,coherence\n200,0.5\n210,0.4\n")
+    assert main(["--config", demo, "--out", str(tmp_path), "fit", str(curve)]) == 2
+    assert not (tmp_path / "hyperfine_fit.json").exists()
+
+
 def test_cli_fit_uses_the_scan_model(tmp_path):
     """The demo config scans with the magnus model; the fit must use it too."""
     demo = str(Path(__file__).resolve().parent.parent / "demos" / "run_config.yaml")
