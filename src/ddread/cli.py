@@ -93,16 +93,19 @@ def read_curve_csv(path) -> CoherenceCurve:
             ys.append(float(b))
     axis = meta.get("axis")
     mode = meta.get("propagator_mode", "exact")
-    if axis == "tau":
-        return CoherenceCurve(axis="tau", abscissa=np.asarray(xs) * NS,
-                              values=np.asarray(ys),
-                              n_pulses=int(meta["n_pulses"]),
-                              propagator_mode=mode)
-    if axis == "n":
-        return CoherenceCurve(axis="n", abscissa=np.asarray(xs),
-                              values=np.asarray(ys),
-                              tau=float(meta["tau_ns"]) * NS,
-                              propagator_mode=mode)
+    try:
+        if axis == "tau":
+            return CoherenceCurve(axis="tau", abscissa=np.asarray(xs) * NS,
+                                  values=np.asarray(ys),
+                                  n_pulses=int(meta["n_pulses"]),
+                                  propagator_mode=mode)
+        if axis == "n":
+            return CoherenceCurve(axis="n", abscissa=np.asarray(xs),
+                                  values=np.asarray(ys),
+                                  tau=float(meta["tau_ns"]) * NS,
+                                  propagator_mode=mode)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing {exc.args[0]} metadata") from exc
     raise ValueError(f"{path}: missing or unknown axis metadata")
 
 

@@ -209,12 +209,15 @@ def test_cli_fit_roundtrip(tmp_path):
     assert not fit["degenerate"]
 
 
-def test_cli_fit_unknown_mode_exits_2(tmp_path):
-    """A curve file naming an unknown propagator mode is bad input (exit 2)."""
+@pytest.mark.parametrize("axis_line", [
+    "# axis=tau n_pulses=12 propagator_mode=magnsu",  # unknown mode
+    "# axis=tau propagator_mode=exact",  # no pulse number
+])
+def test_cli_fit_bad_curve_metadata_exits_2(tmp_path, axis_line):
+    """A curve file with bad metadata is bad input (exit 2), not a crash."""
     demo = str(Path(__file__).resolve().parent.parent / "demos" / "run_config.yaml")
     curve = tmp_path / "scan_tau.csv"
-    curve.write_text("# axis=tau n_pulses=12 propagator_mode=magnsu\n"
-                     "tau_ns,coherence\n200,0.5\n210,0.4\n")
+    curve.write_text(axis_line + "\ntau_ns,coherence\n200,0.5\n210,0.4\n")
     assert main(["--config", demo, "--out", str(tmp_path), "fit", str(curve)]) == 2
     assert not (tmp_path / "hyperfine_fit.json").exists()
 
