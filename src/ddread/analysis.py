@@ -55,13 +55,13 @@ class ConditionalHistograms:
     ``init_match_up``/``init_match_down`` are ground-truth initialization
     success counts (hidden state at the preparation point agrees with the
     declared label); they exist only because simulated traces carry their
-    hidden trajectory, and are meaningless for experimental data.
+    hidden trajectory, and are None for a trace without one.
     """
 
     samples_up: np.ndarray
     samples_down: np.ndarray
-    init_match_up: int
-    init_match_down: int
+    init_match_up: int | None
+    init_match_down: int | None
     low_statistics: bool
 
 
@@ -77,8 +77,8 @@ class FidelityReport:
 
     fidelity_up: float
     fidelity_down: float
-    init_fidelity_up: float
-    init_fidelity_down: float
+    init_fidelity_up: float | None
+    init_fidelity_down: float | None
     optimal_threshold: int
     threshold_curve: np.ndarray
     n_pairs_up: int
@@ -88,7 +88,8 @@ class FidelityReport:
     def __post_init__(self):
         probs = [self.fidelity_up, self.fidelity_down,
                  self.init_fidelity_up, self.init_fidelity_down]
-        if any(not (0.0 <= p <= 1.0) for p in probs if not np.isnan(p)):
+        if any(not (0.0 <= p <= 1.0) for p in probs
+               if p is not None and not np.isnan(p)):
             raise ValueError("fidelities must lie in [0, 1]")
 
 
@@ -105,28 +106,29 @@ def conditional_histograms(
     counts = trace.points
     if len(counts) < 2:
         raise ValueError("trace must contain at least 2 points")
-    hidden = trace.hidden_states
-    up, down = [], []
-    match_up = match_down = 0
+    prep_up, prep_down = [], []
     i = 0
     while i < len(counts) - 1:
         c = counts[i]
         if c > policy.init_high:
-            up.append(counts[i + 1])
-            match_up += hidden[i] == 1
+            prep_up.append(i)
             i += 2
         elif c < policy.init_low:
-            down.append(counts[i + 1])
-            match_down += hidden[i] == -1
+            prep_down.append(i)
             i += 2
         else:
             i += 1
-    low = min(len(up), len(down)) < LOW_STATISTICS_PAIRS
+    prep_up = np.asarray(prep_up, dtype=np.intp)
+    prep_down = np.asarray(prep_down, dtype=np.intp)
+    hidden = trace.hidden_states
+    low = min(len(prep_up), len(prep_down)) < LOW_STATISTICS_PAIRS
     return ConditionalHistograms(
-        samples_up=np.asarray(up, dtype=np.int64),
-        samples_down=np.asarray(down, dtype=np.int64),
-        init_match_up=match_up,
-        init_match_down=match_down,
+        samples_up=np.asarray(counts[prep_up + 1], dtype=np.int64),
+        samples_down=np.asarray(counts[prep_down + 1], dtype=np.int64),
+        init_match_up=(None if hidden is None
+                       else int(np.sum(hidden[prep_up] == 1))),
+        init_match_down=(None if hidden is None
+                         else int(np.sum(hidden[prep_down] == -1))),
         low_statistics=low,
     )
 
@@ -147,8 +149,10 @@ def fidelity_vs_threshold(hists: ConditionalHistograms) -> FidelityReport:
     return FidelityReport(
         fidelity_up=float(f_up[best]),
         fidelity_down=float(f_down[best]),
-        init_fidelity_up=hists.init_match_up / len(up),
-        init_fidelity_down=hists.init_match_down / len(down),
+        init_fidelity_up=(None if hists.init_match_up is None
+                          else hists.init_match_up / len(up)),
+        init_fidelity_down=(None if hists.init_match_down is None
+                            else hists.init_match_down / len(down)),
         optimal_threshold=int(thresholds[best]),
         threshold_curve=curve,
         n_pairs_up=len(up),

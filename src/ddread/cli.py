@@ -29,7 +29,7 @@ from .analysis import (
 )
 from .coherence import CoherenceCurve, scan_2d, scan_n, scan_tau
 from .config import NS, TWO_PI_KHZ, ConfigError, RunConfig, load_config, snapshot_json
-from .measurement import PhotonTrace, simulate_trace, trace_to_csv
+from .measurement import read_trace_csv, simulate_trace, trace_to_csv
 from .spincore import DegenerateFrameError, FieldConfig
 
 EXIT_OK = 0
@@ -182,29 +182,11 @@ def cmd_ssr(config: RunConfig, out_dir: Path, n_points: int) -> int:
     return EXIT_OK
 
 
-def _read_trace_csv(path) -> PhotonTrace:
-    counts, hidden = [], []
-    seed = 0
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line[0].isalpha():
-                if line.startswith("#"):
-                    for tok in line[1:].split():
-                        if tok.startswith("seed="):
-                            seed = int(tok.split("=", 1)[1])
-                continue
-            _, c, h = line.split(",")
-            counts.append(int(c))
-            hidden.append(int(h))
-    from .measurement import ReadoutConfig
-    return PhotonTrace(points=np.asarray(counts, dtype=np.int64),
-                       hidden_states=np.asarray(hidden, dtype=np.int8),
-                       config=ReadoutConfig(seed=seed), seed=seed)
-
-
 def cmd_analyze(config: RunConfig, out_dir: Path, trace_path) -> int:
-    trace = _read_trace_csv(trace_path)
+    try:
+        trace = read_trace_csv(trace_path, config.readout)
+    except ValueError as exc:  # a malformed trace file is bad input
+        raise ConfigError(f"analyze: {exc}") from exc
     hists = conditional_histograms(trace, config.thresholds)
     report = fidelity_vs_threshold(hists)
     histograms_to_csv(hists, out_dir / "histograms.csv")

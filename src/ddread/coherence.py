@@ -8,6 +8,7 @@ product of the single-spin factors.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -261,7 +262,7 @@ def oscillation_period(curve: CoherenceCurve) -> float:
     Used for the pulse-number revival period of the coherence dip; the fit is
     seeded from the spectral peak of the mean-removed signal.
     """
-    from scipy.optimize import curve_fit
+    from scipy.optimize import OptimizeWarning, curve_fit
 
     x = np.asarray(curve.abscissa, dtype=float)
     y = np.asarray(curve.values, dtype=float)
@@ -277,6 +278,11 @@ def oscillation_period(curve: CoherenceCurve) -> float:
     def model(xv, amp, period, phase, off):
         return amp * np.cos(2.0 * np.pi * xv / period + phase) + off
 
-    popt, _ = curve_fit(model, x, y, p0=[np.ptp(y) / 2.0, p0, 0.0, np.mean(y)],
-                        maxfev=20000)
+    # an exact cosine leaves no residual to scale the covariance by, and
+    # scipy warns about it; the covariance is not used
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OptimizeWarning)
+        popt, _ = curve_fit(model, x, y,
+                            p0=[np.ptp(y) / 2.0, p0, 0.0, np.mean(y)],
+                            maxfev=20000)
     return float(abs(popt[1]))

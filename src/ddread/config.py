@@ -77,7 +77,7 @@ class RunConfig:
 
 _TOP_KEYS = {"field_gauss", "constants", "spins", "sequence", "readout",
              "thresholds", "scan", "seed", "propagator_mode"}
-_CONST_KEYS = {"gamma_n", "gamma_e"}
+_CONST_KEYS = {"gamma_n"}
 _SPIN_KEYS = {"a_par_khz", "a_perp_khz", "a_vec_khz"}
 _SEQ_KEYS = {"n_pulses", "tau_ns"}
 _READ_KEYS = {"cycles_per_point", "photon_rate_bright", "photon_rate_dark",
@@ -115,7 +115,6 @@ def parse_config(doc: dict) -> RunConfig:
     defaults = PhysicalConstants()
     consts = PhysicalConstants(
         gamma_n=_number(const_sec, "gamma_n", "constants", defaults.gamma_n),
-        gamma_e=_number(const_sec, "gamma_e", "constants", defaults.gamma_e),
     )
 
     field_gauss = _number(doc, "field_gauss", "config")

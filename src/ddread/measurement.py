@@ -13,8 +13,8 @@ reproducible bit for bit regardless of how points are scheduled.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -28,9 +28,6 @@ from .spincore import (
     effective_frame,
     spin_operator,
 )
-
-_H_GATE = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class MeasurementChannel:
@@ -60,6 +57,20 @@ class MeasurementChannel:
         k = self.kraus_0 if outcome == 0 else self.kraus_1
         post = k @ rho @ k.conj().T
         return post / np.real(np.trace(post))
+
+    @cached_property
+    def locked_frame(self):
+        """The trajectory engine's set-up, once per channel: the locked basis,
+        the Kraus pair in it as nested lists, and per outcome o the fixed point
+        v_o of K_o (dominant eigenvector), |K_(1-o) v_o|^2 and |<up|v_o>|^2."""
+        basis = np.column_stack([self.basis_up, self.basis_down])
+        kraus = [(basis.conj().T @ k @ basis).tolist()
+                 for k in (self.kraus_0, self.kraus_1)]
+        vs = [vecs[:, np.argmax(np.abs(vals))].tolist()
+              for vals, vecs in map(np.linalg.eig, kraus)]
+        fixed = [(v, _collapse(kraus[1 - o], v)[0], abs(v[0]) ** 2)
+                 for o, v in enumerate(vs)]
+        return basis, kraus, fixed
 
 
 def measurement_channel(
@@ -197,17 +208,19 @@ class PhotonTrace:
     """Binned photon counts plus the ground-truth nuclear trajectory.
 
     ``hidden_states`` (+1 for up, -1 for down) is the dominant locked state
-    during each point; it exists for validation only and must not leak into
-    analysis that claims to be single-shot.
+    during each point, or None for an experimental trace; it exists for
+    validation only and must not leak into analysis that claims to be
+    single-shot.
     """
 
     points: np.ndarray
-    hidden_states: np.ndarray
+    hidden_states: np.ndarray | None
     config: ReadoutConfig
     seed: int
 
     def __post_init__(self):
-        if len(self.points) != len(self.hidden_states):
+        if (self.hidden_states is not None
+                and len(self.points) != len(self.hidden_states)):
             raise ValueError("points/hidden_states length mismatch")
         if np.any(self.points < 0):
             raise ValueError("photon counts must be non-negative")
@@ -221,74 +234,42 @@ def _point_rng(seed: int, point_index: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
-def _projection_weights(channel: MeasurementChannel, rho: np.ndarray):
-    up = channel.basis_up
-    down = channel.basis_down
-    p_up = float(np.real(up.conj() @ rho @ up))
-    return p_up, 1.0 - p_up
+def simulate_point(nuclear_state: np.ndarray, channel: MeasurementChannel,
+                   config: ReadoutConfig, rng: np.random.Generator):
+    """One binned data point of cycles_per_point measurement cycles: each
+    draws the electron outcome from the Kraus pair and collapses the nucleus,
+    then Poisson photons of the outcome class (misassigned with probability
+    electron_init_error), the optional depolarizing kick and a T1 flip.
+    Returns (photon_count, nuclear_state_after, dominant_state), the dominant
+    locked state +1 (up) / -1 (down) by occupation time."""
+    return _simulate_point_aggregate(nuclear_state, channel, config, rng)
 
 
-def _is_projective_qnd(channel: MeasurementChannel, tol: float = 1e-9) -> bool:
-    """True when each Kraus operator maps each locked state onto itself (up to
-    normalization) and the two outcomes split the basis deterministically."""
-    up, down = channel.basis_up, channel.basis_down
-    k0, k1 = channel.kraus_0, channel.kraus_1
-    # outcome 0 must keep |down>, outcome 1 must keep |up> (or vice versa);
-    # check both pairings.
-    def leakage(k, keep, kill):
-        return abs(np.linalg.norm(k @ kill)) + abs(1.0 - np.linalg.norm(k @ keep))
-
-    direct = leakage(k0, down, up) + leakage(k1, up, down)
-    swapped = leakage(k0, up, down) + leakage(k1, down, up)
-    return min(direct, swapped) < tol
+# Probabilities below the channel's rounding (completeness defect ~1e-16) are 0:
+# such a clock never fires, and a state with less weight off a fixed point is on it.
+_NEGLIGIBLE = 1e-15
 
 
-def _bright_state_sign(channel: MeasurementChannel) -> int:
-    """+1 if the bright outcome (0) keeps |up>, else -1."""
-    up = channel.basis_up
-    return 1 if np.linalg.norm(channel.kraus_0 @ up) > 0.5 else -1
-
-
-def simulate_point(
-    nuclear_state: np.ndarray,
-    channel: MeasurementChannel,
-    config: ReadoutConfig,
-    rng: np.random.Generator,
-):
-    """One binned data point: cycles_per_point measurement cycles.
-
-    Returns (photon_count, nuclear_state_after, dominant_state) with the
-    dominant locked state encoded +1 (up) / -1 (down) by occupation time.
-
-    Each cycle: sample the electron outcome from the Kraus probabilities,
-    collapse the nuclear state, draw Poisson photons for the outcome class
-    (misassigned with probability electron_init_error), apply the optional
-    depolarizing kick, then a T1 flip with the per-cycle exponential
-    probability.  When the channel is projective and the depolarizing kick is
-    off, the inner loop is replaced by an exact aggregate: the locked state
-    only changes at T1 flips, so flip times are drawn geometrically and the
-    photons for each constant-state segment are drawn as a sum of the two
-    Poisson classes split binomially by the misassignment probability.
-    """
-    rho = np.asarray(nuclear_state, dtype=complex).copy()
-    if _is_projective_qnd(channel) and config.pi_pulse_error == 0.0:
-        return _simulate_point_aggregate(rho, channel, config, rng)
-    return _simulate_point_cycles(rho, channel, config, rng)
+def _collapse(k, psi):
+    """(|K psi|^2, K psi normalized), in scalar complex arithmetic."""
+    x = [row[0] * psi[0] + row[1] * psi[1] for row in k]
+    p = abs(x[0]) ** 2 + abs(x[1]) ** 2
+    return p, ((x[0] / p ** 0.5, x[1] / p ** 0.5) if p else psi)
 
 
 def _t1_flip_probs(config: ReadoutConfig):
     dt = config.cycle_time
-    return (1.0 - np.exp(-dt / config.t1n_up),
-            1.0 - np.exp(-dt / config.t1n_down))
+    return tuple(float(1.0 - np.exp(-dt / t1))
+                 for t1 in (config.t1n_up, config.t1n_down))
 
 
 def _cycle_kernel(k0, k1, psi, u, rate_bright, rate_dark, eie, pie,
                   p_flip_up, p_flip_down):
-    """Pure-state quantum-trajectory loop in the locked basis.
+    """Pure-state quantum-trajectory loop in the locked basis (test reference).
 
     ``u`` holds six pre-drawn uniforms per cycle (outcome, misassignment,
     photon count, depolarizing occurrence, depolarizing target, T1 flip), so
-    the kernel is deterministic given its inputs and can be jit-compiled.
+    the kernel is deterministic given its inputs.
     The depolarizing kick is unravelled as a jump to a random locked state
     with the channel's probability, which reproduces the density-matrix map
     in ensemble average.  Returns (photon total, cycles spent nearer up).
@@ -343,14 +324,6 @@ def _cycle_kernel(k0, k1, psi, u, rate_bright, rate_dark, eie, pie,
     return photons, up_cycles
 
 
-try:  # jit the trajectory loop when numba is available; fall back otherwise
-    from numba import njit as _njit
-
-    _cycle_kernel = _njit(cache=True)(_cycle_kernel)
-except ImportError:  # pragma: no cover - exercised only without numba
-    pass
-
-
 def _simulate_point_cycles(rho, channel, config, rng):
     basis = np.column_stack([channel.basis_up, channel.basis_down])
     k0 = basis.conj().T @ channel.kraus_0 @ basis
@@ -376,40 +349,65 @@ def _simulate_point_cycles(rho, channel, config, rng):
 
 
 def _simulate_point_aggregate(rho, channel, config, rng):
-    """Equivalent sampling for a projective channel: photons per constant-state
-    segment, flip times geometric in cycle units."""
-    bright_sign = _bright_state_sign(channel)
-    p_up, _ = _projection_weights(channel, rho)
-    # an uncollapsed input is pinned by the first cycle: sample the outcome
-    state = 1 if rng.random() < p_up else -1
-    p_flip_up, p_flip_down = _t1_flip_probs(config)
-    remaining = config.cycles_per_point
-    photons = 0
-    occupancy = {1: 0, -1: 0}
-    while remaining > 0:
-        p_flip = p_flip_up if state == 1 else p_flip_down
-        if p_flip <= 0:
-            seg = remaining
-        else:
-            seg = int(min(rng.geometric(p_flip), remaining))
-        rate_true = (config.photon_rate_bright if state == bright_sign
-                     else config.photon_rate_dark)
-        rate_false = (config.photon_rate_dark if state == bright_sign
-                      else config.photon_rate_bright)
-        wrong = 0
-        if config.electron_init_error > 0:
-            wrong = int(rng.binomial(seg, config.electron_init_error))
-        photons += int(rng.poisson(rate_true * (seg - wrong)))
-        if wrong:
-            photons += int(rng.poisson(rate_false * wrong))
-        occupancy[state] += seg
-        remaining -= seg
-        if remaining > 0:
-            state = -state
-    dominant = 1 if occupancy[1] >= occupancy[-1] else -1
-    basis = channel.basis_up if state == 1 else channel.basis_down
-    rho_out = np.outer(basis, basis.conj())
-    return photons, rho_out, dominant
+    """``simulate_point`` sampled exactly, event by event, in the locked basis:
+    at a fixed point v_o of K_o outcome o repeats with a constant probability,
+    so the quiet cycles before an event take one geometric draw per competing
+    clock: other outcome, kick, T1 flip (Dalibard, Castin & Molmer, PRL 68, 580
+    (1992); Gillespie, J. Phys. Chem. 81, 2340 (1977)).  Event and transient
+    cycles are stepped as in ``_cycle_kernel``; photons are drawn per run."""
+    basis, kraus, fixed = channel.locked_frame
+    evals, evecs = np.linalg.eigh(basis.conj().T @ rho @ basis)
+    if evals[1] - evals[0] < _NEGLIGIBLE:  # rho ∝ 1: any basis unravels it
+        evecs = np.eye(2)
+    psi = evecs[:, 0 if rng.random() < evals[0] / evals.sum() else 1].tolist()
+    f_up, f_down = _t1_flip_probs(config)  # T1 flip probabilities per cycle
+    eie, pie, rates = (config.electron_init_error, config.pi_pulse_error,
+                       (config.photon_rate_bright, config.photon_rate_dark))
+    remaining, photons, up_cycles, run, run_len = config.cycles_per_point, 0, 0, 0, 0
+
+    def emit(outcome, n):  # n cycles of ``outcome``; a new outcome ends the run
+        nonlocal photons, run, run_len
+        if outcome != run and run_len:
+            wrong = int(rng.binomial(run_len, eie)) if eie > 0 else 0
+            photons += int(rng.poisson(rates[run] * (run_len - wrong)))
+            photons += int(rng.poisson(rates[1 - run] * wrong)) if wrong else 0
+        run, run_len = outcome, (run_len if outcome == run else 0) + n
+
+    while remaining:
+        o = next((o for o, (v, _, _) in enumerate(fixed)
+                  if abs(v[0] * psi[1] - v[1] * psi[0]) ** 2 < _NEGLIGIBLE), None)
+        flip = None  # None: drawn in this cycle
+        if o is None:  # transient: step one cycle
+            outcome = int(rng.random() >= _collapse(kraus[0], psi)[0])
+            kick = rng.random() < pie
+        else:  # quiet cycles at v_o up to the first event cycle
+            psi, q, p_up = fixed[o]
+            emit(o, 0)
+            t_other, t_kick, t_flip = (
+                int(rng.geometric(p)) if p > _NEGLIGIBLE else remaining + 1
+                for p in (q, pie, f_down + p_up * (f_up - f_down)))
+            t = min(t_other, t_kick, t_flip, remaining + 1)
+            emit(o, t - 1)
+            up_cycles += (t - 1) * (p_up > 0.5)
+            remaining -= t - 1
+            if not remaining:
+                break
+            outcome, kick = (1 - o if t_other == t else o), t_kick == t
+            flip = None if kick or outcome != o else True
+        if outcome != o:
+            psi = _collapse(kraus[outcome], psi)[1]
+        emit(outcome, 1)
+        if kick:
+            psi = ((1 + 0j, 0j), (0j, 1 + 0j))[rng.random() >= 0.5]
+        p_up = abs(psi[0]) ** 2
+        up_cycles += p_up > 0.5
+        if flip or flip is None and rng.random() < f_down + p_up * (f_up - f_down):
+            psi = psi[::-1]
+        remaining -= 1
+    emit(None, 0)
+    psi_lab = basis @ np.array(psi)
+    dominant = 1 if 2 * up_cycles >= config.cycles_per_point else -1
+    return photons, np.outer(psi_lab, psi_lab.conj()), dominant
 
 
 def simulate_trace(
@@ -445,14 +443,57 @@ def simulate_trace(
 
 
 def trace_to_csv(trace: PhotonTrace, path, config_hash: str = "") -> None:
-    """Write (point_index, photon_count, hidden_state) rows."""
+    """Write (point_index, photon_count, hidden_state) rows, without the
+    last column when the trace has no hidden states."""
     with open(path, "w") as fh:
         if config_hash:
             fh.write(f"# config_sha256={config_hash} seed={trace.seed}\n")
+        if trace.hidden_states is None:
+            fh.write("point_index,photon_count\n")
+            for i, c in enumerate(trace.points):
+                fh.write(f"{i},{int(c)}\n")
+            return
         fh.write("point_index,photon_count,hidden_state\n")
         for i, (c, h) in enumerate(zip(trace.points, trace.hidden_states)):
             fh.write(f"{i},{int(c)},{int(h)}\n")
 
 
-def config_snapshot_json(config: ReadoutConfig) -> str:
-    return json.dumps(asdict(config), indent=2, sort_keys=True)
+def read_trace_csv(path, readout: ReadoutConfig) -> PhotonTrace:
+    """Read what ``trace_to_csv`` writes, or an experimental trace with only
+    the point_index and photon_count columns (its hidden states are None).
+
+    The trace carries ``readout`` with the seed of the file's ``seed=``
+    comment when there is one.  Rows are taken in file order; the
+    point_index column is not read.  A row whose width differs from the
+    first row's, or whose count or hidden state is not an integer, raises
+    ValueError naming its line.
+    """
+    seed, width = readout.seed, None
+    counts, hidden = [], []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line[0].isalpha():
+                continue  # blank or column-name row
+            try:
+                if line[0] == "#":
+                    seed = next((int(tok[5:]) for tok in line.split()
+                                 if tok.startswith("seed=")), seed)
+                    continue
+                row = line.split(",")
+                if len(row) != width:
+                    width = width or len(row)
+                    if len(row) != width or width not in (2, 3):
+                        raise ValueError
+                counts.append(int(row[1]))
+                if width == 3:
+                    hidden.append(int(row[2]))
+            except ValueError:
+                raise ValueError(
+                    f"{path}, line {lineno}: malformed row {line!r}") from None
+    if width is None:
+        raise ValueError(f"{path}: no trace rows")
+    return PhotonTrace(
+        points=np.asarray(counts, dtype=np.int64),
+        hidden_states=np.asarray(hidden, dtype=np.int8) if width == 3 else None,
+        config=replace(readout, seed=seed), seed=seed)

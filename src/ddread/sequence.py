@@ -10,18 +10,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class CpmgSequence:
-    """CPMG-N: pi-flips at t_p = (2p - 1) tau, pulse spacing 2 tau.
-
-    ``family`` is an extension tag; only "cpmg" validates.
-    """
+    """CPMG-N: pi-flips at t_p = (2p - 1) tau, pulse spacing 2 tau."""
 
     n_pulses: int
     tau: float
-    family: str = "cpmg"
 
     def __post_init__(self):
-        if self.family != "cpmg":
-            raise ValueError(f"unsupported sequence family {self.family!r}")
         if not isinstance(self.n_pulses, (int, np.integer)) or self.n_pulses < 1:
             raise ValueError("n_pulses must be an integer >= 1")
         if not (self.tau > 0):

@@ -37,18 +37,17 @@ class DegenerateFrameError(ValueError):
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Gyromagnetic ratios in rad s^-1 T^-1.
+    """Nuclear gyromagnetic ratio in rad s^-1 T^-1.
 
-    ``gamma_e`` is carried for documentation; the two-level pure-dephasing
-    model never uses it (electron Zeeman and zero-field terms drop out).
+    The two-level pure-dephasing model needs no electron gyromagnetic ratio:
+    the electron Zeeman and zero-field terms drop out.
     """
 
     gamma_n: float = 6.73e7
-    gamma_e: float = 1.76e11
 
     def __post_init__(self):
-        if self.gamma_n <= 0 or self.gamma_e <= 0:
-            raise ValueError("gyromagnetic ratios must be strictly positive")
+        if self.gamma_n <= 0:
+            raise ValueError("gyromagnetic ratio must be strictly positive")
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()

@@ -1,5 +1,7 @@
 """Coherence scans, bath products, dips, locked states, revival period."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,22 @@ def test_revival_period_formula(field_305):
         curve = scan_n([spin], field_305, tau, n_max, propagator_mode="magnus")
         period = oscillation_period(curve)
         assert abs(period - 2.0 * np.pi / ratio) < 1.0
+
+
+def test_period_fit_of_exact_cosine_is_quiet(field_305):
+    """The ratio-0.5 magnus N-sweep above equals cos(N a_perp / omega) to
+    rounding; fitting it must not warn about the unused covariance."""
+    omega = 600.0 * TWO_PI_KHZ
+    a_perp = 0.5 * omega
+    spin = spin_from_frame_components(
+        frame_a_par_for(omega, a_perp, field_305), a_perp, field_305
+    )
+    tau = np.pi / (2.0 * effective_frame(spin, field_305).omega)
+    curve = scan_n([spin], field_305, tau, 38, propagator_mode="magnus")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        period = oscillation_period(curve)
+    assert period == pytest.approx(4.0 * np.pi, abs=1e-6)
 
 
 def test_curve_invariants_and_errors(field_305, scan_spin):

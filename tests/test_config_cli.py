@@ -1,6 +1,7 @@
 """YAML configuration schema and the command-line surface."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import yaml
 
 from ddread.cli import main, read_curve_csv
 from ddread.config import ConfigError, load_config, parse_config, snapshot_json
+from ddread.measurement import read_trace_csv
 from ddread.spincore import effective_frame
 
 from conftest import TWO_PI_KHZ
@@ -21,6 +23,9 @@ BASE = {
              "tau_step_ns": 4.0},
     "seed": 11,
 }
+
+
+DEMO = str(Path(__file__).resolve().parent.parent / "demos" / "run_config.yaml")
 
 
 def write_config(tmp_path, doc, name="run.yaml"):
@@ -188,6 +193,60 @@ def test_cli_analyze_low_statistics_exits_4(tmp_path):
                  "analyze", "--trace", str(tmp_path / "trace.csv")]) == 4
 
 
+def test_cli_analyze_two_column_trace(tmp_path):
+    """An experimental trace has neither hidden states nor a seed comment:
+    the same fidelities, null initialization fidelities, the run's seed."""
+    assert main(["--config", DEMO, "--out", str(tmp_path),
+                 "ssr", "--points", "3000"]) == 0
+    trace = tmp_path / "trace.csv"
+    assert main(["--config", DEMO, "--out", str(tmp_path),
+                 "analyze", "--trace", str(trace)]) == 0
+    full = json.loads((tmp_path / "fidelity_report.json").read_text())
+    bare = tmp_path / "bare.csv"
+    bare.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                            for line in trace.read_text().splitlines()[1:]))
+    assert bare.read_text().startswith("point_index,photon_count\n0,")
+    out = tmp_path / "bare"
+    assert main(["--config", DEMO, "--seed", "3", "--out", str(out),
+                 "analyze", "--trace", str(bare)]) == 0
+    report = json.loads((out / "fidelity_report.json").read_text())
+    assert report["init_fidelity_up"] is None
+    assert report["init_fidelity_down"] is None
+    assert full["init_fidelity_up"] > 0.9 and full["seed"] == 7
+    assert report["seed"] == 3
+    for key in ("fidelity_up", "fidelity_down", "optimal_threshold",
+                "t1n_up_s", "t1n_down_s", "threshold_curve"):
+        assert report[key] == full[key]
+
+
+def test_read_trace_csv_carries_the_run_readout(tmp_path):
+    """The trace gets the run's readout settings with the file's seed."""
+    readout = load_config(DEMO).readout
+    path = tmp_path / "trace.csv"
+    path.write_text("# config_sha256=abc seed=42\n"
+                    "point_index,photon_count,hidden_state\n0,2400,1\n1,2300,-1\n")
+    trace = read_trace_csv(path, readout)
+    assert trace.seed == 42
+    assert trace.config == replace(readout, seed=42)
+    assert trace.points.tolist() == [2400, 2300]
+    assert trace.hidden_states.tolist() == [1, -1]
+    path.write_text("0,2400\n1,2300\n")
+    trace = read_trace_csv(path, readout)
+    assert trace.config == readout and trace.hidden_states is None
+
+
+@pytest.mark.parametrize("row", ["3,2400,1,0", "3,24x0,1", "3,2400", "3,,1"])
+def test_cli_analyze_malformed_row_exits_2(tmp_path, capsys, row):
+    """A malformed trace row is bad input (exit 2), reported with its line."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text("point_index,photon_count,hidden_state\n"
+                     "0,2400,1\n1,2300,-1\n2,2500,1\n" + row + "\n4,2350,-1\n")
+    assert main(["--config", DEMO, "--out", str(tmp_path),
+                 "analyze", "--trace", str(trace)]) == 2
+    assert "line 5" in capsys.readouterr().err
+    assert not (tmp_path / "fidelity_report.json").exists()
+
+
 def test_cli_fit_roundtrip(tmp_path):
     doc = dict(BASE)
     doc["scan"] = {"mode": "tau", "tau_start_ns": 420.0, "tau_stop_ns": 580.0,
@@ -215,26 +274,24 @@ def test_cli_fit_roundtrip(tmp_path):
 ])
 def test_cli_fit_bad_curve_metadata_exits_2(tmp_path, axis_line):
     """A curve file with bad metadata is bad input (exit 2), not a crash."""
-    demo = str(Path(__file__).resolve().parent.parent / "demos" / "run_config.yaml")
     curve = tmp_path / "scan_tau.csv"
     curve.write_text(axis_line + "\ntau_ns,coherence\n200,0.5\n210,0.4\n")
-    assert main(["--config", demo, "--out", str(tmp_path), "fit", str(curve)]) == 2
+    assert main(["--config", DEMO, "--out", str(tmp_path), "fit", str(curve)]) == 2
     assert not (tmp_path / "hyperfine_fit.json").exists()
 
 
 def test_cli_fit_uses_the_scan_model(tmp_path):
     """The demo config scans with the magnus model; the fit must use it too."""
-    demo = str(Path(__file__).resolve().parent.parent / "demos" / "run_config.yaml")
-    assert main(["--config", demo, "--out", str(tmp_path), "scan"]) == 0
+    assert main(["--config", DEMO, "--out", str(tmp_path), "scan"]) == 0
     scan = tmp_path / "scan_tau.csv"
-    assert main(["--config", demo, "--out", str(tmp_path), "fit", str(scan)]) == 0
+    assert main(["--config", DEMO, "--out", str(tmp_path), "fit", str(scan)]) == 0
     fit = json.loads((tmp_path / "hyperfine_fit.json").read_text())
-    truth = yaml.safe_load(Path(demo).read_text())["spins"][0]
+    truth = yaml.safe_load(Path(DEMO).read_text())["spins"][0]
     assert fit["a_par_khz"] == pytest.approx(truth["a_par_khz"], rel=1e-6)
     assert fit["a_perp_khz"] == pytest.approx(truth["a_perp_khz"], rel=1e-6)
     # curves from different models are refused as a configuration error
     exact = tmp_path / "scan_exact.csv"
     exact.write_text(scan.read_text().replace("propagator_mode=magnus",
                                               "propagator_mode=exact"))
-    assert main(["--config", demo, "--out", str(tmp_path),
+    assert main(["--config", DEMO, "--out", str(tmp_path),
                  "fit", str(scan), str(exact)]) == 2

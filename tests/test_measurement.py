@@ -186,7 +186,7 @@ def test_point_distribution_matches_poisson_mixture(field_691, readout_spin,
 
 def test_trajectory_and_aggregate_paths_agree(field_691, readout_spin,
                                               readout_seq, monkeypatch):
-    """The jitted per-cycle path and the aggregate shortcut sample the same
+    """The per-cycle reference and the event-driven engine sample the same
     distribution at a projective working point."""
     import ddread.measurement as m
 
@@ -202,6 +202,47 @@ def test_trajectory_and_aggregate_paths_agree(field_691, readout_spin,
                           slow.std() / np.sqrt(len(slow)))
     assert abs(fast.mean() - slow.mean()) < 4 * pooled_sem + 1.0
     assert abs(fast.std() - slow.std()) / slow.std() < 0.25
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"pi_pulse_error": 1e-3, "t1n_up": 5e-3, "t1n_down": 20e-3},
+], ids=["backaction", "kicks-asymmetric-t1"])
+def test_engine_matches_per_cycle_reference(field_691, readout_spin,
+                                            readout_seq, overrides):
+    """The event-driven engine against the brute-force per-cycle loop on the
+    exact (non-QND) channel, where back-action events interrupt the quiet
+    runs; the second case adds depolarizing kicks and unequal T1 so that all
+    three clocks fire.  Points are shortened to 2,000 cycles at the default
+    cycle time, so the 400 reference points step 0.8 million cycles."""
+    import ddread.measurement as m
+
+    ch = measurement_channel(readout_spin, field_691, readout_seq, "exact")
+    cfg = ReadoutConfig(cycles_per_point=2000, point_duration=0.189 / 20,
+                        **overrides)
+    rho = np.outer(ch.basis_down, ch.basis_down.conj())
+
+    def sample(point, seed):
+        rng = np.random.default_rng(seed)
+        rows = []
+        for _ in range(400):
+            count, rho_out, dominant = point(rho, ch, cfg, rng)
+            end_up = np.real(ch.basis_up.conj() @ rho_out @ ch.basis_up) > 0.5
+            rows.append((count, dominant == 1, end_up))
+        return np.array(rows, dtype=float).T
+
+    engine = sample(m._simulate_point_aggregate, 21)
+    reference = sample(m._simulate_point_cycles, 22)
+    (c_eng, *frac_eng), (c_ref, *frac_ref) = engine, reference
+    pooled_sem = np.hypot(c_eng.std() / np.sqrt(len(c_eng)),
+                          c_ref.std() / np.sqrt(len(c_ref)))
+    assert abs(c_eng.mean() - c_ref.mean()) < 4 * pooled_sem + 1.0
+    assert abs(c_eng.std() - c_ref.std()) / c_ref.std() < 0.25
+    # dominant-state and end-state fractions: binomial, 4 pooled standard errors
+    for f_eng, f_ref in zip(frac_eng, frac_ref):
+        p = (f_eng.mean() + f_ref.mean()) / 2.0
+        pooled_se = np.sqrt(2.0 * p * (1.0 - p) / len(f_ref))
+        assert abs(f_eng.mean() - f_ref.mean()) <= 4 * pooled_se
 
 
 def test_trace_determinism_and_substreams(field_691, readout_spin, readout_seq):

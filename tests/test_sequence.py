@@ -40,8 +40,6 @@ def test_invalid_sequences_rejected():
         CpmgSequence(0, 1e-7)
     with pytest.raises(ValueError):
         CpmgSequence(4, 0.0)
-    with pytest.raises(ValueError):
-        CpmgSequence(4, 1e-7, family="xy8")
 
 
 def test_wait_matching_paper_numbers():
