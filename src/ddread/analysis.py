@@ -28,7 +28,7 @@ LOW_STATISTICS_PAIRS = 100
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
-    """Dual initialization thresholds plus a single readout threshold.
+    """Dual initialization thresholds.
 
     A point strictly above ``init_high`` prepares/declares the bright ("up")
     state; strictly below ``init_low`` the dark ("down") state.  Between the
@@ -37,13 +37,17 @@ class ThresholdPolicy:
 
     init_low: int = 2300
     init_high: int = 2520
-    readout_threshold: int = 2400
 
     def __post_init__(self):
-        if min(self.init_low, self.init_high, self.readout_threshold) < 0:
+        if min(self.init_low, self.init_high) < 0:
             raise ValueError("thresholds must be non-negative")
         if self.init_high < self.init_low:
             raise ValueError("init_high must be >= init_low")
+
+    def classify(self, counts: np.ndarray) -> np.ndarray:
+        """Declared state of each count: +1 up, -1 down, 0 undeclared (int8)."""
+        return ((counts > self.init_high).astype(np.int8)
+                - (counts < self.init_low).astype(np.int8))
 
 
 @dataclass(frozen=True)
@@ -106,20 +110,15 @@ def conditional_histograms(
     counts = trace.points
     if len(counts) < 2:
         raise ValueError("trace must contain at least 2 points")
-    prep_up, prep_down = [], []
-    i = 0
-    while i < len(counts) - 1:
-        c = counts[i]
-        if c > policy.init_high:
-            prep_up.append(i)
-            i += 2
-        elif c < policy.init_low:
-            prep_down.append(i)
-            i += 2
-        else:
-            i += 1
-    prep_up = np.asarray(prep_up, dtype=np.intp)
-    prep_down = np.asarray(prep_down, dtype=np.intp)
+    # The walk takes every other point of each run of qualifying points,
+    # starting with the run's first; the last point has no successor.
+    labels = policy.classify(counts[:-1])
+    qualifying = np.flatnonzero(labels)
+    k = np.arange(len(qualifying))
+    run_first = np.where(np.diff(qualifying, prepend=-2) != 1, k, 0)
+    prep = qualifying[(k - np.maximum.accumulate(run_first)) % 2 == 0]
+    prep_up = prep[labels[prep] > 0]
+    prep_down = prep[labels[prep] < 0]
     hidden = trace.hidden_states
     low = min(len(prep_up), len(prep_down)) < LOW_STATISTICS_PAIRS
     return ConditionalHistograms(
@@ -141,8 +140,12 @@ def fidelity_vs_threshold(hists: ConditionalHistograms) -> FidelityReport:
     lo = int(min(up.min(), down.min()))
     hi = int(max(up.max(), down.max())) + 1
     thresholds = np.arange(lo, hi + 1)
-    f_up = np.array([(up >= th).mean() for th in thresholds])
-    f_down = np.array([(down < th).mean() for th in thresholds])
+    # below(x)[k]: how many samples of x lie under thresholds[k]
+    def below(x):
+        return np.concatenate(
+            ([0], np.cumsum(np.bincount(x - lo, minlength=hi - lo))))
+    f_up = (len(up) - below(up)) / len(up)
+    f_down = below(down) / len(down)
     f_avg = (f_up + f_down) / 2.0
     best = int(np.argmax(np.minimum(f_up, f_down)))
     curve = np.column_stack([thresholds.astype(float), f_up, f_down, f_avg])
@@ -184,41 +187,26 @@ def detect_jumps(trace: PhotonTrace, policy: ThresholdPolicy) -> JumpRecord:
     counts = trace.points
     if len(counts) == 0:
         raise ValueError("trace must be nonempty")
-    states = np.zeros(len(counts), dtype=np.int8)
-    cur = 0
-    for i, c in enumerate(counts):
-        if c > policy.init_high:
-            cur = 1
-        elif c < policy.init_low:
-            cur = -1
-        states[i] = cur
-    defined = states != 0
-    jump_idx = []
-    dwells = {1: [], -1: []}
-    censored = {1: [], -1: []}
-    idx = np.nonzero(defined)[0]
-    if len(idx) > 0:
-        run_state = states[idx[0]]
-        run_len = 0
-        first_run = True
-        for i in idx:
-            if states[i] == run_state:
-                run_len += 1
-            else:
-                (censored if first_run else dwells)[int(run_state)].append(run_len)
-                first_run = False
-                jump_idx.append(i)
-                run_state = states[i]
-                run_len = 1
-        # final run always touches the boundary
-        censored[int(run_state)].append(run_len)
+    labels = policy.classify(counts)
+    declared = np.flatnonzero(labels)
+    # a run starts at each declaring point whose label differs from the last
+    starts = declared[np.diff(labels[declared], prepend=0) != 0]
+    run_states = labels[starts]
+    spans = np.diff(starts, prepend=0, append=len(labels))
+    # forward-fill: undeclared up to the first run, then each run's label
+    states = np.repeat(np.append(np.int8(0), run_states), spans)
+    lengths = spans[1:]
+    # the first and last runs touch the trace boundary
+    interior = np.zeros(len(starts), dtype=bool)
+    interior[1:-1] = True
+    up = run_states == 1
     return JumpRecord(
         states=states,
-        dwells_up=np.asarray(dwells[1], dtype=np.int64),
-        dwells_down=np.asarray(dwells[-1], dtype=np.int64),
-        dwells_up_censored=np.asarray(censored[1], dtype=np.int64),
-        dwells_down_censored=np.asarray(censored[-1], dtype=np.int64),
-        jump_indices=np.asarray(jump_idx, dtype=np.int64),
+        dwells_up=lengths[interior & up],
+        dwells_down=lengths[interior & ~up],
+        dwells_up_censored=lengths[~interior & up],
+        dwells_down_censored=lengths[~interior & ~up],
+        jump_indices=starts[1:],
     )
 
 
@@ -381,14 +369,11 @@ def report_to_json(report: FidelityReport) -> str:
 
 def histograms_to_csv(hists: ConditionalHistograms, path) -> None:
     """Write (count, freq_up, freq_down) rows over the union count range."""
-    lo = int(min(hists.samples_up.min(initial=0),
-                 hists.samples_down.min(initial=0)))
-    hi = int(max(hists.samples_up.max(initial=0),
-                 hists.samples_down.max(initial=0)))
+    up, down = hists.samples_up, hists.samples_down
+    n_bins = int(max(up.max(initial=0), down.max(initial=0))) + 1
+    freq_up = np.bincount(up, minlength=n_bins)
+    freq_down = np.bincount(down, minlength=n_bins)
     with open(path, "w") as fh:
         fh.write("count,freq_up,freq_down\n")
-        for c in range(lo, hi + 1):
-            fu = int((hists.samples_up == c).sum())
-            fd = int((hists.samples_down == c).sum())
-            if fu or fd:
-                fh.write(f"{c},{fu},{fd}\n")
+        for c in np.flatnonzero(freq_up + freq_down):
+            fh.write(f"{c},{freq_up[c]},{freq_down[c]}\n")

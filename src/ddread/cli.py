@@ -71,12 +71,13 @@ def read_curve_csv(path) -> CoherenceCurve:
     """Load a curve written by ``scan`` (metadata comes from the # axis line).
 
     Files without a ``propagator_mode`` key were written before it existed
-    and are read as "exact".
+    and are read as "exact".  A data row that is not two numbers raises
+    ValueError naming its line.
     """
     meta = {}
     xs, ys = [], []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -88,9 +89,13 @@ def read_curve_csv(path) -> CoherenceCurve:
                 continue
             if line[0].isalpha():
                 continue  # header row
-            a, b = line.split(",")
-            xs.append(float(a))
-            ys.append(float(b))
+            try:
+                a, b = line.split(",")
+                xs.append(float(a))
+                ys.append(float(b))
+            except ValueError:
+                raise ValueError(
+                    f"{path}, line {lineno}: malformed row {line!r}") from None
     axis = meta.get("axis")
     mode = meta.get("propagator_mode", "exact")
     try:

@@ -83,7 +83,7 @@ _SEQ_KEYS = {"n_pulses", "tau_ns"}
 _READ_KEYS = {"cycles_per_point", "photon_rate_bright", "photon_rate_dark",
               "t1n_up_s", "t1n_down_s", "point_duration_s",
               "electron_init_error", "pi_pulse_error"}
-_THRESH_KEYS = {"init_low", "init_high", "readout_threshold"}
+_THRESH_KEYS = {"init_low", "init_high"}
 _SCAN_KEYS = {"mode", "tau_start_ns", "tau_stop_ns", "tau_step_ns",
               "n_max", "n_list"}
 
@@ -176,8 +176,6 @@ def parse_config(doc: dict) -> RunConfig:
         thresholds = ThresholdPolicy(
             init_low=int(thr_sec.get("init_low", tdef.init_low)),
             init_high=int(thr_sec.get("init_high", tdef.init_high)),
-            readout_threshold=int(thr_sec.get("readout_threshold",
-                                              tdef.readout_threshold)),
         )
     except ValueError as exc:
         raise ConfigError(f"thresholds: {exc}") from exc

@@ -13,6 +13,7 @@ reproducible bit for bit regardless of how points are scheduled.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -219,9 +220,11 @@ class PhotonTrace:
     seed: int
 
     def __post_init__(self):
-        if (self.hidden_states is not None
-                and len(self.points) != len(self.hidden_states)):
-            raise ValueError("points/hidden_states length mismatch")
+        if self.hidden_states is not None:
+            if len(self.points) != len(self.hidden_states):
+                raise ValueError("points/hidden_states length mismatch")
+            if not np.all(np.abs(self.hidden_states) == 1):
+                raise ValueError("hidden states must be +1 or -1")
         if np.any(self.points < 0):
             raise ValueError("photon counts must be non-negative")
 
@@ -465,11 +468,11 @@ def read_trace_csv(path, readout: ReadoutConfig) -> PhotonTrace:
     The trace carries ``readout`` with the seed of the file's ``seed=``
     comment when there is one.  Rows are taken in file order; the
     point_index column is not read.  A row whose width differs from the
-    first row's, or whose count or hidden state is not an integer, raises
-    ValueError naming its line.
+    first row's, whose count is not an int64 >= 0 or whose hidden state is
+    not +1 or -1 raises ValueError naming its line.
     """
     seed, width = readout.seed, None
-    counts, hidden = [], []
+    counts, hidden = array("q"), array("b")  # int64, int8
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -485,15 +488,21 @@ def read_trace_csv(path, readout: ReadoutConfig) -> PhotonTrace:
                     width = width or len(row)
                     if len(row) != width or width not in (2, 3):
                         raise ValueError
-                counts.append(int(row[1]))
+                count = int(row[1])
+                if count < 0:
+                    raise ValueError
+                counts.append(count)  # OverflowError beyond int64
                 if width == 3:
-                    hidden.append(int(row[2]))
-            except ValueError:
+                    state = int(row[2])
+                    if state not in (1, -1):
+                        raise ValueError
+                    hidden.append(state)
+            except (ValueError, OverflowError):
                 raise ValueError(
                     f"{path}, line {lineno}: malformed row {line!r}") from None
     if width is None:
         raise ValueError(f"{path}: no trace rows")
     return PhotonTrace(
-        points=np.asarray(counts, dtype=np.int64),
-        hidden_states=np.asarray(hidden, dtype=np.int8) if width == 3 else None,
+        points=np.array(counts, dtype=np.int64),
+        hidden_states=np.array(hidden, dtype=np.int8) if width == 3 else None,
         config=replace(readout, seed=seed), seed=seed)

@@ -19,7 +19,7 @@ from ddread.spincore import effective_frame, spin_from_frame_components
 
 from conftest import TWO_PI_KHZ, frame_a_par_for
 
-POLICY = ThresholdPolicy()  # 2300 / 2520 / 2400
+POLICY = ThresholdPolicy()  # 2300 / 2520
 
 
 def make_trace(counts, hidden=None):
@@ -140,8 +140,7 @@ def test_fidelity_shift_invariance():
     report = fidelity_vs_threshold(conditional_histograms(trace, POLICY))
     shift = 137
     shifted_policy = ThresholdPolicy(POLICY.init_low + shift,
-                                     POLICY.init_high + shift,
-                                     POLICY.readout_threshold + shift)
+                                     POLICY.init_high + shift)
     shifted = make_trace(trace.points + shift, trace.hidden_states)
     report2 = fidelity_vs_threshold(
         conditional_histograms(shifted, shifted_policy)

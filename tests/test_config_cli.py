@@ -235,7 +235,9 @@ def test_read_trace_csv_carries_the_run_readout(tmp_path):
     assert trace.config == readout and trace.hidden_states is None
 
 
-@pytest.mark.parametrize("row", ["3,2400,1,0", "3,24x0,1", "3,2400", "3,,1"])
+@pytest.mark.parametrize("row", ["3,2400,1,0", "3,24x0,1", "3,2400", "3,,1",
+                                 "3,2400,0", "3,2400,300", "3,-5,1",
+                                 "3,99999999999999999999,1"])
 def test_cli_analyze_malformed_row_exits_2(tmp_path, capsys, row):
     """A malformed trace row is bad input (exit 2), reported with its line."""
     trace = tmp_path / "trace.csv"
@@ -278,6 +280,24 @@ def test_cli_fit_bad_curve_metadata_exits_2(tmp_path, axis_line):
     curve.write_text(axis_line + "\ntau_ns,coherence\n200,0.5\n210,0.4\n")
     assert main(["--config", DEMO, "--out", str(tmp_path), "fit", str(curve)]) == 2
     assert not (tmp_path / "hyperfine_fit.json").exists()
+
+
+def test_cli_fit_malformed_curve_row_exits_2(tmp_path, capsys):
+    """A curve row that is not two numbers is bad input, named by its line."""
+    curve = tmp_path / "scan_tau.csv"
+    curve.write_text("# axis=tau n_pulses=12 propagator_mode=magnus\n"
+                     "tau_ns,coherence\n200,0.5\n210\n")
+    assert main(["--config", DEMO, "--out", str(tmp_path), "fit", str(curve)]) == 2
+    assert f"{curve}, line 4" in capsys.readouterr().err
+    assert not (tmp_path / "hyperfine_fit.json").exists()
+
+
+def test_cli_refuses_the_removed_readout_threshold(tmp_path):
+    doc = dict(BASE, thresholds={"init_low": 2300, "init_high": 2520,
+                                 "readout_threshold": 2400})
+    assert main(["--config", write_config(tmp_path, doc), "--out",
+                 str(tmp_path), "scan"]) == 2
+    assert not (tmp_path / "scan_tau.csv").exists()
 
 
 def test_cli_fit_uses_the_scan_model(tmp_path):

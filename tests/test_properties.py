@@ -147,8 +147,7 @@ def test_fidelity_curve_tradeoff_monotone(counts):
 def test_analysis_shift_equivariance(counts, shift):
     policy = ThresholdPolicy()
     shifted_policy = ThresholdPolicy(policy.init_low + shift,
-                                     policy.init_high + shift,
-                                     policy.readout_threshold + shift)
+                                     policy.init_high + shift)
     rec = detect_jumps(_trace(counts), policy)
     shifted = PhotonTrace(points=counts + shift,
                           hidden_states=np.where(counts >= 2400, 1, -1).astype(np.int8),
