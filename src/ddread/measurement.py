@@ -6,16 +6,20 @@ of the electron.  Tracing out the electron leaves a two-outcome Kraus channel
 on the nucleus whose strength runs from no measurement to fully projective as
 the conditional phase grows.
 
-Long photon traces are produced by chaining many 40,000-cycle points; each
-point draws from its own counter-based RNG substream so traces are
-reproducible bit for bit regardless of how points are scheduled.
+Long photon traces are produced by chaining many 40,000-cycle points.  Each
+point draws from its own counter-based substream: one Philox bit generator
+serves the whole trace and has its counter set to the point's block before
+the point, which gives the same substreams as a fresh generator per point.
+Traces are reproducible bit for bit regardless of how points are scheduled.
 """
 
 from __future__ import annotations
 
+import warnings
 from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain, islice
 
 import numpy as np
 
@@ -230,8 +234,9 @@ class PhotonTrace:
 
 
 def _point_rng(seed: int, point_index: int) -> np.random.Generator:
-    """Counter-based substream: Philox keyed by the master seed, counter set
-    to a block 2^128 apart per point."""
+    """Counter-based substream of one point: Philox keyed by the master seed,
+    counter set to a block 2^128 apart per point.  ``simulate_trace`` moves
+    one such generator from point to point by resetting its counter."""
     bitgen = np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, 0],
                               counter=[0, 0, point_index, 0])
     return np.random.Generator(bitgen)
@@ -245,7 +250,16 @@ def simulate_point(nuclear_state: np.ndarray, channel: MeasurementChannel,
     electron_init_error), the optional depolarizing kick and a T1 flip.
     Returns (photon_count, nuclear_state_after, dominant_state), the dominant
     locked state +1 (up) / -1 (down) by occupation time."""
-    return _simulate_point_aggregate(nuclear_state, channel, config, rng)
+    # unravel the input into a pure locked-basis state with one uniform draw
+    basis = channel.locked_frame[0]
+    evals, evecs = np.linalg.eigh(basis.conj().T @ nuclear_state @ basis)
+    if evals[1] - evals[0] < _NEGLIGIBLE:  # rho ∝ 1: any basis unravels it
+        evecs = np.eye(2)
+    psi = evecs[:, 0 if rng.random() < evals[0] / evals.sum() else 1].tolist()
+    count, psi, dominant = _simulate_point_aggregate(
+        psi, channel, config, rng, _t1_flip_probs(config))
+    psi_lab = basis @ np.array(psi)
+    return count, np.outer(psi_lab, psi_lab.conj()), dominant
 
 
 # Probabilities below the channel's rounding (completeness defect ~1e-16) are 0:
@@ -351,19 +365,18 @@ def _simulate_point_cycles(rho, channel, config, rng):
     return int(photons), rho_out, dominant
 
 
-def _simulate_point_aggregate(rho, channel, config, rng):
-    """``simulate_point`` sampled exactly, event by event, in the locked basis:
-    at a fixed point v_o of K_o outcome o repeats with a constant probability,
-    so the quiet cycles before an event take one geometric draw per competing
-    clock: other outcome, kick, T1 flip (Dalibard, Castin & Molmer, PRL 68, 580
-    (1992); Gillespie, J. Phys. Chem. 81, 2340 (1977)).  Event and transient
-    cycles are stepped as in ``_cycle_kernel``; photons are drawn per run."""
-    basis, kraus, fixed = channel.locked_frame
-    evals, evecs = np.linalg.eigh(basis.conj().T @ rho @ basis)
-    if evals[1] - evals[0] < _NEGLIGIBLE:  # rho ∝ 1: any basis unravels it
-        evecs = np.eye(2)
-    psi = evecs[:, 0 if rng.random() < evals[0] / evals.sum() else 1].tolist()
-    f_up, f_down = _t1_flip_probs(config)  # T1 flip probabilities per cycle
+def _simulate_point_aggregate(psi, channel, config, rng, flips):
+    """``simulate_point`` from the locked-basis pure state ``psi`` (a list)
+    with the per-cycle T1 flip probabilities ``flips``; returns the photon
+    count, ``psi`` after the point and the dominant state.  Sampled exactly,
+    event by event: at a fixed point v_o of K_o outcome o repeats with a
+    constant probability, so the quiet cycles before an event take one
+    geometric draw per competing clock: other outcome, kick, T1 flip
+    (Dalibard, Castin & Molmer, PRL 68, 580 (1992); Gillespie, J. Phys. Chem.
+    81, 2340 (1977)).  Event and transient cycles are stepped as in
+    ``_cycle_kernel``; photons are drawn per run."""
+    _, kraus, fixed = channel.locked_frame
+    f_up, f_down = flips  # T1 flip probabilities per cycle
     eie, pie, rates = (config.electron_init_error, config.pi_pulse_error,
                        (config.photon_rate_bright, config.photon_rate_dark))
     remaining, photons, up_cycles, run, run_len = config.cycles_per_point, 0, 0, 0, 0
@@ -408,9 +421,7 @@ def _simulate_point_aggregate(rho, channel, config, rng):
             psi = psi[::-1]
         remaining -= 1
     emit(None, 0)
-    psi_lab = basis @ np.array(psi)
-    dominant = 1 if 2 * up_cycles >= config.cycles_per_point else -1
-    return photons, np.outer(psi_lab, psi_lab.conj()), dominant
+    return photons, psi, 1 if 2 * up_cycles >= config.cycles_per_point else -1
 
 
 def simulate_trace(
@@ -433,32 +444,50 @@ def simulate_trace(
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     channel = measurement_channel(spin, fieldcfg, seq, propagator_mode, consts)
-    rho = np.eye(2, dtype=complex) / 2.0
+    flips = _t1_flip_probs(config)
+    # One generator serves every point.  Point 0's fresh state (empty buffer)
+    # with its counter set to [0, 0, i, 0] is the state _point_rng(seed, i)
+    # starts in, and the Generator keeps no other stream state.
+    rng = _point_rng(config.seed, 0)
+    bitgen, start = rng.bit_generator, rng.bit_generator.state
+    counter = start["state"]["counter"]
     points = np.empty(n_points, dtype=np.int64)
     hidden = np.empty(n_points, dtype=np.int8)
     for i in range(n_points):
-        rng = _point_rng(config.seed, i)
-        count, rho, dominant = simulate_point(rho, channel, config, rng)
-        points[i] = count
-        hidden[i] = dominant
+        counter[2] = i
+        bitgen.state = start
+        # simulate_point's unravel draw: the pure state psi unravels to
+        # itself, the fully mixed start to either locked state, 1/2 each
+        u = rng.random()
+        if not i:
+            psi = [1.0, 0.0] if u < 0.5 else [0.0, 1.0]
+        points[i], psi, hidden[i] = _simulate_point_aggregate(
+            psi, channel, config, rng, flips)
     return PhotonTrace(points=points, hidden_states=hidden, config=config,
                        seed=config.seed)
+
+
+# Rows per block of the trace writer and reader: bounds their memory.
+_CSV_BLOCK = 4096
 
 
 def trace_to_csv(trace: PhotonTrace, path, config_hash: str = "") -> None:
     """Write (point_index, photon_count, hidden_state) rows, without the
     last column when the trace has no hidden states."""
+    columns = [trace.points]
+    header = "point_index,photon_count"
+    if trace.hidden_states is not None:
+        columns.append(trace.hidden_states)
+        header += ",hidden_state"
+    row = "{}" + ",{}" * len(columns) + "\n"
     with open(path, "w") as fh:
         if config_hash:
             fh.write(f"# config_sha256={config_hash} seed={trace.seed}\n")
-        if trace.hidden_states is None:
-            fh.write("point_index,photon_count\n")
-            for i, c in enumerate(trace.points):
-                fh.write(f"{i},{int(c)}\n")
-            return
-        fh.write("point_index,photon_count,hidden_state\n")
-        for i, (c, h) in enumerate(zip(trace.points, trace.hidden_states)):
-            fh.write(f"{i},{int(c)},{int(h)}\n")
+        fh.write(header + "\n")
+        for start in range(0, len(trace.points), _CSV_BLOCK):
+            block = [col[start:start + _CSV_BLOCK].tolist() for col in columns]
+            fh.write("".join(map(row.format, range(start, len(trace.points)),
+                                 *block)))
 
 
 def read_trace_csv(path, readout: ReadoutConfig) -> PhotonTrace:
@@ -469,10 +498,62 @@ def read_trace_csv(path, readout: ReadoutConfig) -> PhotonTrace:
     comment when there is one.  Rows are taken in file order; the
     point_index column is not read.  A row whose width differs from the
     first row's, whose count is not an int64 >= 0 or whose hidden state is
-    not +1 or -1 raises ValueError naming its line.
+    not +1 or -1, or a negative seed, raises ValueError naming its line.
     """
-    seed, width = readout.seed, None
-    counts, hidden = array("q"), array("b")  # int64, int8
+    seed, counts, hidden = (_read_trace_array(path, readout.seed)
+                            or _read_trace_lines(path, readout.seed))
+    if hidden is not None:
+        hidden = np.array(hidden, dtype=np.int8)
+    return PhotonTrace(points=np.array(counts, dtype=np.int64),
+                       hidden_states=hidden,
+                       config=replace(readout, seed=seed), seed=seed)
+
+
+def _read_trace_array(path, seed: int):
+    """``read_trace_csv``'s (seed, counts, hidden states or None) for a file
+    whose leading comment, header and blank lines are followed by integer
+    rows only: ``np.loadtxt`` over blocks of rows.  Returns None for any
+    other file, which the line parser then reads or refuses, naming the line.
+    """
+    width, counts, hidden = 0, array("q"), array("b")  # int64, int8
+    # any failure hands the file to the line parser, the authority on it
+    try:
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            for first in fh:
+                line = first.strip()
+                if line[:1] == "#":
+                    seed = next((int(tok[5:]) for tok in line.split()
+                                 if tok.startswith("seed=")), seed)
+                elif line and not line[0].isalpha():
+                    width = line.count(",") + 1
+                    break
+            if seed < 0 or width not in (2, 3):
+                return None
+            # one record per row, each column at its own width; a row of
+            # another width fails.  Blocks keep every temporary smaller than
+            # the trace's own arrays.
+            columns = [("index", np.int64), ("count", np.int64),
+                       ("state", np.int8)][:width]
+            lines = chain([first], fh)
+            while block := list(islice(lines, _CSV_BLOCK)):
+                rows = np.loadtxt(block, delimiter=",", dtype=columns,
+                                  ndmin=1, comments=None)
+                if rows["count"].min() < 0 or width == 3 and not np.all(
+                        np.abs(rows["state"]) == 1):
+                    return None
+                counts.frombytes(rows["count"].tobytes())
+                if width == 3:
+                    hidden.frombytes(rows["state"].tobytes())
+    except Exception:
+        return None
+    return seed, counts, hidden if width == 3 else None
+
+
+def _read_trace_lines(path, seed: int):
+    """``read_trace_csv``'s (seed, counts, hidden states or None), one line
+    at a time, naming the line it refuses."""
+    width, counts, hidden = None, array("q"), array("b")  # int64, int8
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -482,6 +563,8 @@ def read_trace_csv(path, readout: ReadoutConfig) -> PhotonTrace:
                 if line[0] == "#":
                     seed = next((int(tok[5:]) for tok in line.split()
                                  if tok.startswith("seed=")), seed)
+                    if seed < 0:
+                        raise ValueError
                     continue
                 row = line.split(",")
                 if len(row) != width:
@@ -502,7 +585,4 @@ def read_trace_csv(path, readout: ReadoutConfig) -> PhotonTrace:
                     f"{path}, line {lineno}: malformed row {line!r}") from None
     if width is None:
         raise ValueError(f"{path}: no trace rows")
-    return PhotonTrace(
-        points=np.array(counts, dtype=np.int64),
-        hidden_states=np.array(hidden, dtype=np.int8) if width == 3 else None,
-        config=replace(readout, seed=seed), seed=seed)
+    return seed, counts, hidden if width == 3 else None

@@ -1,5 +1,6 @@
 """YAML configuration schema and the command-line surface."""
 
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -233,6 +234,31 @@ def test_read_trace_csv_carries_the_run_readout(tmp_path):
     path.write_text("0,2400\n1,2300\n")
     trace = read_trace_csv(path, readout)
     assert trace.config == readout and trace.hidden_states is None
+
+
+def test_trace_with_a_negative_seed_exits_2(tmp_path, capsys):
+    """A trace's seed obeys the rule of ``--seed``: non-negative."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text("# config_sha256=abc seed=-3\n"
+                     "point_index,photon_count,hidden_state\n0,2400,1\n")
+    assert main(["--config", DEMO, "--out", str(tmp_path),
+                 "analyze", "--trace", str(trace)]) == 2
+    assert f"{trace}, line 1" in capsys.readouterr().err
+    assert not (tmp_path / "fidelity_report.json").exists()
+
+
+@pytest.mark.parametrize("args, sha256", [
+    (["ssr", "--points", "5000"],
+     "a050d84f6f08cde415adad1f262632712dbc1f2e0cb1dcf939166859fb3844fb"),
+    (["--seed", "5", "ssr", "--points", "20000"],
+     "60d57e225f7b3071d162e0bc068653ec4b8657cdee9a7cb57f1f03f57fce2fad"),
+], ids=["5000-seed-7", "20000-seed-5"])
+def test_cli_ssr_trace_bytes(tmp_path, args, sha256):
+    """The demo config's traces, byte for byte: the sampler's stream layout,
+    the engine and the CSV writer are pinned together."""
+    assert main(["--config", DEMO, "--out", str(tmp_path)] + args) == 0
+    data = (tmp_path / "trace.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == sha256
 
 
 @pytest.mark.parametrize("row", ["3,2400,1,0", "3,24x0,1", "3,2400", "3,,1",

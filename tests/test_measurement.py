@@ -1,5 +1,7 @@
 """Kraus channels, entanglement tuning, and the photon-trace engine."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from ddread.measurement import (
     entanglement_vs_n,
     joint_premeasurement_state,
     measurement_channel,
+    read_trace_csv,
     simulate_point,
     simulate_trace,
     trace_to_csv,
@@ -194,7 +197,7 @@ def test_trajectory_and_aggregate_paths_agree(field_691, readout_spin,
     cfg = ReadoutConfig(seed=0)
     rho = np.outer(ch.basis_down, ch.basis_down.conj())
     rng = np.random.default_rng(9)
-    fast = np.array([m._simulate_point_aggregate(rho, ch, cfg, rng)[0]
+    fast = np.array([simulate_point(rho, ch, cfg, rng)[0]
                      for _ in range(250)])
     slow = np.array([m._simulate_point_cycles(rho, ch, cfg, rng)[0]
                      for _ in range(250)])
@@ -231,7 +234,7 @@ def test_engine_matches_per_cycle_reference(field_691, readout_spin,
             rows.append((count, dominant == 1, end_up))
         return np.array(rows, dtype=float).T
 
-    engine = sample(m._simulate_point_aggregate, 21)
+    engine = sample(simulate_point, 21)
     reference = sample(m._simulate_point_cycles, 22)
     (c_eng, *frac_eng), (c_ref, *frac_ref) = engine, reference
     pooled_sem = np.hypot(c_eng.std() / np.sqrt(len(c_eng)),
@@ -254,6 +257,35 @@ def test_trace_determinism_and_substreams(field_691, readout_spin, readout_seq):
     other = simulate_trace(readout_spin, field_691, readout_seq,
                            ReadoutConfig(seed=32), 60)
     assert not np.array_equal(t1.points, other.points)
+
+
+@pytest.mark.parametrize("mode, overrides", [
+    ("magnus", {}),
+    ("exact", {"pi_pulse_error": 1e-4, "t1n_up": 5.0, "t1n_down": 20.0}),
+], ids=["magnus", "exact-kicks-asymmetric-t1"])
+def test_trace_matches_the_per_point_chain(field_691, readout_spin,
+                                           readout_seq, mode, overrides):
+    """``simulate_trace`` carries the locked-basis state from point to point
+    and moves one Philox to each point's counter.  That is the same trace,
+    draw for draw, as chaining ``simulate_point`` over density matrices from
+    the fully mixed state with a fresh ``_point_rng(seed, i)`` per point.
+    The exact case runs transients, kicks and unequal T1 flips."""
+    from ddread.measurement import _point_rng
+
+    ch = measurement_channel(readout_spin, field_691, readout_seq, mode)
+    for seed in (3, 77, 2**40 + 5):
+        cfg = ReadoutConfig(seed=seed, **overrides)
+        trace = simulate_trace(readout_spin, field_691, readout_seq, cfg,
+                               300, mode)
+        rho, rows = np.eye(2, dtype=complex) / 2.0, []
+        for i in range(300):
+            count, rho, dominant = simulate_point(rho, ch, cfg,
+                                                  _point_rng(seed, i))
+            rows.append((count, dominant))
+        points, hidden = np.array(rows).T
+        assert np.array_equal(trace.points, points)
+        assert np.array_equal(trace.hidden_states, hidden)
+        assert len(set(hidden.tolist())) == 2  # the chain flips
 
 
 def test_frozen_t1_means_no_jumps(field_691, readout_spin, readout_seq):
@@ -284,6 +316,147 @@ def test_trace_csv_roundtrip(tmp_path, field_691, readout_spin, readout_seq):
     idx, count, hidden = lines[5].split(",")
     assert int(count) == trace.points[int(idx)]
     assert int(hidden) == trace.hidden_states[int(idx)]
+
+
+def _row_writer(trace, path, config_hash=""):
+    """``trace_to_csv`` as one formatted write per row (the writer's oracle)."""
+    with open(path, "w") as fh:
+        if config_hash:
+            fh.write(f"# config_sha256={config_hash} seed={trace.seed}\n")
+        if trace.hidden_states is None:
+            fh.write("point_index,photon_count\n")
+            for i, c in enumerate(trace.points):
+                fh.write(f"{i},{int(c)}\n")
+            return
+        fh.write("point_index,photon_count,hidden_state\n")
+        for i, (c, h) in enumerate(zip(trace.points, trace.hidden_states)):
+            fh.write(f"{i},{int(c)},{int(h)}\n")
+
+
+@pytest.mark.parametrize("n", [0, 1, 1000])
+@pytest.mark.parametrize("with_hidden", [True, False], ids=["3col", "2col"])
+def test_trace_to_csv_matches_the_row_writer(tmp_path, monkeypatch, n,
+                                             with_hidden):
+    """The block writer gives the row writer's bytes for any block size."""
+    import ddread.measurement as m
+
+    rng = np.random.default_rng(n)
+    hidden = rng.choice(np.array([-1, 1], dtype=np.int8), n)
+    trace = PhotonTrace(points=rng.integers(0, 10**12, n),
+                        hidden_states=hidden if with_hidden else None,
+                        config=ReadoutConfig(), seed=12)
+    for config_hash in ("", "abc123"):
+        _row_writer(trace, tmp_path / "rows.csv", config_hash)
+        for block in (7, 1000, m._CSV_BLOCK):
+            monkeypatch.setattr(m, "_CSV_BLOCK", block)
+            trace_to_csv(trace, tmp_path / "blocks.csv", config_hash)
+            assert ((tmp_path / "blocks.csv").read_bytes()
+                    == (tmp_path / "rows.csv").read_bytes())
+
+
+@pytest.mark.parametrize("with_hidden", [True, False], ids=["3col", "2col"])
+def test_trace_reader_reads_across_blocks(tmp_path, monkeypatch, with_hidden):
+    """A trace many blocks long reads back whole through the array reader."""
+    import ddread.measurement as m
+
+    rng = np.random.default_rng(3)
+    hidden = rng.choice(np.array([-1, 1], dtype=np.int8), 1000)
+    trace = PhotonTrace(points=rng.integers(0, 10**12, 1000),
+                        hidden_states=hidden if with_hidden else None,
+                        config=ReadoutConfig(), seed=12)
+    path = tmp_path / "trace.csv"
+    trace_to_csv(trace, path, "abc123")
+    monkeypatch.setattr(m, "_CSV_BLOCK", 7)
+    seed, counts, states = m._read_trace_array(path, 0)
+    assert seed == 12 and counts.tolist() == trace.points.tolist()
+    if with_hidden:
+        assert states.tolist() == hidden.tolist()
+    else:
+        assert states is None
+
+
+_BODY = "0,2400,1\n1,2300,-1\n2,2500,1\n{row}\n4,2350,-1\n"
+_HEADER = "# config_sha256=abc seed=42\npoint_index,photon_count,hidden_state\n"
+# name -> (file text, the array reader must serve it itself)
+_TRACE_FILES = {
+    "3col": (_HEADER + _BODY.format(row="3,2450,1"), True),
+    "2col": ("point_index,photon_count\n0,2400\n1,2300\n", True),
+    "no-header": ("0,2400,1\n1,2300,-1\n", True),
+    "crlf": (_HEADER.replace("\n", "\r\n")
+             + _BODY.format(row="3,2450,1").replace("\n", "\r\n"), True),
+    "leading-blank-lines": ("\n\n" + _HEADER + "\n" + _BODY.format(row="3,1,1"),
+                            True),
+    "blank-line-in-rows": (_HEADER + _BODY.format(row="\n3,2450,1"), True),
+    "one-row": (_HEADER + "0,2400,-1\n", True),
+    "no-rows": (_HEADER, False),
+    "empty": ("", False),
+    "blank-only": ("\n \n", False),
+    "seed-comment-in-rows": (_HEADER + _BODY.format(row="# again seed=9"), False),
+    "header-in-rows": (_HEADER + _BODY.format(row="point_index,photon_count,hidden_state"),
+                       False),
+    "whitespace-line-in-rows": (_HEADER + _BODY.format(row="   "), False),
+    "negative-seed": ("# config_sha256=abc seed=-3\n" + _BODY.format(row="3,1,1"),
+                      False),
+    "bad-seed": ("# seed=x\n" + _BODY.format(row="3,1,1"), False),
+    "width-4": (_HEADER + _BODY.format(row="3,2400,1,0"), False),
+    "width-2-in-3": (_HEADER + _BODY.format(row="3,2400"), False),
+    "width-1": ("0\n1\n", False),
+    "letter-in-count": (_HEADER + _BODY.format(row="3,24x0,1"), False),
+    "empty-count": (_HEADER + _BODY.format(row="3,,1"), False),
+    "hidden-0": (_HEADER + _BODY.format(row="3,2400,0"), False),
+    "hidden-300": (_HEADER + _BODY.format(row="3,2400,300"), False),
+    "count-space": (_HEADER + _BODY.format(row="3, 12,1"), True),
+    "count-plus": (_HEADER + _BODY.format(row="3,+12,1"), True),
+    "count-underscore": (_HEADER + _BODY.format(row="3,1_000,1"), False),
+    "count-float": (_HEADER + _BODY.format(row="3,1.0,1"), False),
+    "count-exponent": (_HEADER + _BODY.format(row="3,1e3,1"), False),
+    "trailing-comma": (_HEADER + _BODY.format(row="3,12,1,"), False),
+    "count-full-width": (_HEADER + _BODY.format(row="3,\uff11\uff12,1"), False),
+    "count-negative": (_HEADER + _BODY.format(row="3,-5,1"), False),
+    "count-2**63": (_HEADER + _BODY.format(row=f"3,{2**63},1"), False),
+    "count-2**63-1": (_HEADER + _BODY.format(row=f"3,{2**63 - 1},1"), True),
+    "index-not-a-number": (_HEADER + _BODY.format(row="?,12,1"), False),
+}
+
+
+def _parsed(read, path, seed):
+    """(seed, counts, hidden states) as lists, or the ValueError's text."""
+    try:
+        seed, counts, hidden = read(path, seed)
+    except ValueError as exc:
+        return str(exc)
+    assert counts.typecode == "q" and (hidden is None or hidden.typecode == "b")
+    return seed, counts.tolist(), None if hidden is None else hidden.tolist()
+
+
+@pytest.mark.parametrize("name", list(_TRACE_FILES))
+def test_trace_reader_fast_path_matches_the_line_parser(tmp_path, name):
+    """The array reader gives the line parser's result or hands the file to
+    it, so ``read_trace_csv`` returns the same trace or raises the same
+    line-naming error as the line parser alone."""
+    import ddread.measurement as m
+
+    text, served = _TRACE_FILES[name]
+    path = tmp_path / "trace.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    expected = _parsed(m._read_trace_lines, path, 5)
+    fast = m._read_trace_array(path, 5)  # a loadtxt warning fails here
+    assert (fast is not None) == served
+    if fast is not None:
+        assert _parsed(lambda *_: fast, path, 5) == expected
+    readout = ReadoutConfig(seed=5)
+    try:
+        trace = read_trace_csv(path, readout)
+    except ValueError as exc:
+        assert str(exc) == expected
+    else:
+        hidden = trace.hidden_states
+        assert (trace.seed, trace.points.tolist(),
+                None if hidden is None else hidden.tolist()) == expected
+        assert trace.points.dtype == np.int64
+        assert hidden is None or hidden.dtype == np.int8
+        assert trace.config == replace(readout, seed=trace.seed)
 
 
 def test_photon_trace_validation():
