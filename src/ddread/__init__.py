@@ -8,7 +8,7 @@ spincore
 sequence
     CPMG sequences and readout-cycle timing.
 coherence
-    Coherence scans, dips, locked states, baths.
+    Coherence scans, dips, baths.
 measurement
     Kraus measurement channels and the photon-trace Monte Carlo.
 analysis
@@ -35,7 +35,6 @@ from .coherence import (
     coherence_bath,
     coherence_single,
     find_dips,
-    locked_states,
     oscillation_period,
     scan_2d,
     scan_n,

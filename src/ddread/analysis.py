@@ -14,13 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .coherence import CoherenceCurve, _bath_curve_tau
+from .coherence import CoherenceCurve, _coherence_rows
 from .measurement import PhotonTrace
 from .spincore import (
     DEFAULT_CONSTANTS,
     FieldConfig,
     PhysicalConstants,
-    spin_from_frame_components,
+    _frame_component_vectors,
 )
 
 LOW_STATISTICS_PAIRS = 100
@@ -255,21 +255,28 @@ class HyperfineFit:
     n_starts: int
 
 
-def _fit_model_values(a_par, a_perp, curves, fieldcfg, consts,
-                      propagator_mode="exact"):
-    try:
-        spin = spin_from_frame_components(a_par, a_perp, fieldcfg, consts)
-    except ValueError:
-        return None
-    out = []
-    for curve in curves:
-        if curve.axis == "tau":
-            n_pulses, taus = curve.n_pulses, curve.abscissa
-        else:
-            n_pulses, taus = curve.abscissa.astype(int), curve.tau
-        out.append(_bath_curve_tau([spin], fieldcfg, n_pulses, taus,
-                                   propagator_mode, consts))
-    return np.concatenate(out)
+def _fit_model_values(params, curves, fieldcfg, consts, propagator_mode="exact"):
+    """Forward model of ``fit_hyperfine`` for a (P, 2) array of (a_par, a_perp).
+
+    Returns the curves' concatenated values for each row, shape (P, M), and
+    the (P,) mask of rows that realise a frame (a_perp < 2 gamma_n B and
+    omega >= ``DEGENERATE_OMEGA``); the other rows are NaN.  Every curve's
+    (N, tau) cells are flattened into one list, so one kernel call covers
+    every row and every curve.
+    """
+    params = np.asarray(params, dtype=float)
+    a_vecs, _, valid = _frame_component_vectors(params[:, 0], params[:, 1],
+                                                fieldcfg, consts)
+    n_pulses = np.concatenate([
+        np.full(len(c.values), c.n_pulses) if c.axis == "tau"
+        else c.abscissa.astype(int) for c in curves])
+    taus = np.concatenate([
+        c.abscissa if c.axis == "tau" else np.full(len(c.values), c.tau)
+        for c in curves])
+    values = np.full((len(params), len(taus)), np.nan)
+    values[valid] = _coherence_rows(a_vecs[valid], fieldcfg, n_pulses, taus,
+                                    propagator_mode, consts)
+    return values, valid
 
 
 def fit_hyperfine(
@@ -281,10 +288,12 @@ def fit_hyperfine(
 ) -> HyperfineFit:
     """Recover (a_par, a_perp) from coherence scans by least squares.
 
-    A 20x20 coarse grid over ``grid_range`` seeds local refinements from the
-    best handful of starts (trust-region least squares on the forward model
+    An ``n_grid`` x ``n_grid`` coarse grid over ``grid_range``, evaluated in
+    one batched forward-model call, seeds local refinements from the best
+    handful of starts (trust-region least squares on the forward model
     that produced the curves, their common ``propagator_mode``; curves of
-    different modes are refused); ties in the final residual break
+    different modes are refused; each finite-difference Jacobian is one
+    batched call too); ties in the final residual break
     toward the lexicographically smallest (a_par, a_perp).  A fit whose
     residual is insensitive to a_par (decoupled data) is flagged degenerate
     instead of reporting a spurious parallel coupling.
@@ -307,21 +316,29 @@ def fit_hyperfine(
     propagator_mode = modes[0]
     data = np.concatenate([c.values for c in curves])
 
+    def residual_rows(model, valid):
+        # a point that realises no frame scores 1e3 in every cell
+        return np.where(valid[:, None], model - data, 1e3)
+
+    def residuals(points):
+        return residual_rows(*_fit_model_values(points, curves, fieldcfg, consts,
+                                                propagator_mode))
+
     def residual_vec(params):
-        model = _fit_model_values(params[0], params[1], curves, fieldcfg, consts,
-                                  propagator_mode)
-        if model is None:
-            return np.full(len(data), 1e3)
-        return model - data
+        return residuals([params])[0]
+
+    def jacobian_points(_fun, points):
+        # least_squares maps its residual function (_fun) over the shifted
+        # points of a finite-difference Jacobian with this; one batched call
+        # gives the same rows
+        return residuals(list(points))
 
     lo, hi = grid_range
     grid = np.linspace(lo, hi, n_grid)
-    coarse = []
-    for ap in grid:
-        for at in grid:
-            r = residual_vec((ap, at))
-            coarse.append((float(np.linalg.norm(r)), ap, at))
-    coarse.sort(key=lambda t: (t[0], t[1], t[2]))
+    points = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+    coarse = sorted(
+        (float(np.linalg.norm(r)), ap, at)
+        for r, (ap, at) in zip(residuals(points), points))
 
     best = None
     n_starts = 0
@@ -330,7 +347,7 @@ def fit_hyperfine(
         sol = least_squares(
             residual_vec, x0=[ap, at],
             bounds=([lo / 10.0, lo / 10.0], [hi * 2.0, hi * 2.0]),
-            xtol=1e-12, ftol=1e-12,
+            xtol=1e-12, ftol=1e-12, workers=jacobian_points,
         )
         key = (float(np.linalg.norm(sol.fun)), float(sol.x[0]), float(sol.x[1]))
         if best is None or key < best:
@@ -340,12 +357,14 @@ def fit_hyperfine(
     # parallel component never enters the signal, so any a_par value is as
     # good as another; flag instead of reporting a spurious coupling.  Also
     # probe a_par directly in case the residual is insensitive to it.
-    model = _fit_model_values(a_par, a_perp, curves, fieldcfg, consts,
-                              propagator_mode)
-    flat = model is not None and float(np.max(np.abs(model - 1.0))) < 1e-3
     probe = max(abs(a_par) * 0.1, 0.01 * lo)
-    r_plus = np.linalg.norm(residual_vec((a_par + probe, a_perp)))
-    r_minus = np.linalg.norm(residual_vec((max(a_par - probe, lo / 10.0), a_perp)))
+    model, valid = _fit_model_values(
+        [(a_par, a_perp), (a_par + probe, a_perp),
+         (max(a_par - probe, lo / 10.0), a_perp)],
+        curves, fieldcfg, consts, propagator_mode)
+    flat = bool(valid[0]) and float(np.max(np.abs(model[0] - 1.0))) < 1e-3
+    r_plus, r_minus = (np.linalg.norm(r)
+                       for r in residual_rows(model[1:], valid[1:]))
     insensitive = (max(r_plus, r_minus) - res_norm) < 1e-8 * max(1.0, res_norm)
     degenerate = bool(flat or insensitive)
     return HyperfineFit(a_par=a_par, a_perp=a_perp, residual=res_norm,

@@ -1,4 +1,4 @@
-"""Electron coherence under CPMG: single spins, baths, scans, dips, locked states.
+"""Electron coherence under CPMG: single spins, baths, scans, dips.
 
 The observable is the signed coherence L = Re Tr(rho_n U_plus^dag U_minus),
 i.e. the overlap of the two conditional nuclear evolutions weighted by the
@@ -20,10 +20,7 @@ from .spincore import (
     FieldConfig,
     HyperfineSpin,
     PhysicalConstants,
-    conditional_propagator_exact,
     conditional_propagators,
-    effective_frame,
-    spin_operator,
 )
 
 MIXED_STATE = np.eye(2, dtype=complex) / 2.0
@@ -117,16 +114,22 @@ def coherence_bath(
 
 def _bath_curve_tau(spins, fieldcfg, n_pulses, taus, propagator_mode, consts):
     """Bath coherence at rho = I/2 on the broadcast grid of pulse numbers
-    and half-intervals: one propagator call per spin."""
-    total = np.ones(np.broadcast_shapes(np.shape(n_pulses), np.shape(taus)))
-    for spin in spins:
-        u_plus, u_minus = conditional_propagators(
-            spin, fieldcfg, n_pulses, taus, propagator_mode, consts
-        )
-        total *= 0.5 * np.real(
-            np.einsum("...ij,...ij->...", u_plus.conj(), u_minus)
-        )
-    return total
+    and half-intervals: one propagator call for the stack of the bath's
+    hyperfine vectors, then the product over its spin axis."""
+    a_vecs = np.array([spin.a_vec for spin in spins], dtype=float).reshape(-1, 3)
+    return np.prod(_coherence_rows(a_vecs, fieldcfg, n_pulses, taus,
+                                   propagator_mode, consts), axis=0)
+
+
+def _coherence_rows(a_vecs, fieldcfg, n_pulses, taus, propagator_mode, consts):
+    """Single-spin coherence at rho = I/2 for each row of a (P, 3) stack of
+    hyperfine vectors: shape (P,) + the broadcast grid."""
+    u_plus, u_minus = conditional_propagators(
+        a_vecs, fieldcfg, n_pulses, taus, propagator_mode, consts
+    )
+    # conjugated in place: a whole bath's pair is P times one spin's memory
+    return 0.5 * np.real(np.einsum("...ij,...ij->...",
+                                   np.conjugate(u_plus, out=u_plus), u_minus))
 
 
 def scan_tau(
@@ -215,45 +218,6 @@ def find_dips(curve: CoherenceCurve, depth_threshold: float = 0.8):
             y_ref = y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift
             dips.append((float(x_ref), float(y_ref)))
     return dips
-
-
-def locked_states(
-    spin: HyperfineSpin,
-    fieldcfg: FieldConfig,
-    seq: CpmgSequence,
-    consts: PhysicalConstants = DEFAULT_CONSTANTS,
-):
-    """Eigenstates of the exact even-N propagator and the per-pulse phase.
-
-    Returns (state_up, state_down, phase, info): the eigenvectors of U_plus
-    ordered by their overlap with the +1/2 and -1/2 eigenstates of I_perp, the
-    extracted conditional phase per pulse period (the angle phi in the
-    branch eigenvalues exp(-/+ i N phi)), and a dict with the eigenbasis
-    overlap and a degeneracy flag.
-    """
-    if seq.n_pulses % 2 != 0:
-        raise ValueError("locked states are defined for even pulse numbers only")
-    frame = effective_frame(spin, fieldcfg, consts)
-    u_plus = conditional_propagator_exact(spin, fieldcfg, seq, "plus", consts)
-    eigvals, eigvecs = np.linalg.eig(u_plus)
-    if not frame.transverse:
-        # a_perp = 0: U_plus is a rotation about n_par; the I_perp basis is
-        # not singled out and the conditional phase vanishes.
-        return eigvecs[:, 0], eigvecs[:, 1], 0.0, {
-            "overlap": 0.0, "degenerate": True,
-        }
-    _, perp_vecs = np.linalg.eigh(spin_operator(frame.n_perp))
-    # eigh sorts ascending: column 0 is the -1/2 ("down") state
-    down_ref, up_ref = perp_vecs[:, 0], perp_vecs[:, 1]
-    ov_up = np.abs(eigvecs.conj().T @ up_ref)
-    i_up = int(np.argmax(ov_up))
-    i_down = 1 - i_up
-    overlap = float(min(ov_up[i_up], np.abs(eigvecs[:, i_down].conj() @ down_ref)))
-    rel = np.angle(eigvals[i_down] / eigvals[i_up]) / 2.0
-    phase = abs(rel) / seq.n_pulses
-    return eigvecs[:, i_up], eigvecs[:, i_down], float(phase), {
-        "overlap": overlap, "degenerate": False,
-    }
 
 
 def oscillation_period(curve: CoherenceCurve) -> float:

@@ -119,16 +119,6 @@ def _kraus_pair(u_plus: np.ndarray, u_minus: np.ndarray):
     return (u_minus - 1.0j * u_plus) / 2.0, (u_minus + 1.0j * u_plus) / 2.0
 
 
-def joint_premeasurement_state(
-    channel: MeasurementChannel, nuclear_state_vec: np.ndarray
-) -> np.ndarray:
-    """Pure electron x nuclear state just before the optical readout."""
-    psi = np.zeros(4, dtype=complex)
-    psi[0:2] = channel.kraus_0 @ nuclear_state_vec  # electron |0> block
-    psi[2:4] = channel.kraus_1 @ nuclear_state_vec  # electron |1> block
-    return psi / np.linalg.norm(psi)
-
-
 def entanglement_vs_n(
     spin: HyperfineSpin,
     fieldcfg: FieldConfig,

@@ -25,7 +25,6 @@ TWO_PI = 2.0 * np.pi
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 #: omega below this (rad/s) means the precession axis is undefined.
 DEGENERATE_OMEGA = 1e-3
@@ -91,7 +90,8 @@ class EffectiveFrame:
     omega * n_par = A/2 + gamma_n * B, a_par = A . n_par, and a_perp is the
     magnitude of A's component perpendicular to n_par.  When a_perp vanishes
     n_perp is an arbitrary perpendicular unit vector and ``transverse`` is
-    False.
+    False.  The frame of a (P, 3) stack of hyperfine vectors holds (P,)
+    arrays of omega, a_par, a_perp and transverse, and (P, 3) axes.
     """
 
     omega: float
@@ -105,51 +105,111 @@ class EffectiveFrame:
     def n_cross(self) -> np.ndarray:
         """Third axis of the right-handed frame (n_par x n_perp)."""
         # written out: np.cross costs ~20x more on 3-vectors, same float ops
-        (p0, p1, p2), (q0, q1, q2) = self.n_par.tolist(), self.n_perp.tolist()
-        return np.array([p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0])
+        p0, p1, p2 = np.moveaxis(self.n_par, -1, 0)
+        q0, q1, q2 = np.moveaxis(self.n_perp, -1, 0)
+        return np.stack(
+            [p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0], axis=-1)
+
+
+def _hyperfine_vectors(spin: HyperfineSpin | np.ndarray) -> np.ndarray:
+    """The (3,) vector of a ``HyperfineSpin``, or a checked (P, 3) stack."""
+    if isinstance(spin, HyperfineSpin):
+        return spin.a_vec
+    vecs = np.asarray(spin, dtype=float)
+    if vecs.ndim != 2 or vecs.shape[1] != 3:
+        raise ValueError("a stack of hyperfine vectors must have shape (P, 3)")
+    if not np.all(np.isfinite(vecs)):
+        raise ValueError("a_vec components must be finite")
+    return vecs
+
+
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products of the last axes of ``x`` and ``y``.
+
+    Each row goes through the same BLAS dot as ``x @ y`` and
+    ``np.linalg.norm`` on one vector, so a row of a stack is bitwise the
+    single-vector result; an elementwise sum of products rounds differently.
+    """
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _row_norm(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(_row_dot(x, x))
 
 
 def effective_frame(
-    spin: HyperfineSpin,
+    spin: HyperfineSpin | np.ndarray,
     fieldcfg: FieldConfig,
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> EffectiveFrame:
     """Derive the effective nuclear frame (omega, n_par, n_perp, a_par, a_perp).
 
+    ``spin`` is a ``HyperfineSpin`` or a (P, 3) stack of hyperfine vectors;
+    a stack gives one frame per row, as arrays.
+
     Raises
     ------
     DegenerateFrameError
-        If |A/2 + gamma_n B| is below ``DEGENERATE_OMEGA`` rad/s.
+        If |A/2 + gamma_n B| is below ``DEGENERATE_OMEGA`` rad/s (in any row).
     """
-    a_vec = spin.a_vec
+    a_vec = _hyperfine_vectors(spin)
     h_par = a_vec / 2.0 + np.array([0.0, 0.0, consts.gamma_n * fieldcfg.b_magnitude])
-    omega = float(np.linalg.norm(h_par))
-    if omega < DEGENERATE_OMEGA:
+    omega = _row_norm(h_par)
+    degenerate = omega < DEGENERATE_OMEGA
+    if np.any(degenerate):
         raise DegenerateFrameError(
-            f"precession frequency {omega:.3e} rad/s below {DEGENERATE_OMEGA}; "
-            "parallel axis undefined"
+            f"precession frequency {np.min(omega):.3e} rad/s below "
+            f"{DEGENERATE_OMEGA}; parallel axis undefined"
         )
-    n_par = h_par / omega
-    a_par = float(a_vec @ n_par)
-    perp = a_vec - a_par * n_par
-    a_perp = float(np.linalg.norm(perp))
-    if a_perp > 1e-12 * max(1.0, np.linalg.norm(a_vec)):
-        n_perp = perp / a_perp
-        transverse = True
-    else:
-        # Degenerate transverse direction: pick any unit vector orthogonal
-        # to n_par so the frame stays well formed.
-        trial = np.array([1.0, 0.0, 0.0])
-        if abs(n_par @ trial) > 0.9:
-            trial = np.array([0.0, 1.0, 0.0])
-        n_perp = trial - (trial @ n_par) * n_par
-        n_perp = n_perp / np.linalg.norm(n_perp)
-        a_perp = 0.0
-        transverse = False
+    n_par = h_par / omega[..., None]
+    a_par = _row_dot(a_vec, n_par)
+    perp = a_vec - a_par[..., None] * n_par
+    a_perp = _row_norm(perp)
+    transverse = a_perp > 1e-12 * np.maximum(1.0, _row_norm(a_vec))
+    # Degenerate transverse direction: pick any unit vector orthogonal to
+    # n_par so the frame stays well formed.
+    trial = np.where(np.abs(n_par[..., :1]) > 0.9, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+    fallback = trial - _row_dot(trial, n_par)[..., None] * n_par
+    fallback = fallback / _row_norm(fallback)[..., None]
+    n_perp = np.where(transverse[..., None],
+                      perp / np.where(transverse, a_perp, 1.0)[..., None], fallback)
+    a_perp = np.where(transverse, a_perp, 0.0)
+    if a_vec.ndim == 1:
+        return EffectiveFrame(
+            omega=float(omega), n_par=n_par, n_perp=n_perp, a_par=float(a_par),
+            a_perp=float(a_perp), transverse=bool(transverse),
+        )
     return EffectiveFrame(
         omega=omega, n_par=n_par, n_perp=n_perp, a_par=a_par, a_perp=a_perp,
         transverse=transverse,
     )
+
+
+def _frame_component_vectors(a_par, a_perp, fieldcfg, consts):
+    """Hyperfine vectors realising arrays of frame components (a_par, a_perp).
+
+    Returns the (P, 3) vectors and two (P,) masks: where |a_perp| < 2 b, and
+    where, in addition, omega is at least ``DEGENERATE_OMEGA``.  Rows outside
+    either mask hold finite placeholders.  See ``spin_from_frame_components``.
+    """
+    a_par = np.asarray(a_par, dtype=float)
+    a_perp = np.asarray(a_perp, dtype=float)
+    b = consts.gamma_n * fieldcfg.b_magnitude
+    disc = b * b - a_perp * a_perp / 4.0
+    real = disc > 0
+    omega = a_par / 2.0 + np.sqrt(np.where(real, disc, 0.0))
+    valid = real & (omega >= DEGENERATE_OMEGA)
+    # z expressed in the (n_par, n_perp) basis: b z = (omega - a_par/2) n_par
+    # - (a_perp/2) n_perp.  Choose n_par in the xz plane with positive x.
+    # (b = 0 leaves no real row.)
+    cos_t = np.clip((omega - a_par / 2.0) / (b if b > 0 else 1.0), -1.0, 1.0)
+    sin_t = np.sqrt(1.0 - cos_t * cos_t)
+    zero = np.zeros_like(cos_t)
+    n_par = np.stack([sin_t, zero, cos_t], axis=-1)
+    # n_perp lies in the xz plane too, orthogonal to n_par, with
+    # n_perp . z = -sin_t = -|a_perp| / (2 b).
+    n_perp = np.stack([cos_t, zero, -sin_t], axis=-1)
+    return a_par[:, None] * n_par + a_perp[:, None] * n_perp, real, valid
 
 
 def spin_from_frame_components(
@@ -171,25 +231,12 @@ def spin_from_frame_components(
 
     Requires |a_perp| < 2 b.
     """
-    b = consts.gamma_n * fieldcfg.b_magnitude
-    disc = b * b - a_perp * a_perp / 4.0
-    if disc <= 0:
+    vecs, real, valid = _frame_component_vectors([a_par], [a_perp], fieldcfg, consts)
+    if not real[0]:
         raise ValueError("a_perp must be smaller than 2 gamma_n B")
-    omega = a_par / 2.0 + np.sqrt(disc)
-    if omega < DEGENERATE_OMEGA:
+    if not valid[0]:
         raise DegenerateFrameError("requested components give a degenerate frame")
-    # z expressed in the (n_par, n_perp) basis: b z = (omega - a_par/2) n_par
-    # - (a_perp/2) n_perp.  Choose n_par in the xz plane with positive x.
-    cos_t = (omega - a_par / 2.0) / b
-    cos_t = min(1.0, max(-1.0, cos_t))
-    sin_t = np.sqrt(1.0 - cos_t * cos_t)
-    n_par = np.array([sin_t, 0.0, cos_t])
-    # n_perp lies in the xz plane too, orthogonal to n_par, with
-    # n_perp . z = -a_perp / (2 b).
-    n_perp = np.array([cos_t, 0.0, -sin_t])
-    if a_perp > 0 and n_perp[2] * (-a_perp / (2.0 * b)) < 0:
-        n_perp = -n_perp
-    return HyperfineSpin(a_vec=a_par * n_par + a_perp * n_perp)
+    return HyperfineSpin(a_vec=vecs[0])
 
 
 def spin_from_axial_components(
@@ -224,12 +271,6 @@ def spin_operator(axis: np.ndarray) -> np.ndarray:
     return (ax[0] * SIGMA_X + ax[1] * SIGMA_Y + ax[2] * SIGMA_Z) / 2.0
 
 
-def is_unitary(u: np.ndarray, tol: float = 1e-12) -> bool:
-    """Frobenius check of U^dag U = I and |det U| = 1."""
-    dev = np.linalg.norm(u.conj().T @ u - IDENTITY_2)
-    return dev < tol and abs(abs(np.linalg.det(u)) - 1.0) < tol
-
-
 def filter_sum(omega: float, seq: CpmgSequence) -> complex:
     """Complex CPMG filter sum; the standard filter function is its modulus.
 
@@ -255,7 +296,7 @@ def _branch_index(branch: str) -> int:
 
 
 def conditional_propagators(
-    spin: HyperfineSpin,
+    spin: HyperfineSpin | np.ndarray,
     fieldcfg: FieldConfig,
     n_pulses,
     taus,
@@ -264,10 +305,12 @@ def conditional_propagators(
 ):
     """(U_plus, U_minus) of CPMG-N on the broadcast grid of ``n_pulses`` x ``taus``.
 
-    Both arrays have the broadcast shape + (2, 2).  Each branch is one cycle
-    tau-pi-2tau-pi-tau raised to N // 2 in SU(2) closed form, then one
-    half-cycle for odd N (Taminiau et al., PRL 109, 137602 (2012)), so the
-    cost does not grow with N.  The one reader of ``propagator_mode``.
+    ``spin`` is a ``HyperfineSpin`` or a (P, 3) stack of hyperfine vectors.
+    Both arrays have the broadcast shape + (2, 2), behind a leading axis of
+    length P for a stack.  Each branch is one cycle tau-pi-2tau-pi-tau raised
+    to N // 2 in SU(2) closed form, then one half-cycle for odd N (Taminiau
+    et al., PRL 109, 137602 (2012)), so the cost does not grow with N.  The
+    one reader of ``propagator_mode``.
     """
     if propagator_mode == "exact":
         return _propagators_exact_batch(spin, fieldcfg, n_pulses, taus, consts)
@@ -296,46 +339,62 @@ def conditional_propagator_exact(
 
 
 def _propagators_exact_batch(
-    spin: HyperfineSpin,
+    spin: HyperfineSpin | np.ndarray,
     fieldcfg: FieldConfig,
     n_pulses,
     taus,
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ):
-    """Exact (U_plus, U_minus) for broadcast arrays of pulse numbers and taus.
+    """Exact (U_plus, U_minus) for broadcast arrays of pulse numbers and taus,
+    for one spin or a (P, 3) stack of hyperfine vectors.
 
     With a = exp(-i h_plus.I tau) and b = exp(-i h_minus.I tau) built in
     closed form, the 'plus' branch runs a, b b, a a, ..., so its half-cycle
     is H_plus = b a and its cycle a b b a = H_minus H_plus; the 'minus'
     branch swaps a and b.
     """
+    a_vec = _hyperfine_vectors(spin)
     taus = np.asarray(taus, dtype=float)
+    grid_ndim = len(np.broadcast_shapes(np.shape(n_pulses), taus.shape))
     b_vec = np.array([0.0, 0.0, consts.gamma_n * fieldcfg.b_magnitude])
-    a = _rotor(spin.a_vec + b_vec, taus)
-    b = _rotor(b_vec, taus)
+    a = _rotor(a_vec + b_vec, taus, grid_ndim)
+    b = _rotor(b_vec, taus, grid_ndim)
     half_plus, half_minus = _quaternion_product(b, a), _quaternion_product(a, b)
     cycles = (_quaternion_product(half_minus, half_plus),
               _quaternion_product(half_plus, half_minus))
     return _cpmg_pair(cycles, (half_plus, half_minus), n_pulses, np.eye(3))
 
 
-def _rotor(h_vec: np.ndarray, taus: np.ndarray) -> tuple:
-    """exp(-i h.I tau) as unit quaternions, one per tau."""
-    mag = float(np.linalg.norm(h_vec))
-    axis = h_vec / mag if mag > 0.0 else np.zeros(3)
+def _spin_axis(values, grid_ndim: int, item_ndim: int = 0) -> np.ndarray:
+    """Per-spin ``values`` with ``grid_ndim`` unit axes between the spin axes
+    and the trailing ``item_ndim`` axes, so that they broadcast against the
+    (pulse number, tau) grid."""
+    values = np.asarray(values)
+    lead = values.shape[:values.ndim - item_ndim]
+    return values.reshape(lead + (1,) * grid_ndim + values.shape[len(lead):])
+
+
+def _rotor(h_vec: np.ndarray, taus: np.ndarray, grid_ndim: int) -> tuple:
+    """exp(-i h.I tau) as unit quaternions, one per vector of the (..., 3)
+    ``h_vec`` and tau."""
+    mag = _row_norm(h_vec)
+    axis = _spin_axis(h_vec / np.where(mag > 0.0, mag, 1.0)[..., None], grid_ndim, 1)
+    mag = _spin_axis(mag, grid_ndim)
     s = np.sin(mag * taus / 2.0)
-    return (np.cos(mag * taus / 2.0), s * axis[0], s * axis[1], s * axis[2])
+    return (np.cos(mag * taus / 2.0),
+            s * axis[..., 0], s * axis[..., 1], s * axis[..., 2])
 
 
-def _cycle_quaternions(omega: float, a_perp: float, edges: tuple) -> tuple:
+def _cycle_quaternions(omega, a_perp, edges: tuple) -> tuple:
     """First-order propagators of one toggling block, (plus, minus) branch.
 
     ``edges`` are the block's boundary times after its start at t = 0 (arrays
-    of equal shape); the branch sign s(t) starts at +/-1 and flips at each
-    interior edge.  The block propagator is W exp(-/+ i M): W = exp(-i omega
-    I_par t) is the exact precession over the block and M = (a_perp / 2)(Re g
-    I_perp - Im g I_cross) with the filter phase g = int s(t) exp(i omega t)
-    dt.  A quaternion (w, x, y, z) stands for w 1 - i (x, y, z).sigma with
+    of equal shape, which broadcast against ``omega`` and ``a_perp``); the
+    branch sign s(t) starts at +/-1 and flips at each interior edge.  The
+    block propagator is W exp(-/+ i M): W = exp(-i omega I_par t) is the
+    exact precession over the block and M = (a_perp / 2)(Re g I_perp - Im g
+    I_cross) with the filter phase g = int s(t) exp(i omega t) dt.  A
+    quaternion (w, x, y, z) stands for w 1 - i (x, y, z).sigma with
     the vector part in (n_perp, n_cross, n_par) coordinates.
     """
     g = 0j
@@ -390,8 +449,8 @@ def _quaternion_product(p: tuple, q: tuple) -> tuple:
 def _cpmg_pair(cycles: tuple, halves: tuple, n_pulses, axes) -> tuple:
     """(U_plus, U_minus) from each branch's cycle and half-cycle quaternions.
 
-    CPMG-N is cycle**(N // 2), then the half-cycle for odd N; ``axes`` are
-    the lab vectors of the quaternions' vector coordinates.
+    CPMG-N is cycle**(N // 2), then the half-cycle for odd N; ``axes[..., a,
+    :]`` is the lab vector of the quaternions' vector coordinate a.
     """
     n_pulses = np.asarray(n_pulses)
     if np.any(n_pulses < 1):
@@ -402,7 +461,11 @@ def _cpmg_pair(cycles: tuple, halves: tuple, n_pulses, axes) -> tuple:
         even = _quaternion_power(cycle, k)
         w, x, y, z = (np.where(odd == 1, h, e)
                       for h, e in zip(_quaternion_product(half, even), even))
-        vx, vy, vz = (x * e1 + y * e2 + z * e3 for e1, e2, e3 in zip(*axes))
+        # freed as soon as done: a whole bath's grid makes them megabytes
+        del even
+        vx, vy, vz = (x * axes[..., 0, i] + y * axes[..., 1, i] + z * axes[..., 2, i]
+                      for i in range(3))
+        del x, y, z
         u = np.empty(w.shape + (2, 2), dtype=complex)
         u[..., 0, 0] = w - 1.0j * vz
         u[..., 0, 1] = -vy - 1.0j * vx
@@ -414,15 +477,17 @@ def _cpmg_pair(cycles: tuple, halves: tuple, n_pulses, axes) -> tuple:
 
 def _propagators_magnus_batch(frame: EffectiveFrame, n_pulses, taus):
     """First-order (U_plus, U_minus) for broadcast arrays of pulse numbers
-    and taus; see ``conditional_propagator_magnus``."""
-    if frame.omega < DEGENERATE_OMEGA:
+    and taus, for one frame or the frame of a stack of spins; see
+    ``conditional_propagator_magnus``."""
+    if np.any(frame.omega < DEGENERATE_OMEGA):
         raise DegenerateFrameError("Magnus propagator needs omega > 0")
     taus = np.asarray(taus, dtype=float)
-    omega, a_perp = frame.omega, frame.a_perp
+    grid_ndim = len(np.broadcast_shapes(np.shape(n_pulses), taus.shape))
+    omega, a_perp = (_spin_axis(v, grid_ndim) for v in (frame.omega, frame.a_perp))
     cycles = _cycle_quaternions(omega, a_perp, (taus, 3.0 * taus, 4.0 * taus))
     halves = _cycle_quaternions(omega, a_perp, (taus, 2.0 * taus))
-    return _cpmg_pair(cycles, halves, n_pulses,
-                      (frame.n_perp, frame.n_cross, frame.n_par))
+    axes = np.stack([frame.n_perp, frame.n_cross, frame.n_par], axis=-2)
+    return _cpmg_pair(cycles, halves, n_pulses, _spin_axis(axes, grid_ndim, 2))
 
 
 def conditional_propagator_magnus(

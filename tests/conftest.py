@@ -28,6 +28,12 @@ TWO_PI_KHZ = 2.0 * np.pi * 1e3
 GAUSS = 1e-4
 
 
+def is_unitary(u, tol=1e-12):
+    """Frobenius check of U^dag U = I and |det U| = 1."""
+    dev = np.linalg.norm(u.conj().T @ u - np.eye(2))
+    return dev < tol and abs(abs(np.linalg.det(u)) - 1.0) < tol
+
+
 def frame_a_par_for(omega, a_perp, fieldcfg, consts=DEFAULT_CONSTANTS):
     """Parallel frame component that yields precession ``omega`` given a_perp."""
     b = consts.gamma_n * fieldcfg.b_magnitude

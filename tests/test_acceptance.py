@@ -31,11 +31,10 @@ from ddread.spincore import (
     effective_frame,
     filter_function,
     filter_sum,
-    is_unitary,
     spin_from_frame_components,
 )
 
-from conftest import TWO_PI_KHZ
+from conftest import TWO_PI_KHZ, is_unitary
 
 POLICY = ThresholdPolicy()
 _TRACE_CACHE = {}

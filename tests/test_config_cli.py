@@ -335,6 +335,10 @@ def test_cli_fit_uses_the_scan_model(tmp_path):
     truth = yaml.safe_load(Path(DEMO).read_text())["spins"][0]
     assert fit["a_par_khz"] == pytest.approx(truth["a_par_khz"], rel=1e-6)
     assert fit["a_perp_khz"] == pytest.approx(truth["a_perp_khz"], rel=1e-6)
+    # regression pins: the fit of the per-point forward model gave these
+    assert fit["n_starts"] == 5 and not fit["degenerate"]
+    assert fit["a_par_khz"] == pytest.approx(541.7443183523178, rel=1e-9)
+    assert fit["a_perp_khz"] == pytest.approx(131.9553365923131, rel=1e-9)
     # curves from different models are refused as a configuration error
     exact = tmp_path / "scan_exact.csv"
     exact.write_text(scan.read_text().replace("propagator_mode=magnus",

@@ -10,7 +10,6 @@ from ddread.measurement import (
     PhotonTrace,
     ReadoutConfig,
     entanglement_vs_n,
-    joint_premeasurement_state,
     measurement_channel,
     read_trace_csv,
     simulate_point,
@@ -124,6 +123,14 @@ def test_entanglement_curve(field_691, readout_spin, field_305, scan_spin,
     ns2, entropy2, _ = entanglement_vs_n(scan_spin, field_305,
                                          scan_spin_resonant_tau, 8, "magnus")
     assert ns2[np.argmax(entropy2)] == 4
+
+
+def joint_premeasurement_state(channel, nuclear_state_vec):
+    """Pure electron x nuclear state just before the optical readout."""
+    psi = np.zeros(4, dtype=complex)
+    psi[0:2] = channel.kraus_0 @ nuclear_state_vec  # electron |0> block
+    psi[2:4] = channel.kraus_1 @ nuclear_state_vec  # electron |1> block
+    return psi / np.linalg.norm(psi)
 
 
 def test_entanglement_matches_per_n_channels(field_305, scan_spin):

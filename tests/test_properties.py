@@ -22,10 +22,9 @@ from ddread.spincore import (
     conditional_propagator_magnus,
     effective_frame,
     filter_sum,
-    is_unitary,
 )
 
-TWO_PI_KHZ = 2.0 * np.pi * 1e3
+from conftest import TWO_PI_KHZ, is_unitary
 
 spins = st.builds(
     lambda ax, ay, az: HyperfineSpin(

@@ -20,13 +20,12 @@ from ddread.spincore import (
     conditional_propagators,
     effective_frame,
     filter_function,
-    is_unitary,
     spin_from_axial_components,
     spin_from_frame_components,
     spin_operator,
 )
 
-from conftest import TWO_PI_KHZ, frame_a_par_for
+from conftest import TWO_PI_KHZ, frame_a_par_for, is_unitary
 
 
 def oracle_filter(omega, seq):
