@@ -25,6 +25,12 @@ from .spincore import (
 
 LOW_STATISTICS_PAIRS = 100
 
+#: Most (row, cell) pairs of the fit's forward model per kernel call.  The
+#: kernel's temporaries grow with rows x cells, so a large grid on long scans
+#: is evaluated in blocks of rows; an 8 x 8 grid on a 49-cell tau and N scan
+#: is one block.
+_FIT_BLOCK_CELLS = 1 << 12
+
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
@@ -262,7 +268,8 @@ def _fit_model_values(params, curves, fieldcfg, consts, propagator_mode="exact")
     the (P,) mask of rows that realise a frame (a_perp < 2 gamma_n B and
     omega >= ``DEGENERATE_OMEGA``); the other rows are NaN.  Every curve's
     (N, tau) cells are flattened into one list, so one kernel call covers
-    every row and every curve.
+    every row and every curve, in blocks of at most ``_FIT_BLOCK_CELLS``
+    cells.
     """
     params = np.asarray(params, dtype=float)
     a_vecs, _, valid = _frame_component_vectors(params[:, 0], params[:, 1],
@@ -274,8 +281,12 @@ def _fit_model_values(params, curves, fieldcfg, consts, propagator_mode="exact")
         c.abscissa if c.axis == "tau" else np.full(len(c.values), c.tau)
         for c in curves])
     values = np.full((len(params), len(taus)), np.nan)
-    values[valid] = _coherence_rows(a_vecs[valid], fieldcfg, n_pulses, taus,
-                                    propagator_mode, consts)
+    rows = np.flatnonzero(valid)
+    step = max(1, _FIT_BLOCK_CELLS // len(taus))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        values[block] = _coherence_rows(a_vecs[block], fieldcfg, n_pulses, taus,
+                                        propagator_mode, consts)
     return values, valid
 
 
@@ -317,8 +328,10 @@ def fit_hyperfine(
     data = np.concatenate([c.values for c in curves])
 
     def residual_rows(model, valid):
-        # a point that realises no frame scores 1e3 in every cell
-        return np.where(valid[:, None], model - data, 1e3)
+        # in place; a point that realises no frame scores 1e3 in every cell
+        model -= data
+        model[~valid] = 1e3
+        return model
 
     def residuals(points):
         return residual_rows(*_fit_model_values(points, curves, fieldcfg, consts,

@@ -159,3 +159,38 @@ def test_fit_model_matches_the_per_point_loop(field_305, fit_curves, mode):
             assert np.array_equal(row, ref)
         else:
             assert np.isnan(row).all()
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 45])
+def test_fit_model_blocks_are_bounded_and_exact(field_305, fit_curves,
+                                                monkeypatch, block_rows):
+    """Row blocks of the forward model hold at most ``_FIT_BLOCK_CELLS``
+    (row, cell) pairs per kernel call (one row at least) and give the values
+    of a single block."""
+    import ddread.analysis as analysis
+
+    curves = fit_curves["exact"]
+    n_cells = sum(len(c.values) for c in curves)
+    rng = np.random.default_rng(78)
+    points = rng.uniform(2.0 * np.pi * 1e3, 2.0 * np.pi * 2e6, (45, 2))
+    whole, valid = _fit_model_values(points, curves, field_305, DEFAULT_CONSTANTS)
+    assert valid.sum() > 3
+
+    shapes = []
+    original = analysis._coherence_rows
+
+    def recording(a_vecs, *args):
+        out = original(a_vecs, *args)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(analysis, "_coherence_rows", recording)
+    monkeypatch.setattr(analysis, "_FIT_BLOCK_CELLS", block_rows * n_cells + 1)
+    blocked, blocked_valid = _fit_model_values(points, curves, field_305,
+                                               DEFAULT_CONSTANTS)
+    assert np.array_equal(blocked_valid, valid)
+    assert np.array_equal(blocked, whole, equal_nan=True)
+    assert [s[1] for s in shapes] == [n_cells] * len(shapes)
+    assert sum(s[0] for s in shapes) == valid.sum()
+    assert max(s[0] for s in shapes) == min(block_rows, valid.sum())
+    assert len(shapes) == -(-valid.sum() // block_rows)
