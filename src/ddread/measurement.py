@@ -246,8 +246,7 @@ def simulate_point(nuclear_state: np.ndarray, channel: MeasurementChannel,
     if evals[1] - evals[0] < _NEGLIGIBLE:  # rho ∝ 1: any basis unravels it
         evecs = np.eye(2)
     psi = evecs[:, 0 if rng.random() < evals[0] / evals.sum() else 1].tolist()
-    count, psi, dominant = _simulate_point_aggregate(
-        psi, channel, config, rng, _t1_flip_probs(config))
+    count, psi, dominant = _point_sampler(channel, config, rng)(psi)
     psi_lab = basis @ np.array(psi)
     return count, np.outer(psi_lab, psi_lab.conj()), dominant
 
@@ -262,6 +261,12 @@ def _collapse(k, psi):
     x = [row[0] * psi[0] + row[1] * psi[1] for row in k]
     p = abs(x[0]) ** 2 + abs(x[1]) ** 2
     return p, ((x[0] / p ** 0.5, x[1] / p ** 0.5) if p else psi)
+
+
+def _fixed_index(psi, fixed):
+    """Outcome o of the first fixed point v_o that ``psi`` is on, or None."""
+    return next((o for o, (v, _, _) in enumerate(fixed)
+                 if abs(v[0] * psi[1] - v[1] * psi[0]) ** 2 < _NEGLIGIBLE), None)
 
 
 def _t1_flip_probs(config: ReadoutConfig):
@@ -355,7 +360,53 @@ def _simulate_point_cycles(rho, channel, config, rng):
     return int(photons), rho_out, dominant
 
 
-def _simulate_point_aggregate(psi, channel, config, rng, flips):
+def _point_sampler(channel, config, rng):
+    """``sample(psi)``: ``simulate_point`` from the locked-basis pure state
+    ``psi`` (a list), with the per-trace constants built once.  A point that
+    starts on a fixed point v_o draws the clocks of ``_simulate_point_aggregate``
+    there, in its order; if all land beyond the point, the point is one quiet
+    run of outcome o and takes only the run's photon draws.  Any other point
+    goes to the event loop, with the clocks already drawn."""
+    _, _, fixed = channel.locked_frame
+    flips = f_up, f_down = _t1_flip_probs(config)
+    n, eie = config.cycles_per_point, config.electron_init_error
+    rates = (config.photon_rate_bright, config.photon_rate_dark)
+    geometric, binomial, poisson = rng.geometric, rng.binomial, rng.poisson
+    starts = []
+    for o, (v, q, p_up) in enumerate(fixed):
+        # clock probabilities, 0 for a clock that is not drawn
+        probs = [p if p > _NEGLIGIBLE else 0.0 for p in (
+            q, config.pi_pulse_error, f_down + p_up * (f_up - f_down))]
+        starts.append((o, v, *probs, rates[o], rates[1 - o],
+                       1 if p_up > 0.5 else -1))
+    # A point that no event ends returns the fixed vector itself, so the next
+    # start is found by identity; each vector gets the start the abs test
+    # gives it (the first fixed point, should the two coincide).
+    at = {id(v): starts[_fixed_index(v, fixed)] for v, _, _ in fixed}
+
+    def sample(psi):
+        start = at.get(id(psi))
+        if start is None:
+            o = _fixed_index(psi, fixed)
+            if o is None:
+                return _simulate_point_aggregate(psi, channel, config, rng, flips)
+            start = starts[o]
+        o, v, p_other, p_kick, p_flip, rate, rate_other, dominant = start
+        t_other = geometric(p_other) if p_other else n + 1
+        t_kick = geometric(p_kick) if p_kick else n + 1
+        t_flip = geometric(p_flip) if p_flip else n + 1
+        if t_other > n and t_kick > n and t_flip > n:
+            wrong = binomial(n, eie) if eie > 0 else 0
+            photons = poisson(rate * (n - wrong))
+            return (photons + poisson(rate_other * wrong) if wrong else photons,
+                    v, dominant)
+        return _simulate_point_aggregate(v, channel, config, rng, flips,
+                                         (o, (t_other, t_kick, t_flip)))
+
+    return sample
+
+
+def _simulate_point_aggregate(psi, channel, config, rng, flips, first=None):
     """``simulate_point`` from the locked-basis pure state ``psi`` (a list)
     with the per-cycle T1 flip probabilities ``flips``; returns the photon
     count, ``psi`` after the point and the dominant state.  Sampled exactly,
@@ -364,12 +415,15 @@ def _simulate_point_aggregate(psi, channel, config, rng, flips):
     geometric draw per competing clock: other outcome, kick, T1 flip
     (Dalibard, Castin & Molmer, PRL 68, 580 (1992); Gillespie, J. Phys. Chem.
     81, 2340 (1977)).  Event and transient cycles are stepped as in
-    ``_cycle_kernel``; photons are drawn per run."""
+    ``_cycle_kernel``; photons are drawn per run.  ``first``, when given, is
+    (o, (t_other, t_kick, t_flip)): ``psi`` is on v_o and the clocks of the
+    first quiet cycles are drawn."""
     _, kraus, fixed = channel.locked_frame
     f_up, f_down = flips  # T1 flip probabilities per cycle
     eie, pie, rates = (config.electron_init_error, config.pi_pulse_error,
                        (config.photon_rate_bright, config.photon_rate_dark))
     remaining, photons, up_cycles, run, run_len = config.cycles_per_point, 0, 0, 0, 0
+    o, clocks = first or (None, None)
 
     def emit(outcome, n):  # n cycles of ``outcome``; a new outcome ends the run
         nonlocal photons, run, run_len
@@ -380,8 +434,8 @@ def _simulate_point_aggregate(psi, channel, config, rng, flips):
         run, run_len = outcome, (run_len if outcome == run else 0) + n
 
     while remaining:
-        o = next((o for o, (v, _, _) in enumerate(fixed)
-                  if abs(v[0] * psi[1] - v[1] * psi[0]) ** 2 < _NEGLIGIBLE), None)
+        if clocks is None:
+            o = _fixed_index(psi, fixed)
         flip = None  # None: drawn in this cycle
         if o is None:  # transient: step one cycle
             outcome = int(rng.random() >= _collapse(kraus[0], psi)[0])
@@ -389,9 +443,10 @@ def _simulate_point_aggregate(psi, channel, config, rng, flips):
         else:  # quiet cycles at v_o up to the first event cycle
             psi, q, p_up = fixed[o]
             emit(o, 0)
-            t_other, t_kick, t_flip = (
+            t_other, t_kick, t_flip = clocks or (
                 int(rng.geometric(p)) if p > _NEGLIGIBLE else remaining + 1
                 for p in (q, pie, f_down + p_up * (f_up - f_down)))
+            clocks = None
             t = min(t_other, t_kick, t_flip, remaining + 1)
             emit(o, t - 1)
             up_cycles += (t - 1) * (p_up > 0.5)
@@ -434,13 +489,13 @@ def simulate_trace(
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     channel = measurement_channel(spin, fieldcfg, seq, propagator_mode, consts)
-    flips = _t1_flip_probs(config)
     # One generator serves every point.  Point 0's fresh state (empty buffer)
     # with its counter set to [0, 0, i, 0] is the state _point_rng(seed, i)
     # starts in, and the Generator keeps no other stream state.
     rng = _point_rng(config.seed, 0)
     bitgen, start = rng.bit_generator, rng.bit_generator.state
     counter = start["state"]["counter"]
+    sample = _point_sampler(channel, config, rng)
     points = np.empty(n_points, dtype=np.int64)
     hidden = np.empty(n_points, dtype=np.int8)
     for i in range(n_points):
@@ -451,8 +506,7 @@ def simulate_trace(
         u = rng.random()
         if not i:
             psi = [1.0, 0.0] if u < 0.5 else [0.0, 1.0]
-        points[i], psi, hidden[i] = _simulate_point_aggregate(
-            psi, channel, config, rng, flips)
+        points[i], psi, hidden[i] = sample(psi)
     return PhotonTrace(points=points, hidden_states=hidden, config=config,
                        seed=config.seed)
 
@@ -469,15 +523,17 @@ def trace_to_csv(trace: PhotonTrace, path, config_hash: str = "") -> None:
     if trace.hidden_states is not None:
         columns.append(trace.hidden_states)
         header += ",hidden_state"
-    row = "{}" + ",{}" * len(columns) + "\n"
+    row = "%d" + ",%d" * len(columns) + "\n"
     with open(path, "w") as fh:
         if config_hash:
             fh.write(f"# config_sha256={config_hash} seed={trace.seed}\n")
         fh.write(header + "\n")
         for start in range(0, len(trace.points), _CSV_BLOCK):
-            block = [col[start:start + _CSV_BLOCK].tolist() for col in columns]
-            fh.write("".join(map(row.format, range(start, len(trace.points)),
-                                 *block)))
+            stop = min(start + _CSV_BLOCK, len(trace.points))
+            # one format over the block's rows, column values interleaved
+            block = np.column_stack([np.arange(start, stop)]
+                                    + [col[start:stop] for col in columns])
+            fh.write(row * (stop - start) % tuple(block.ravel().tolist()))
 
 
 def read_trace_csv(path, readout: ReadoutConfig) -> PhotonTrace:

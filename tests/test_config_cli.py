@@ -247,16 +247,31 @@ def test_trace_with_a_negative_seed_exits_2(tmp_path, capsys):
     assert not (tmp_path / "fidelity_report.json").exists()
 
 
-@pytest.mark.parametrize("args, sha256", [
+# The demo config on the exact (non-QND) channel with depolarizing kicks and
+# unequal T1: transients, kicks and both flip directions all occur.
+EXACT_KICKS = {"propagator_mode": "exact",
+               "readout": {"pi_pulse_error": 1e-4, "t1n_up_s": 5.0,
+                           "t1n_down_s": 20.0}}
+
+
+@pytest.mark.parametrize("args, sha256, overrides", [
     (["ssr", "--points", "5000"],
-     "a050d84f6f08cde415adad1f262632712dbc1f2e0cb1dcf939166859fb3844fb"),
+     "a050d84f6f08cde415adad1f262632712dbc1f2e0cb1dcf939166859fb3844fb", {}),
     (["--seed", "5", "ssr", "--points", "20000"],
-     "60d57e225f7b3071d162e0bc068653ec4b8657cdee9a7cb57f1f03f57fce2fad"),
-], ids=["5000-seed-7", "20000-seed-5"])
-def test_cli_ssr_trace_bytes(tmp_path, args, sha256):
+     "60d57e225f7b3071d162e0bc068653ec4b8657cdee9a7cb57f1f03f57fce2fad", {}),
+    (["ssr", "--points", "300"],
+     "117593eaf10ae16629d7c7eb8dab484d6b6629500e74c0fc4399dfed66aa561d", EXACT_KICKS),
+], ids=["5000-seed-7", "20000-seed-5", "300-exact-kicks-asymmetric-t1"])
+def test_cli_ssr_trace_bytes(tmp_path, args, sha256, overrides):
     """The demo config's traces, byte for byte: the sampler's stream layout,
     the engine and the CSV writer are pinned together."""
-    assert main(["--config", DEMO, "--out", str(tmp_path)] + args) == 0
+    config = DEMO
+    if overrides:
+        doc = yaml.safe_load(Path(DEMO).read_text())
+        doc["propagator_mode"] = overrides["propagator_mode"]
+        doc["readout"].update(overrides["readout"])
+        config = write_config(tmp_path, doc)
+    assert main(["--config", config, "--out", str(tmp_path)] + args) == 0
     data = (tmp_path / "trace.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == sha256
 

@@ -1,0 +1,129 @@
+"""The quiet-point sampler against the event loop it short-cuts.
+
+The engine and trace loop below are the reference: they enter the event loop
+for every point, find the start's fixed point with the ``abs`` test and draw
+its clocks there.  The sampler draws a point's clocks once, before any event
+loop set-up, and finishes a point whose clocks all land beyond it with its
+photon run.  The draws and their order are the same, so the traces must be
+equal, not close.
+"""
+
+import numpy as np
+import pytest
+
+from ddread.measurement import (
+    _NEGLIGIBLE,
+    ReadoutConfig,
+    _collapse,
+    _point_rng,
+    _t1_flip_probs,
+    measurement_channel,
+    simulate_trace,
+)
+
+# ------------------------------------------------------------ event loop
+
+
+def loop_point(psi, channel, config, rng, flips, first=None):
+    """The event loop for the whole point.  ``first`` collects, for a point
+    that starts on a fixed point, the earliest of the clocks drawn there."""
+    _, kraus, fixed = channel.locked_frame
+    f_up, f_down = flips  # T1 flip probabilities per cycle
+    eie, pie, rates = (config.electron_init_error, config.pi_pulse_error,
+                       (config.photon_rate_bright, config.photon_rate_dark))
+    remaining, photons, up_cycles, run, run_len = config.cycles_per_point, 0, 0, 0, 0
+
+    def emit(outcome, n):  # n cycles of ``outcome``; a new outcome ends the run
+        nonlocal photons, run, run_len
+        if outcome != run and run_len:
+            wrong = int(rng.binomial(run_len, eie)) if eie > 0 else 0
+            photons += int(rng.poisson(rates[run] * (run_len - wrong)))
+            photons += int(rng.poisson(rates[1 - run] * wrong)) if wrong else 0
+        run, run_len = outcome, (run_len if outcome == run else 0) + n
+
+    while remaining:
+        o = next((o for o, (v, _, _) in enumerate(fixed)
+                  if abs(v[0] * psi[1] - v[1] * psi[0]) ** 2 < _NEGLIGIBLE), None)
+        flip = None  # None: drawn in this cycle
+        if o is None:  # transient: step one cycle
+            outcome = int(rng.random() >= _collapse(kraus[0], psi)[0])
+            kick = rng.random() < pie
+        else:  # quiet cycles at v_o up to the first event cycle
+            psi, q, p_up = fixed[o]
+            emit(o, 0)
+            probs = (q, pie, f_down + p_up * (f_up - f_down))
+            t_other, t_kick, t_flip = clocks = [
+                int(rng.geometric(p)) if p > _NEGLIGIBLE else remaining + 1
+                for p in probs]
+            if first is not None and remaining == config.cycles_per_point:
+                first.append(min(t for t, p in zip(clocks, probs)
+                                 if p > _NEGLIGIBLE))
+            t = min(t_other, t_kick, t_flip, remaining + 1)
+            emit(o, t - 1)
+            up_cycles += (t - 1) * (p_up > 0.5)
+            remaining -= t - 1
+            if not remaining:
+                break
+            outcome, kick = (1 - o if t_other == t else o), t_kick == t
+            flip = None if kick or outcome != o else True
+        if outcome != o:
+            psi = _collapse(kraus[outcome], psi)[1]
+        emit(outcome, 1)
+        if kick:
+            psi = ((1 + 0j, 0j), (0j, 1 + 0j))[rng.random() >= 0.5]
+        p_up = abs(psi[0]) ** 2
+        up_cycles += p_up > 0.5
+        if flip or flip is None and rng.random() < f_down + p_up * (f_up - f_down):
+            psi = psi[::-1]
+        remaining -= 1
+    emit(None, 0)
+    return photons, psi, 1 if 2 * up_cycles >= config.cycles_per_point else -1
+
+
+def loop_trace(channel, config, n_points, first=None):
+    """(points, hidden states) of ``simulate_trace``, one event loop per point."""
+    flips = _t1_flip_probs(config)
+    rng = _point_rng(config.seed, 0)
+    bitgen, start = rng.bit_generator, rng.bit_generator.state
+    counter = start["state"]["counter"]
+    points = np.empty(n_points, dtype=np.int64)
+    hidden = np.empty(n_points, dtype=np.int8)
+    for i in range(n_points):
+        counter[2] = i
+        bitgen.state = start
+        u = rng.random()
+        if not i:
+            psi = [1.0, 0.0] if u < 0.5 else [0.0, 1.0]
+        points[i], psi, hidden[i] = loop_point(
+            psi, channel, config, rng, flips, first)
+    return points, hidden
+
+
+# ------------------------------------------------------------ equality
+
+# T1n of a few point durations or less: a flip clock fires in most points, and
+# the misassignment and kick settings switch the binomial draw and the kick
+# clock on and off.
+GRID = [(eie, pie) for eie in (0.0, 0.1) for pie in (0.0, 1e-3)]
+
+
+@pytest.mark.parametrize("cycles", [1, 2, 7, 2000])
+@pytest.mark.parametrize("mode", ["magnus", "exact"])
+def test_trace_matches_the_event_loop(field_691, readout_spin, readout_seq,
+                                      mode, cycles):
+    channel = measurement_channel(readout_spin, field_691, readout_seq, mode)
+    first = []
+    for k, (eie, pie) in enumerate(GRID):
+        config = ReadoutConfig(cycles_per_point=cycles, point_duration=0.189,
+                               t1n_up=0.1, t1n_down=0.3,
+                               electron_init_error=eie, pi_pulse_error=pie,
+                               seed=101 + k)
+        trace = simulate_trace(readout_spin, field_691, readout_seq, config,
+                               200, mode)
+        points, hidden = loop_trace(channel, config, 200, first)
+        assert np.array_equal(trace.points, points)
+        assert np.array_equal(trace.hidden_states, hidden)
+    # the quiet test's edge: an event in a point's last cycle, and a first
+    # clock one cycle beyond the point
+    if cycles < 2000:
+        assert {cycles, cycles + 1} <= set(first)
