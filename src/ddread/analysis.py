@@ -8,7 +8,6 @@ concurrently.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -138,23 +137,42 @@ def conditional_histograms(
     )
 
 
+def _count_table(up: np.ndarray, down: np.ndarray):
+    """The distinct values of ``up`` and ``down`` together, ascending, and
+    how many samples of each take every value: a table whose size follows
+    the number of samples, not the range of their values."""
+    values = np.sort(np.concatenate([up, down]))
+    distinct = np.ones(len(values), dtype=bool)
+    distinct[1:] = values[1:] != values[:-1]
+    values = values[distinct]
+    return (values,) + tuple(
+        np.diff(np.searchsorted(np.sort(x), values, "right"), prepend=0)
+        for x in (up, down))
+
+
 def fidelity_vs_threshold(hists: ConditionalHistograms) -> FidelityReport:
-    """Scan every candidate threshold and report the max-min optimum."""
+    """Scan every candidate threshold and report the max-min optimum.
+
+    f_up and f_down change only where the threshold passes a sample, so the
+    curve has one row at the lowest sample and one just above each distinct
+    sample, at most len(up) + len(down) + 1 rows however far apart the
+    samples lie.  Between rows both are constant, so the lowest threshold
+    that maximizes min(f_up, f_down) is a row.
+    """
     up, down = hists.samples_up, hists.samples_down
     if len(up) == 0 or len(down) == 0:
         raise ValueError("both conditional histograms must be nonempty")
-    lo = int(min(up.min(), down.min()))
-    hi = int(max(up.max(), down.max())) + 1
-    thresholds = np.arange(lo, hi + 1)
-    # below(x)[k]: how many samples of x lie under thresholds[k]
-    def below(x):
-        return np.concatenate(
-            ([0], np.cumsum(np.bincount(x - lo, minlength=hi - lo))))
-    f_up = (len(up) - below(up)) / len(up)
-    f_down = below(down) / len(down)
+    values, n_up, n_down = _count_table(up, down)
+    # below_x[k]: how many samples of x lie under the threshold of row k;
+    # row k + 1's threshold is values[k] + 1, formed without overflow
+    below_up, below_down = (np.concatenate(([0], np.cumsum(n)))
+                            for n in (n_up, n_down))
+    f_up = (len(up) - below_up) / len(up)
+    f_down = below_down / len(down)
     f_avg = (f_up + f_down) / 2.0
     best = int(np.argmax(np.minimum(f_up, f_down)))
-    curve = np.column_stack([thresholds.astype(float), f_up, f_down, f_avg])
+    thresholds = np.concatenate(([values[0]], values + 1.0))
+    curve = np.column_stack([thresholds, f_up, f_down, f_avg])
     return FidelityReport(
         fidelity_up=float(f_up[best]),
         fidelity_down=float(f_down[best]),
@@ -162,7 +180,7 @@ def fidelity_vs_threshold(hists: ConditionalHistograms) -> FidelityReport:
                           else hists.init_match_up / len(up)),
         init_fidelity_down=(None if hists.init_match_down is None
                             else hists.init_match_down / len(down)),
-        optimal_threshold=int(thresholds[best]),
+        optimal_threshold=(int(values[0]) if best == 0 else int(values[best - 1]) + 1),
         threshold_curve=curve,
         n_pairs_up=len(up),
         n_pairs_down=len(down),
@@ -261,25 +279,32 @@ class HyperfineFit:
     n_starts: int
 
 
-def _fit_model_values(params, curves, fieldcfg, consts, propagator_mode="exact"):
-    """Forward model of ``fit_hyperfine`` for a (P, 2) array of (a_par, a_perp).
-
-    Returns the curves' concatenated values for each row, shape (P, M), and
-    the (P,) mask of rows that realise a frame (a_perp < 2 gamma_n B and
-    omega >= ``DEGENERATE_OMEGA``); the other rows are NaN.  Every curve's
-    (N, tau) cells are flattened into one list, so one kernel call covers
-    every row and every curve, in blocks of at most ``_FIT_BLOCK_CELLS``
-    cells.
-    """
-    params = np.asarray(params, dtype=float)
-    a_vecs, _, valid = _frame_component_vectors(params[:, 0], params[:, 1],
-                                                fieldcfg, consts)
+def _fit_cells(curves):
+    """Every curve's (N, tau) cells as one flat (pulse numbers, taus) list,
+    in the order of the curves' concatenated values."""
     n_pulses = np.concatenate([
         np.full(len(c.values), c.n_pulses) if c.axis == "tau"
         else c.abscissa.astype(int) for c in curves])
     taus = np.concatenate([
         c.abscissa if c.axis == "tau" else np.full(len(c.values), c.tau)
         for c in curves])
+    return n_pulses, taus
+
+
+def _fit_model_values(params, cells, fieldcfg, consts, propagator_mode="exact"):
+    """Forward model of ``fit_hyperfine`` for a (P, 2) array of (a_par, a_perp)
+    at the (pulse numbers, taus) ``cells`` of ``_fit_cells``.
+
+    Returns the model's values for each row, shape (P, M), and the (P,) mask
+    of rows that realise a frame (a_perp < 2 gamma_n B and omega >=
+    ``DEGENERATE_OMEGA``); the other rows are NaN.  One kernel call covers
+    every row and every cell, in blocks of at most ``_FIT_BLOCK_CELLS``
+    (row, cell) pairs.
+    """
+    params = np.asarray(params, dtype=float)
+    a_vecs, _, valid = _frame_component_vectors(params[:, 0], params[:, 1],
+                                                fieldcfg, consts)
+    n_pulses, taus = cells
     values = np.full((len(params), len(taus)), np.nan)
     rows = np.flatnonzero(valid)
     step = max(1, _FIT_BLOCK_CELLS // len(taus))
@@ -326,6 +351,7 @@ def fit_hyperfine(
         raise ValueError(f"curves come from different propagator modes {modes}")
     propagator_mode = modes[0]
     data = np.concatenate([c.values for c in curves])
+    cells = _fit_cells(curves)
 
     def residual_rows(model, valid):
         # in place; a point that realises no frame scores 1e3 in every cell
@@ -334,7 +360,7 @@ def fit_hyperfine(
         return model
 
     def residuals(points):
-        return residual_rows(*_fit_model_values(points, curves, fieldcfg, consts,
+        return residual_rows(*_fit_model_values(points, cells, fieldcfg, consts,
                                                 propagator_mode))
 
     def residual_vec(params):
@@ -374,7 +400,7 @@ def fit_hyperfine(
     model, valid = _fit_model_values(
         [(a_par, a_perp), (a_par + probe, a_perp),
          (max(a_par - probe, lo / 10.0), a_perp)],
-        curves, fieldcfg, consts, propagator_mode)
+        cells, fieldcfg, consts, propagator_mode)
     flat = bool(valid[0]) and float(np.max(np.abs(model[0] - 1.0))) < 1e-3
     r_plus, r_minus = (np.linalg.norm(r)
                        for r in residual_rows(model[1:], valid[1:]))
@@ -384,8 +410,9 @@ def fit_hyperfine(
                         degenerate=degenerate, n_starts=n_starts)
 
 
-def report_to_json(report: FidelityReport) -> str:
-    payload = {
+def report_payload(report: FidelityReport) -> dict:
+    """The fields of ``report`` as JSON-ready values."""
+    return {
         "fidelity_up": report.fidelity_up,
         "fidelity_down": report.fidelity_down,
         "init_fidelity_up": report.init_fidelity_up,
@@ -396,16 +423,12 @@ def report_to_json(report: FidelityReport) -> str:
         "low_statistics": report.low_statistics,
         "threshold_curve": report.threshold_curve.tolist(),
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def histograms_to_csv(hists: ConditionalHistograms, path) -> None:
-    """Write (count, freq_up, freq_down) rows over the union count range."""
-    up, down = hists.samples_up, hists.samples_down
-    n_bins = int(max(up.max(initial=0), down.max(initial=0))) + 1
-    freq_up = np.bincount(up, minlength=n_bins)
-    freq_down = np.bincount(down, minlength=n_bins)
+    """Write (count, freq_up, freq_down) rows for each count that occurs."""
+    values, freq_up, freq_down = _count_table(hists.samples_up, hists.samples_down)
     with open(path, "w") as fh:
         fh.write("count,freq_up,freq_down\n")
-        for c in np.flatnonzero(freq_up + freq_down):
-            fh.write(f"{c},{freq_up[c]},{freq_down[c]}\n")
+        for c, n_up, n_down in zip(values, freq_up, freq_down):
+            fh.write(f"{c},{n_up},{n_down}\n")

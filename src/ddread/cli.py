@@ -25,7 +25,7 @@ from .analysis import (
     fidelity_vs_threshold,
     fit_hyperfine,
     histograms_to_csv,
-    report_to_json,
+    report_payload,
 )
 from .coherence import CoherenceCurve, scan_2d, scan_n, scan_tau
 from .config import NS, TWO_PI_KHZ, ConfigError, RunConfig, load_config, snapshot_json
@@ -206,7 +206,7 @@ def cmd_analyze(config: RunConfig, out_dir: Path, trace_path) -> int:
         }
     except ValueError:
         extra = {"t1n_note": "insufficient dwells for a lifetime estimate"}
-    payload = json.loads(report_to_json(report))
+    payload = report_payload(report)
     payload.update(extra)
     payload["config_sha256"] = config.content_hash()
     payload["seed"] = trace.seed

@@ -21,6 +21,7 @@ from .spincore import (
     HyperfineSpin,
     PhysicalConstants,
     conditional_propagators,
+    cpmg_quaternions,
 )
 
 MIXED_STATE = np.eye(2, dtype=complex) / 2.0
@@ -123,13 +124,15 @@ def _bath_curve_tau(spins, fieldcfg, n_pulses, taus, propagator_mode, consts):
 
 def _coherence_rows(a_vecs, fieldcfg, n_pulses, taus, propagator_mode, consts):
     """Single-spin coherence at rho = I/2 for each row of a (P, 3) stack of
-    hyperfine vectors: shape (P,) + the broadcast grid."""
-    u_plus, u_minus = conditional_propagators(
-        a_vecs, fieldcfg, n_pulses, taus, propagator_mode, consts
-    )
-    # conjugated in place: a whole bath's pair is P times one spin's memory
-    return 0.5 * np.real(np.einsum("...ij,...ij->...",
-                                   np.conjugate(u_plus, out=u_plus), u_minus))
+    hyperfine vectors: shape (P,) + the broadcast grid.
+
+    0.5 Re Tr(U_plus^dag U_minus) of two SU(2) matrices is the dot product
+    w_plus w_minus + v_plus . v_minus of their quaternions, which does not
+    depend on the axes the vector parts are written in; no matrix is built.
+    """
+    (w, x, y, z), _ = cpmg_quaternions(a_vecs, fieldcfg, n_pulses, taus,
+                                       propagator_mode, consts)
+    return w[0] * w[1] + x[0] * x[1] + y[0] * y[1] + z[0] * z[1]
 
 
 def scan_tau(

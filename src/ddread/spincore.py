@@ -285,10 +285,41 @@ def filter_function(omega: float, seq: CpmgSequence) -> float:
 
 
 def _branch_index(branch: str) -> int:
-    """Position of a branch in the (U_plus, U_minus) pair."""
+    """Position of a branch on the kernel's branch axis (plus, minus)."""
     if branch not in ("plus", "minus"):
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
     return 0 if branch == "plus" else 1
+
+
+def cpmg_quaternions(
+    spin: HyperfineSpin | np.ndarray,
+    fieldcfg: FieldConfig,
+    n_pulses,
+    taus,
+    propagator_mode: str = "exact",
+    consts: PhysicalConstants = DEFAULT_CONSTANTS,
+):
+    """The kernel's first stage: both branches' CPMG-N propagators as unit
+    quaternions on the broadcast grid of ``n_pulses`` x ``taus``.
+
+    ``spin`` is a ``HyperfineSpin`` or a (P, 3) stack of hyperfine vectors.
+    Returns ``(q, axes)``.  ``q`` is a quaternion (w, x, y, z) of arrays that
+    stands for w 1 - i (x, y, z).sigma; each array has a leading branch axis
+    (plus, minus), then the spin axis of a stack, then the broadcast grid.
+    The vector part's coordinate a is along the lab vector ``axes[..., a,
+    :]``: the identity in exact mode, the frame axes (n_perp, n_cross,
+    n_par) in magnus mode.  Each branch is one cycle tau-pi-2tau-pi-tau
+    raised to N // 2 in SU(2) closed form, then one half-cycle for odd N
+    (Taminiau et al., PRL 109, 137602 (2012)), so the cost does not grow
+    with N.  The one reader of ``propagator_mode``.
+    """
+    if propagator_mode == "exact":
+        return _propagators_exact_batch(spin, fieldcfg, n_pulses, taus, consts)
+    if propagator_mode == "magnus":
+        return _propagators_magnus_batch(
+            effective_frame(spin, fieldcfg, consts), n_pulses, taus
+        )
+    raise ValueError(f"unknown propagator_mode {propagator_mode!r}")
 
 
 def conditional_propagators(
@@ -301,20 +332,13 @@ def conditional_propagators(
 ):
     """(U_plus, U_minus) of CPMG-N on the broadcast grid of ``n_pulses`` x ``taus``.
 
-    ``spin`` is a ``HyperfineSpin`` or a (P, 3) stack of hyperfine vectors.
+    The kernel's second stage: the 2 x 2 matrices of ``cpmg_quaternions``.
     Both arrays have the broadcast shape + (2, 2), behind a leading axis of
-    length P for a stack.  Each branch is one cycle tau-pi-2tau-pi-tau raised
-    to N // 2 in SU(2) closed form, then one half-cycle for odd N (Taminiau
-    et al., PRL 109, 137602 (2012)), so the cost does not grow with N.  The
-    one reader of ``propagator_mode``.
+    length P for a (P, 3) stack of hyperfine vectors.
     """
-    if propagator_mode == "exact":
-        return _propagators_exact_batch(spin, fieldcfg, n_pulses, taus, consts)
-    if propagator_mode == "magnus":
-        return _propagators_magnus_batch(
-            effective_frame(spin, fieldcfg, consts), n_pulses, taus
-        )
-    raise ValueError(f"unknown propagator_mode {propagator_mode!r}")
+    u = _su2_matrices(*cpmg_quaternions(spin, fieldcfg, n_pulses, taus,
+                                        propagator_mode, consts))
+    return u[0], u[1]
 
 
 def conditional_propagator_exact(
@@ -329,9 +353,8 @@ def conditional_propagator_exact(
     The 'plus' branch sees (A + gamma_n B).I during the first interval; each
     ideal pi-flip swaps the two interval Hamiltonians.
     """
-    return _propagators_exact_batch(
-        spin, fieldcfg, seq.n_pulses, seq.tau, consts
-    )[_branch_index(branch)]
+    q, axes = _propagators_exact_batch(spin, fieldcfg, seq.n_pulses, seq.tau, consts)
+    return _su2_matrices(q, axes)[_branch_index(branch)]
 
 
 def _propagators_exact_batch(
@@ -341,8 +364,8 @@ def _propagators_exact_batch(
     taus,
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ):
-    """Exact (U_plus, U_minus) for broadcast arrays of pulse numbers and taus,
-    for one spin or a (P, 3) stack of hyperfine vectors.
+    """Exact ``cpmg_quaternions`` for broadcast arrays of pulse numbers and
+    taus, for one spin or a (P, 3) stack of hyperfine vectors.
 
     With a = exp(-i h_plus.I tau) and b = exp(-i h_minus.I tau) built in
     closed form, the 'plus' branch runs a, b b, a a, ..., so its half-cycle
@@ -353,12 +376,16 @@ def _propagators_exact_batch(
     taus = np.asarray(taus, dtype=float)
     grid_ndim = len(np.broadcast_shapes(np.shape(n_pulses), taus.shape))
     b_vec = np.array([0.0, 0.0, consts.gamma_n * fieldcfg.b_magnitude])
-    a = _rotor(a_vec + b_vec, taus, grid_ndim)
-    b = _rotor(b_vec, taus, grid_ndim)
-    half_plus, half_minus = _quaternion_product(b, a), _quaternion_product(a, b)
-    cycles = (_quaternion_product(half_minus, half_plus),
-              _quaternion_product(half_plus, half_minus))
-    return _cpmg_pair(cycles, (half_plus, half_minus), n_pulses, np.eye(3))
+    # (a, b) on the branch axis, so that one product gives both branches
+    ab = _rotor(np.stack(np.broadcast_arrays(a_vec + b_vec, b_vec)), taus, grid_ndim)
+    halves = _quaternion_product(_swap_branches(ab), ab)
+    cycles = _quaternion_product(_swap_branches(halves), halves)
+    return _cpmg_from_cycles(cycles, halves, n_pulses), np.eye(3)
+
+
+def _swap_branches(q: tuple) -> tuple:
+    """``q`` with the two entries of its leading branch axis swapped (views)."""
+    return tuple(c[::-1] for c in q)
 
 
 def _spin_axis(values, grid_ndim: int, item_ndim: int = 0) -> np.ndarray:
@@ -376,13 +403,15 @@ def _rotor(h_vec: np.ndarray, taus: np.ndarray, grid_ndim: int) -> tuple:
     mag = _row_norm(h_vec)
     axis = _spin_axis(h_vec / np.where(mag > 0.0, mag, 1.0)[..., None], grid_ndim, 1)
     mag = _spin_axis(mag, grid_ndim)
-    s = np.sin(mag * taus / 2.0)
-    return (np.cos(mag * taus / 2.0),
+    half_angle = mag * taus / 2.0
+    s = np.sin(half_angle)
+    return (np.cos(half_angle),
             s * axis[..., 0], s * axis[..., 1], s * axis[..., 2])
 
 
 def _cycle_quaternions(omega, a_perp, edges: tuple) -> tuple:
-    """First-order propagators of one toggling block, (plus, minus) branch.
+    """First-order propagators of one toggling block, on a leading branch
+    axis (plus, minus).
 
     ``edges`` are the block's boundary times after its start at t = 0 (arrays
     of equal shape, which broadcast against ``omega`` and ``a_perp``); the
@@ -391,7 +420,8 @@ def _cycle_quaternions(omega, a_perp, edges: tuple) -> tuple:
     exact precession over the block and M = (a_perp / 2)(Re g I_perp - Im g
     I_cross) with the filter phase g = int s(t) exp(i omega t) dt.  A
     quaternion (w, x, y, z) stands for w 1 - i (x, y, z).sigma with
-    the vector part in (n_perp, n_cross, n_par) coordinates.
+    the vector part in (n_perp, n_cross, n_par) coordinates.  The branches
+    share w and z, which carry no branch axis.
     """
     g = 0j
     sign = 1.0
@@ -408,13 +438,11 @@ def _cycle_quaternions(omega, a_perp, edges: tuple) -> tuple:
     c = np.cos(angle / 2.0)
     s = np.sin(angle / 2.0) / np.where(angle > 0.0, angle, 1.0)
     mx, my = s * mx, s * my
+    px, py = np.stack([mx, -mx]), np.stack([my, -my])
     half = omega * edges[-1] / 2.0
     cw, sw = np.cos(half), np.sin(half)
     # Hamilton product (cw, 0, 0, sw) * (c, +/-mx, +/-my, 0)
-    return tuple(
-        (cw * c, cw * px - sw * py, cw * py + sw * px, sw * c)
-        for px, py in ((mx, my), (-mx, -my))
-    )
+    return (cw * c, cw * px - sw * py, cw * py + sw * px, sw * c)
 
 
 def _quaternion_power(q: tuple, k) -> tuple:
@@ -442,37 +470,35 @@ def _quaternion_product(p: tuple, q: tuple) -> tuple:
     )
 
 
-def _cpmg_pair(cycles: tuple, halves: tuple, n_pulses, axes) -> tuple:
-    """(U_plus, U_minus) from each branch's cycle and half-cycle quaternions.
-
-    CPMG-N is cycle**(N // 2), then the half-cycle for odd N; ``axes[..., a,
-    :]`` is the lab vector of the quaternions' vector coordinate a.
-    """
+def _cpmg_from_cycles(cycles: tuple, halves: tuple, n_pulses) -> tuple:
+    """CPMG-N from the cycle and half-cycle quaternions of both branches:
+    cycle**(N // 2), then the half-cycle for odd N."""
     n_pulses = np.asarray(n_pulses)
     if np.any(n_pulses < 1):
         raise ValueError("pulse numbers must be >= 1")
     k, odd = np.divmod(n_pulses, 2)
-    pair = []
-    for cycle, half in zip(cycles, halves):
-        even = _quaternion_power(cycle, k)
-        w, x, y, z = (np.where(odd == 1, h, e)
-                      for h, e in zip(_quaternion_product(half, even), even))
-        # freed as soon as done: a whole bath's grid makes them megabytes
-        del even
-        vx, vy, vz = (x * axes[..., 0, i] + y * axes[..., 1, i] + z * axes[..., 2, i]
-                      for i in range(3))
-        del x, y, z
-        u = np.empty(w.shape + (2, 2), dtype=complex)
-        u[..., 0, 0] = w - 1.0j * vz
-        u[..., 0, 1] = -vy - 1.0j * vx
-        u[..., 1, 0] = vy - 1.0j * vx
-        u[..., 1, 1] = w + 1.0j * vz
-        pair.append(u)
-    return tuple(pair)
+    odd = odd == 1
+    even = _quaternion_power(cycles, k)
+    return tuple(np.where(odd, h, e)
+                 for h, e in zip(_quaternion_product(halves, even), even))
+
+
+def _su2_matrices(q: tuple, axes) -> np.ndarray:
+    """The 2 x 2 matrices w 1 - i v.sigma of quaternions whose vector
+    coordinate a is along ``axes[..., a, :]``, shape q's broadcast + (2, 2)."""
+    w, x, y, z = q
+    vx, vy, vz = (x * axes[..., 0, i] + y * axes[..., 1, i] + z * axes[..., 2, i]
+                  for i in range(3))
+    u = np.empty(np.broadcast_shapes(w.shape, vx.shape) + (2, 2), dtype=complex)
+    u[..., 0, 0] = w - 1.0j * vz
+    u[..., 0, 1] = -vy - 1.0j * vx
+    u[..., 1, 0] = vy - 1.0j * vx
+    u[..., 1, 1] = w + 1.0j * vz
+    return u
 
 
 def _propagators_magnus_batch(frame: EffectiveFrame, n_pulses, taus):
-    """First-order (U_plus, U_minus) for broadcast arrays of pulse numbers
+    """First-order ``cpmg_quaternions`` for broadcast arrays of pulse numbers
     and taus, for one frame or the frame of a stack of spins; see
     ``conditional_propagator_magnus``."""
     if np.any(frame.omega < DEGENERATE_OMEGA):
@@ -483,7 +509,8 @@ def _propagators_magnus_batch(frame: EffectiveFrame, n_pulses, taus):
     cycles = _cycle_quaternions(omega, a_perp, (taus, 3.0 * taus, 4.0 * taus))
     halves = _cycle_quaternions(omega, a_perp, (taus, 2.0 * taus))
     axes = np.stack([frame.n_perp, frame.n_cross, frame.n_par], axis=-2)
-    return _cpmg_pair(cycles, halves, n_pulses, _spin_axis(axes, grid_ndim, 2))
+    return (_cpmg_from_cycles(cycles, halves, n_pulses),
+            _spin_axis(axes, grid_ndim, 2))
 
 
 def conditional_propagator_magnus(
@@ -522,5 +549,5 @@ def conditional_propagator_magnus(
     and the coherence error of this model stays below B (acceptance
     criterion 2 checks it case by case).
     """
-    pair = _propagators_magnus_batch(frame, seq.n_pulses, seq.tau)
-    return pair[_branch_index(branch)]
+    q, axes = _propagators_magnus_batch(frame, seq.n_pulses, seq.tau)
+    return _su2_matrices(q, axes)[_branch_index(branch)]

@@ -267,12 +267,12 @@ def test_fit_truth_is_global_minimum(field_305):
     assert fit.a_perp == pytest.approx(a_perp, rel=0.01)
     assert not fit.degenerate
     # the generating parameters are a global minimum of the residual
-    from ddread.analysis import _fit_model_values
+    from ddread.analysis import _fit_cells, _fit_model_values
     from ddread.spincore import DEFAULT_CONSTANTS
 
     data = np.concatenate([c.values for c in curves])
-    model, valid = _fit_model_values([(a_par, a_perp)], curves, field_305,
-                                     DEFAULT_CONSTANTS)
+    model, valid = _fit_model_values([(a_par, a_perp)], _fit_cells(curves),
+                                     field_305, DEFAULT_CONSTANTS)
     assert valid[0]
     res_truth = np.linalg.norm(model[0] - data)
     assert res_truth <= fit.residual + 1e-9

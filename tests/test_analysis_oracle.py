@@ -71,6 +71,9 @@ def walk_fidelity(hists):
     f_avg = (f_up + f_down) / 2.0
     best = int(np.argmax(np.minimum(f_up, f_down)))
     curve = np.column_stack([thresholds.astype(float), f_up, f_down, f_avg])
+    # the report keeps the first row and each row where f_up or f_down moves
+    moved = np.any(np.diff(curve[:, 1:3], axis=0) != 0, axis=1)
+    curve = curve[np.concatenate(([True], moved))]
     return FidelityReport(
         fidelity_up=float(f_up[best]),
         fidelity_down=float(f_down[best]),

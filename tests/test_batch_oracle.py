@@ -1,11 +1,19 @@
 """The batched bath and fit forward model against the per-spin and per-point
-loops they replaced.
+loops they replaced, and the two-stage kernel against the one-stage matrix
+kernel it replaced.
 
 The loops below are the reference.  They call the kernel once per spin and
 once per parameter point and curve; the batched code puts the spins, or the
 fit's parameter points, on one leading axis of a single kernel call and
 flattens every curve into one (N, tau) list.  The arithmetic of each cell is
 unchanged, so the results must be equal, not close.
+
+The one-stage kernel built each branch's 2 x 2 matrices in a loop over the
+branches and took the coherence as 0.5 Re Tr(U_plus^dag U_minus).  The
+two-stage kernel computes both branches' quaternions on one branch axis and
+builds matrices only for their callers, so the matrices, and the channel and
+entanglement curve made from them, must be equal; the coherence, now the
+quaternions' dot product, rounds differently and is bounded in ulps.
 """
 
 from pathlib import Path
@@ -13,13 +21,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddread.analysis import _fit_model_values
-from ddread.coherence import _bath_curve_tau, scan_2d, scan_n, scan_tau
+import ddread.measurement as measurement
+from ddread.analysis import _fit_cells, _fit_model_values
+from ddread.coherence import (
+    _bath_curve_tau,
+    _coherence_rows,
+    scan_2d,
+    scan_n,
+    scan_tau,
+)
 from ddread.config import NS, load_config
 from ddread.spincore import (
     DEFAULT_CONSTANTS,
+    FieldConfig,
     HyperfineSpin,
+    _hyperfine_vectors,
+    _quaternion_power,
+    _quaternion_product,
+    _rotor,
+    _spin_axis,
     conditional_propagators,
+    cpmg_quaternions,
     effective_frame,
     spin_from_frame_components,
 )
@@ -33,15 +55,13 @@ SPECTROSCOPY = Path(__file__).resolve().parent.parent / "perfbench" / "spectrosc
 
 
 def loop_bath_curve(spins, fieldcfg, n_pulses, taus, propagator_mode, consts):
-    """Bath coherence at rho = I/2: one propagator call per spin."""
+    """Bath coherence at rho = I/2: one kernel call per spin."""
     total = np.ones(np.broadcast_shapes(np.shape(n_pulses), np.shape(taus)))
     for spin in spins:
-        u_plus, u_minus = conditional_propagators(
+        (w, x, y, z), _ = cpmg_quaternions(
             spin, fieldcfg, n_pulses, taus, propagator_mode, consts
         )
-        total *= 0.5 * np.real(
-            np.einsum("...ij,...ij->...", u_plus.conj(), u_minus)
-        )
+        total *= w[0] * w[1] + x[0] * x[1] + y[0] * y[1] + z[0] * z[1]
     return total
 
 
@@ -62,6 +82,151 @@ def loop_model_values(a_par, a_perp, curves, fieldcfg, consts,
         out.append(loop_bath_curve([spin], fieldcfg, n_pulses, taus,
                                    propagator_mode, consts))
     return np.concatenate(out)
+
+
+# ------------------------------------------------- one-stage matrix kernel
+
+
+def _one_stage_cycle_quaternions(omega, a_perp, edges):
+    """First-order propagators of one toggling block: a (plus, minus) pair
+    of quaternions."""
+    g = 0j
+    sign = 1.0
+    prev = 1.0 + 0j
+    for t in edges:
+        cur = np.exp(1.0j * omega * t)
+        g = g + sign * (cur - prev)
+        prev = cur
+        sign = -sign
+    g = g / (1.0j * omega)
+    mx = a_perp / 2.0 * g.real
+    my = -a_perp / 2.0 * g.imag
+    angle = np.hypot(mx, my)
+    c = np.cos(angle / 2.0)
+    s = np.sin(angle / 2.0) / np.where(angle > 0.0, angle, 1.0)
+    mx, my = s * mx, s * my
+    half = omega * edges[-1] / 2.0
+    cw, sw = np.cos(half), np.sin(half)
+    return tuple(
+        (cw * c, cw * px - sw * py, cw * py + sw * px, sw * c)
+        for px, py in ((mx, my), (-mx, -my))
+    )
+
+
+def _one_stage_pair(cycles, halves, n_pulses, axes):
+    """(U_plus, U_minus): cycle**(N // 2), then the half-cycle for odd N,
+    and each branch's matrices, one branch after the other."""
+    n_pulses = np.asarray(n_pulses)
+    k, odd = np.divmod(n_pulses, 2)
+    pair = []
+    for cycle, half in zip(cycles, halves):
+        even = _quaternion_power(cycle, k)
+        w, x, y, z = (np.where(odd == 1, h, e)
+                      for h, e in zip(_quaternion_product(half, even), even))
+        vx, vy, vz = (x * axes[..., 0, i] + y * axes[..., 1, i] + z * axes[..., 2, i]
+                      for i in range(3))
+        u = np.empty(w.shape + (2, 2), dtype=complex)
+        u[..., 0, 0] = w - 1.0j * vz
+        u[..., 0, 1] = -vy - 1.0j * vx
+        u[..., 1, 0] = vy - 1.0j * vx
+        u[..., 1, 1] = w + 1.0j * vz
+        pair.append(u)
+    return tuple(pair)
+
+
+def one_stage_propagators(spin, fieldcfg, n_pulses, taus, propagator_mode="exact",
+                          consts=DEFAULT_CONSTANTS):
+    """``conditional_propagators`` as one stage, each branch on its own."""
+    taus = np.asarray(taus, dtype=float)
+    grid_ndim = len(np.broadcast_shapes(np.shape(n_pulses), taus.shape))
+    if propagator_mode == "exact":
+        b_vec = np.array([0.0, 0.0, consts.gamma_n * fieldcfg.b_magnitude])
+        a = _rotor(_hyperfine_vectors(spin) + b_vec, taus, grid_ndim)
+        b = _rotor(b_vec, taus, grid_ndim)
+        half_plus, half_minus = _quaternion_product(b, a), _quaternion_product(a, b)
+        cycles = (_quaternion_product(half_minus, half_plus),
+                  _quaternion_product(half_plus, half_minus))
+        return _one_stage_pair(cycles, (half_plus, half_minus), n_pulses, np.eye(3))
+    frame = effective_frame(spin, fieldcfg, consts)
+    omega, a_perp = (_spin_axis(v, grid_ndim) for v in (frame.omega, frame.a_perp))
+    cycles = _one_stage_cycle_quaternions(omega, a_perp, (taus, 3.0 * taus, 4.0 * taus))
+    halves = _one_stage_cycle_quaternions(omega, a_perp, (taus, 2.0 * taus))
+    axes = np.stack([frame.n_perp, frame.n_cross, frame.n_par], axis=-2)
+    return _one_stage_pair(cycles, halves, n_pulses, _spin_axis(axes, grid_ndim, 2))
+
+
+def matrix_coherence_rows(a_vecs, fieldcfg, n_pulses, taus, propagator_mode, consts):
+    """0.5 Re Tr(U_plus^dag U_minus) of the one-stage kernel's matrices."""
+    u_plus, u_minus = one_stage_propagators(a_vecs, fieldcfg, n_pulses, taus,
+                                            propagator_mode, consts)
+    return 0.5 * np.real(np.einsum("...ij,...ij->...", u_plus.conj(), u_minus))
+
+
+def random_spins(rng, field, n):
+    """``n`` random hyperfine vectors whose frames are not degenerate."""
+    vecs = rng.normal(scale=300.0 * TWO_PI_KHZ, size=(4 * n, 3))
+    h_par = vecs / 2.0 + [0.0, 0.0, DEFAULT_CONSTANTS.gamma_n * field.b_magnitude]
+    return vecs[np.linalg.norm(h_par, axis=1) > 2.0 * np.pi * 1e3][:n]
+
+
+# rounding of 0.5 Re Tr(U_plus^dag U_minus) against the quaternion dot
+# product: each sums products of numbers at most 1 in size, so in exact mode
+# they part by at most 2 ulp of 1; in magnus mode the matrices' vector parts
+# are first rotated from frame to lab axes, about 1 ulp more per coordinate
+# and branch, so at most 6 ulp
+COHERENCE_ULPS = {"exact": 2, "magnus": 6}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_quaternion_coherence_matches_the_matrix_trace(mode):
+    rng = np.random.default_rng(91)
+    worst = 0.0
+    for _ in range(20):
+        field = FieldConfig(rng.uniform(0.005, 0.1))
+        a_vecs = random_spins(rng, field, 8)
+        n_pulses = rng.integers(1, 65, 9)[None, :]
+        taus = rng.uniform(50e-9, 1e-6, 11)[:, None]
+        got = _coherence_rows(a_vecs, field, n_pulses, taus, mode, DEFAULT_CONSTANTS)
+        ref = matrix_coherence_rows(a_vecs, field, n_pulses, taus, mode,
+                                    DEFAULT_CONSTANTS)
+        assert got.shape == ref.shape == (len(a_vecs), 11, 9)
+        worst = max(worst, float(np.max(np.abs(got - ref))))
+    assert worst <= COHERENCE_ULPS[mode] * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_two_stage_matrices_equal_the_one_stage_kernel(field_305, bath_305, mode):
+    """Single spins and stacks, odd and even N, and a spin with a_perp = 0
+    (the frame's fallback axis)."""
+    axial = np.array([0.0, 0.0, 200.0 * TWO_PI_KHZ])
+    stack = np.array([s.a_vec for s in bath_305] + [axial])
+    n_pulses = np.arange(1, 14)[None, :]
+    taus = np.linspace(100e-9, 900e-9, 7)[:, None]
+    for spin in [HyperfineSpin(axial), bath_305[0], stack]:
+        for n, t in ((n_pulses, taus), (12, taus[:, 0]), (7, 483e-9)):
+            got = conditional_propagators(spin, field_305, n, t, mode)
+            want = one_stage_propagators(spin, field_305, n, t, mode)
+            for u, v in zip(got, want):
+                assert u.shape == v.shape
+                assert np.array_equal(u, v)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_channel_and_entanglement_equal_the_one_stage_kernel(
+        field_691, readout_spin, readout_seq, monkeypatch, mode):
+    def outputs():
+        channel = measurement.measurement_channel(readout_spin, field_691,
+                                                  readout_seq, mode)
+        return ([channel.kraus_0, channel.kraus_1, channel.basis_up,
+                 channel.basis_down]
+                + list(measurement.entanglement_vs_n(readout_spin, field_691,
+                                                     readout_seq.tau, 48, mode)))
+
+    got = outputs()
+    monkeypatch.setattr(measurement, "conditional_propagators",
+                        one_stage_propagators)
+    for a, b in zip(got, outputs()):
+        assert np.array_equal(a, b)
 
 
 # ------------------------------------------------------------------ bath
@@ -147,7 +312,7 @@ def test_fit_model_matches_the_per_point_loop(field_305, fit_curves, mode):
          (-3.0 * b, 100.0 * TWO_PI_KHZ)],
     ])
     curves = fit_curves[mode]
-    model, valid = _fit_model_values(points, curves, field_305,
+    model, valid = _fit_model_values(points, _fit_cells(curves), field_305,
                                      DEFAULT_CONSTANTS, mode)
     assert model.shape == (len(points), sum(len(c.values) for c in curves))
     assert not valid[-3:].any() and valid[-5:-3].all()
@@ -173,7 +338,8 @@ def test_fit_model_blocks_are_bounded_and_exact(field_305, fit_curves,
     n_cells = sum(len(c.values) for c in curves)
     rng = np.random.default_rng(78)
     points = rng.uniform(2.0 * np.pi * 1e3, 2.0 * np.pi * 2e6, (45, 2))
-    whole, valid = _fit_model_values(points, curves, field_305, DEFAULT_CONSTANTS)
+    cells = _fit_cells(curves)
+    whole, valid = _fit_model_values(points, cells, field_305, DEFAULT_CONSTANTS)
     assert valid.sum() > 3
 
     shapes = []
@@ -186,7 +352,7 @@ def test_fit_model_blocks_are_bounded_and_exact(field_305, fit_curves,
 
     monkeypatch.setattr(analysis, "_coherence_rows", recording)
     monkeypatch.setattr(analysis, "_FIT_BLOCK_CELLS", block_rows * n_cells + 1)
-    blocked, blocked_valid = _fit_model_values(points, curves, field_305,
+    blocked, blocked_valid = _fit_model_values(points, cells, field_305,
                                                DEFAULT_CONSTANTS)
     assert np.array_equal(blocked_valid, valid)
     assert np.array_equal(blocked, whole, equal_nan=True)

@@ -220,6 +220,31 @@ def test_cli_analyze_two_column_trace(tmp_path):
         assert report[key] == full[key]
 
 
+@pytest.mark.parametrize("outlier", [200_000, 2**62, 2**63 - 1])
+def test_cli_analyze_outlier_count_keeps_the_report_small(tmp_path, outlier):
+    """One far outlier among the conditional samples adds one curve row, not
+    one row per integer up to it (which for 2**62 no memory could hold)."""
+    rng = np.random.default_rng(4)
+    state = np.repeat(rng.choice([1, -1], size=1000), rng.geometric(1 / 40, 1000))
+    counts = rng.poisson(np.where(state[:20_000] == 1, 2520.0, 2300.0))
+    counts[:2] = 2600, 0  # a preparation, so that the outlier is a sample
+    rows = [f"{i},{c}\n" for i, c in enumerate(counts)]
+    rows[1] = f"1,{outlier}\n"
+    trace = tmp_path / "trace.csv"
+    trace.write_text("point_index,photon_count\n" + "".join(rows))
+    assert main(["--config", DEMO, "--out", str(tmp_path),
+                 "analyze", "--trace", str(trace)]) == 0
+    path = tmp_path / "fidelity_report.json"
+    assert path.stat().st_size < 100_000
+    report = json.loads(path.read_text())
+    curve = np.array(report["threshold_curve"])
+    assert len(curve) <= report["n_pairs_up"] + report["n_pairs_down"] + 1
+    assert curve[-1, 0] == float(outlier) + 1.0 and curve[-1, 1] == 0.0
+    assert 0.9 < min(report["fidelity_up"], report["fidelity_down"]) < 1.0
+    hist = (tmp_path / "histograms.csv").read_text().splitlines()
+    assert hist[-1] == f"{outlier},1,0"
+
+
 def test_read_trace_csv_carries_the_run_readout(tmp_path):
     """The trace gets the run's readout settings with the file's seed."""
     readout = load_config(DEMO).readout
@@ -274,6 +299,25 @@ def test_cli_ssr_trace_bytes(tmp_path, args, sha256, overrides):
     assert main(["--config", config, "--out", str(tmp_path)] + args) == 0
     data = (tmp_path / "trace.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == sha256
+
+
+def test_cli_spectroscopy_bytes(tmp_path):
+    """The demo config's scan, map and fit at seed 7, byte for byte: the
+    kernel's rounding, the fit and the CSV and JSON writers are pinned
+    together."""
+    out = str(tmp_path)
+    for args in (["scan"], ["map2d"], ["fit", str(tmp_path / "scan_tau.csv")]):
+        assert main(["--config", DEMO, "--seed", "7", "--out", out] + args) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("scan_tau.csv", "map2d.csv", "hyperfine_fit.json")}
+    assert digests == {
+        "scan_tau.csv":
+            "152756cb4e178b533c7f47f3ead8ff1e9e93d5a3b0da92b36c3e8011c8a5bd81",
+        "map2d.csv":
+            "3c76deef4f22520db2b7448d1b89844c0bb99bcd5d61e1abb9c4437e316a9e02",
+        "hyperfine_fit.json":
+            "6a0d80db48a22bd379c7b732c3ad1fe5f7ea1256f559a2b02c9b17a42fad9143",
+    }
 
 
 @pytest.mark.parametrize("row", ["3,2400,1,0", "3,24x0,1", "3,2400", "3,,1",
