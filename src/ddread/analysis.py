@@ -8,7 +8,8 @@ concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -315,6 +316,104 @@ def _fit_model_values(params, cells, fieldcfg, consts, propagator_mode="exact"):
     return values, valid
 
 
+class _Closed(Exception):
+    """Raised in a refinement waiting on rounds that closed before its rows
+    came: another refinement or the forward model failed."""
+
+
+class _Rounds:
+    """Lockstep rounds of the fit's forward model.
+
+    Each local refinement runs in its own thread and posts the parameter
+    points it needs with ``request``, which blocks until its rows come back.
+    The calling thread's ``serve`` sleeps until every live refinement has
+    posted, evaluates all their points in one forward-model call and hands
+    each refinement its rows.  A refinement that returns calls ``leave``, one
+    that raises ``fail``, which closes the rounds: the others' requests then
+    raise ``_Closed``.  Forward-model rows do not depend on the other rows of
+    a call, so no result depends on which requests share a round.
+
+    Each wait is on a lock of its own, released once: a round wakes the
+    caller once and each refinement once.
+    """
+
+    def __init__(self, evaluate, n_live):
+        self._evaluate = evaluate
+        self._live = n_live
+        self._pending = []  # [points, lock released with the rows, rows]
+        self._closed = False
+        self.error = None  # the first refinement's exception
+        self._mutex = threading.Lock()
+        # released once per round, when it is complete or the rounds close
+        self._round_ready = threading.Lock()
+        self._round_ready.acquire()
+        self._signalled = False
+
+    def _signal(self):
+        # with the mutex held
+        if not self._signalled and (self._closed
+                                    or len(self._pending) == self._live):
+            self._signalled = True
+            self._round_ready.release()
+
+    def request(self, points):
+        """The forward model's residual rows at ``points``, a sequence of
+        (a_par, a_perp), once the round that holds them is served."""
+        entry = [points, threading.Lock(), None]
+        entry[1].acquire()
+        with self._mutex:
+            if self._closed:
+                raise _Closed
+            self._pending.append(entry)
+            self._signal()
+        entry[1].acquire()
+        if entry[2] is None:
+            raise _Closed
+        return entry[2]
+
+    def leave(self):
+        with self._mutex:
+            self._live -= 1
+            self._signal()
+
+    def fail(self, exc):
+        with self._mutex:
+            if self.error is None:
+                self.error = exc
+        self.close()
+
+    def close(self):
+        with self._mutex:
+            if self._closed:
+                return
+            self._closed = True
+            for _, lock, _ in self._pending:
+                lock.release()
+            self._signal()
+
+    def _round(self, requests):
+        """The rows of every request of a round, from one forward-model call."""
+        rows = self._evaluate(np.concatenate(requests))
+        return np.split(rows, np.cumsum([len(r) for r in requests])[:-1])
+
+    def serve(self):
+        """Serve rounds until every refinement has left or the rounds close."""
+        while True:
+            self._round_ready.acquire()
+            with self._mutex:
+                if self._closed or not self._live:
+                    return
+                batch = self._pending
+            # no refinement runs until its rows come: the batch stays as it is
+            rows = self._round([points for points, _, _ in batch])
+            with self._mutex:
+                self._pending = []
+                self._signalled = False
+                for entry, r in zip(batch, rows):
+                    entry[2] = r
+                    entry[1].release()
+
+
 def fit_hyperfine(
     curves: Sequence[CoherenceCurve],
     fieldcfg: FieldConfig,
@@ -328,8 +427,10 @@ def fit_hyperfine(
     one batched forward-model call, seeds local refinements from the best
     handful of starts (trust-region least squares on the forward model
     that produced the curves, their common ``propagator_mode``; curves of
-    different modes are refused; each finite-difference Jacobian is one
-    batched call too); ties in the final residual break
+    different modes are refused).  The refinements run in lockstep, one
+    thread each: every round, the calling thread evaluates the next residual
+    or finite-difference Jacobian of every live refinement in one batched
+    forward-model call.  Ties in the final residual break
     toward the lexicographically smallest (a_par, a_perp).  A fit whose
     residual is insensitive to a_par (decoupled data) is flagged degenerate
     instead of reporting a spurious parallel coupling.
@@ -363,31 +464,51 @@ def fit_hyperfine(
         return residual_rows(*_fit_model_values(points, cells, fieldcfg, consts,
                                                 propagator_mode))
 
-    def residual_vec(params):
-        return residuals([params])[0]
-
-    def jacobian_points(_fun, points):
-        # least_squares maps its residual function (_fun) over the shifted
-        # points of a finite-difference Jacobian with this; one batched call
-        # gives the same rows
-        return residuals(list(points))
-
     lo, hi = grid_range
     grid = np.linspace(lo, hi, n_grid)
     points = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
     coarse = sorted(
         (float(np.linalg.norm(r)), ap, at)
         for r, (ap, at) in zip(residuals(points), points))
+    starts = [(ap, at) for _, ap, at in coarse[:5]]
+    rounds = _Rounds(residuals, len(starts))
+    solutions = [None] * len(starts)
+
+    def refine(k):
+        # least_squares maps its residual function (_fun) over the shifted
+        # points of a finite-difference Jacobian with ``workers``; one
+        # request gives the same rows
+        try:
+            solutions[k] = least_squares(
+                lambda params: rounds.request([params])[0], x0=starts[k],
+                bounds=([lo / 10.0, lo / 10.0], [hi * 2.0, hi * 2.0]),
+                xtol=1e-12, ftol=1e-12,
+                workers=lambda _fun, shifted: rounds.request(list(shifted)),
+            )
+            rounds.leave()
+        except _Closed:
+            pass
+        except BaseException as exc:  # handed to the caller, which raises it
+            rounds.fail(exc)
+
+    # daemon: should a refinement ever hang, the interpreter can still exit
+    threads = [threading.Thread(target=refine, args=(k,), daemon=True,
+                                name=f"fit_hyperfine refinement {k}")
+               for k in range(len(starts))]
+    try:
+        for t in threads:
+            t.start()
+        rounds.serve()
+    finally:
+        rounds.close()
+        for t in threads:
+            if t.ident is not None:
+                t.join()
+    if rounds.error is not None:
+        raise rounds.error
 
     best = None
-    n_starts = 0
-    for norm0, ap, at in coarse[:5]:
-        n_starts += 1
-        sol = least_squares(
-            residual_vec, x0=[ap, at],
-            bounds=([lo / 10.0, lo / 10.0], [hi * 2.0, hi * 2.0]),
-            xtol=1e-12, ftol=1e-12, workers=jacobian_points,
-        )
+    for sol in solutions:
         key = (float(np.linalg.norm(sol.fun)), float(sol.x[0]), float(sol.x[1]))
         if best is None or key < best:
             best = key
@@ -407,7 +528,7 @@ def fit_hyperfine(
     insensitive = (max(r_plus, r_minus) - res_norm) < 1e-8 * max(1.0, res_norm)
     degenerate = bool(flat or insensitive)
     return HyperfineFit(a_par=a_par, a_perp=a_perp, residual=res_norm,
-                        degenerate=degenerate, n_starts=n_starts)
+                        degenerate=degenerate, n_starts=len(starts))
 
 
 def report_payload(report: FidelityReport) -> dict:

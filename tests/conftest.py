@@ -10,7 +10,12 @@ Three working points recur throughout:
 
 All constructors are exact closed forms, so tests do not depend on any
 root-finding tolerance.
+
+Every test also fails if it leaves a thread running that was not running
+when it started, such as a refinement thread of ``fit_hyperfine``.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -26,6 +31,15 @@ from ddread.spincore import (
 
 TWO_PI_KHZ = 2.0 * np.pi * 1e3
 GAUSS = 1e-4
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate() if t not in before]
+    if leaked:
+        pytest.fail(f"threads left running: {leaked}")
 
 
 def is_unitary(u, tol=1e-12):

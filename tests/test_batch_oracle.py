@@ -14,15 +14,24 @@ two-stage kernel computes both branches' quaternions on one branch axis and
 builds matrices only for their callers, so the matrices, and the channel and
 entanglement curve made from them, must be equal; the coherence, now the
 quaternions' dot product, rounds differently and is bounded in ulps.
+
+The serial fit runs the local refinements of ``fit_hyperfine`` one after
+another, one forward-model call per residual and per finite-difference
+Jacobian.  The fit runs them in lockstep and evaluates one round of requests
+from every refinement in one call; the rows of a call do not depend on each
+other, so the fits must be equal, not close.
 """
 
+import sys
+import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ddread.measurement as measurement
-from ddread.analysis import _fit_cells, _fit_model_values
+from ddread.analysis import HyperfineFit, _fit_cells, _fit_model_values, fit_hyperfine
 from ddread.coherence import (
     _bath_curve_tau,
     _coherence_rows,
@@ -82,6 +91,60 @@ def loop_model_values(a_par, a_perp, curves, fieldcfg, consts,
         out.append(loop_bath_curve([spin], fieldcfg, n_pulses, taus,
                                    propagator_mode, consts))
     return np.concatenate(out)
+
+
+def serial_fit_hyperfine(curves, fieldcfg, n_grid=20,
+                         grid_range=(2.0 * np.pi * 10e3, 2.0 * np.pi * 1e6),
+                         consts=DEFAULT_CONSTANTS):
+    """``fit_hyperfine`` with its local refinements run one after another,
+    each residual and finite-difference Jacobian one forward-model call."""
+    from scipy.optimize import least_squares
+
+    propagator_mode = curves[0].propagator_mode
+    data = np.concatenate([c.values for c in curves])
+    cells = _fit_cells(curves)
+
+    def residual_rows(model, valid):
+        model -= data
+        model[~valid] = 1e3
+        return model
+
+    def residuals(points):
+        return residual_rows(*_fit_model_values(points, cells, fieldcfg, consts,
+                                                propagator_mode))
+
+    lo, hi = grid_range
+    grid = np.linspace(lo, hi, n_grid)
+    points = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+    coarse = sorted(
+        (float(np.linalg.norm(r)), ap, at)
+        for r, (ap, at) in zip(residuals(points), points))
+
+    best = None
+    n_starts = 0
+    for _, ap, at in coarse[:5]:
+        n_starts += 1
+        sol = least_squares(
+            lambda params: residuals([params])[0], x0=[ap, at],
+            bounds=([lo / 10.0, lo / 10.0], [hi * 2.0, hi * 2.0]),
+            xtol=1e-12, ftol=1e-12,
+            workers=lambda _fun, shifted: residuals(list(shifted)),
+        )
+        key = (float(np.linalg.norm(sol.fun)), float(sol.x[0]), float(sol.x[1]))
+        if best is None or key < best:
+            best = key
+    res_norm, a_par, a_perp = best
+    probe = max(abs(a_par) * 0.1, 0.01 * lo)
+    model, valid = _fit_model_values(
+        [(a_par, a_perp), (a_par + probe, a_perp),
+         (max(a_par - probe, lo / 10.0), a_perp)],
+        cells, fieldcfg, consts, propagator_mode)
+    flat = bool(valid[0]) and float(np.max(np.abs(model[0] - 1.0))) < 1e-3
+    r_plus, r_minus = (np.linalg.norm(r)
+                       for r in residual_rows(model[1:], valid[1:]))
+    insensitive = (max(r_plus, r_minus) - res_norm) < 1e-8 * max(1.0, res_norm)
+    return HyperfineFit(a_par=a_par, a_perp=a_perp, residual=res_norm,
+                        degenerate=bool(flat or insensitive), n_starts=n_starts)
 
 
 # ------------------------------------------------- one-stage matrix kernel
@@ -360,3 +423,84 @@ def test_fit_model_blocks_are_bounded_and_exact(field_305, fit_curves,
     assert sum(s[0] for s in shapes) == valid.sum()
     assert max(s[0] for s in shapes) == min(block_rows, valid.sum())
     assert len(shapes) == -(-valid.sum() // block_rows)
+
+
+# ------------------------------------------------------ lockstep fit
+
+
+def noisy_curves(curves, seed):
+    """``curves`` with criterion 7's 1% Gaussian noise, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    return [replace(c, values=np.clip(c.values + rng.normal(0.0, 0.01, c.values.shape),
+                                      -1.0, 1.0))
+            for c in curves]
+
+
+@pytest.mark.parametrize("n_grid", [1, 2, 3, 8])
+@pytest.mark.parametrize("mode", MODES)
+def test_lockstep_fit_equals_the_serial_fit(field_305, fit_curves, mode, n_grid):
+    """Criterion 7's curves, noiseless and at ten noise seeds: the lockstep
+    fit's fields equal the serial fit's, floats to the last bit."""
+    for seed in [None] + list(range(10)):
+        curves = fit_curves[mode]
+        if seed is not None:
+            curves = noisy_curves(curves, seed)
+        fit = fit_hyperfine(curves, field_305, n_grid=n_grid)
+        assert vars(fit) == vars(serial_fit_hyperfine(curves, field_305, n_grid=n_grid))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_lockstep_fit_of_decoupled_data_equals_the_serial_fit(field_305, mode):
+    spin = spin_from_frame_components(0.0, 0.0, field_305)
+    curves = [scan_tau([spin], field_305, 8, (200e-9, 600e-9), 10e-9, mode)]
+    fit = fit_hyperfine(curves, field_305, n_grid=6)
+    assert fit.degenerate
+    assert vars(fit) == vars(serial_fit_hyperfine(curves, field_305, n_grid=6))
+
+
+def test_fit_does_not_depend_on_which_requests_share_a_round(field_305, fit_curves,
+                                                             monkeypatch):
+    """Rounds that evaluate each request in a forward-model call of its own
+    give the fit of the shared rounds."""
+    import ddread.analysis as analysis
+
+    curves = noisy_curves(fit_curves["exact"], 3)
+    shared = fit_hyperfine(curves, field_305, n_grid=8)
+    sizes = []
+
+    def each_alone(self, requests):
+        sizes.extend(len(r) for r in requests)
+        return [self._evaluate(np.asarray(r, dtype=float)) for r in requests]
+
+    monkeypatch.setattr(analysis._Rounds, "_round", each_alone)
+    alone = fit_hyperfine(curves, field_305, n_grid=8)
+    assert set(sizes) == {1, 2}
+    assert vars(alone) == vars(shared)
+    assert vars(alone) == vars(serial_fit_hyperfine(curves, field_305, n_grid=8))
+
+
+def test_concurrent_fits_equal_their_serial_fits(field_305, fit_curves):
+    """Three fits of different curves at once, each in a thread of its own
+    with five refinement threads of its own, and the interpreter switching
+    threads every 10 us: each equals its serial fit."""
+    jobs = [noisy_curves(fit_curves[mode], seed)
+            for mode, seed in (("exact", 5), ("magnus", 6), ("exact", 7))]
+    fits = [None] * len(jobs)
+
+    def fit(k):
+        fits[k] = fit_hyperfine(jobs[k], field_305, n_grid=8)
+
+    threads = [threading.Thread(target=fit, args=(k,), daemon=True)
+               for k in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+            assert not t.is_alive(), "no return within 60 s"
+    finally:
+        sys.setswitchinterval(interval)
+    for curves, got in zip(jobs, fits):
+        assert vars(got) == vars(serial_fit_hyperfine(curves, field_305, n_grid=8))
