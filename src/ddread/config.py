@@ -3,13 +3,15 @@
 All user-facing quantities carry their unit in the key name (kHz, ns, s,
 gauss); conversion to internal angular rad/s and SI happens here and nowhere
 else.  Unknown keys anywhere in the document are rejected so typos fail loudly
-instead of silently falling back to defaults.
+instead of silently falling back to defaults, and so is a key given twice in
+one mapping, which YAML forbids and PyYAML would let the last value win.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +36,27 @@ class ConfigError(ValueError):
     """Schema violation or unusable value in a run configuration."""
 
 
+class _StrictLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """``yaml.safe_load``'s constructor and resolver, so the same document
+    gives the same dict, over libyaml's parser where PyYAML has it; refuses
+    a mapping that repeats a key."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=True)
+            if not isinstance(key, Hashable):
+                break  # construct_mapping refuses it
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def _require_keys(section: dict, allowed: set, required: set, where: str):
     if not isinstance(section, dict):
         raise ConfigError(f"{where}: expected a mapping")
@@ -45,6 +68,15 @@ def _require_keys(section: dict, allowed: set, required: set, where: str):
         raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
 
 
+def _integer(section: dict, key: str, where: str, default=None):
+    if key not in section:
+        return default
+    v = section[key]
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"{where}.{key}: expected an integer, got {v!r}")
+    return v
+
+
 def _number(section: dict, key: str, where: str, default=None):
     if key not in section:
         return default
@@ -52,6 +84,14 @@ def _number(section: dict, key: str, where: str, default=None):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
     return float(v)
+
+
+def _build(cls, where: str, **kwargs):
+    """``cls(**kwargs)``, its ValueError raised as a ConfigError at ``where``."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -135,50 +175,44 @@ def parse_config(doc: dict) -> RunConfig:
 
     seq_sec = doc["sequence"]
     _require_keys(seq_sec, _SEQ_KEYS, _SEQ_KEYS, "sequence")
-    n_pulses = seq_sec["n_pulses"]
-    if isinstance(n_pulses, bool) or not isinstance(n_pulses, int):
-        raise ConfigError("sequence.n_pulses: expected an integer")
-    try:
-        seq = CpmgSequence(n_pulses, _number(seq_sec, "tau_ns", "sequence") * NS)
-    except ValueError as exc:
-        raise ConfigError(f"sequence: {exc}") from exc
+    seq = _build(CpmgSequence, "sequence",
+                 n_pulses=_integer(seq_sec, "n_pulses", "sequence"),
+                 tau=_number(seq_sec, "tau_ns", "sequence") * NS)
+
+    seed = _integer(doc, "seed", "config", 0)
+    if seed < 0:
+        raise ConfigError("config.seed: expected a non-negative integer")
 
     read_sec = doc.get("readout", {})
     _require_keys(read_sec, _READ_KEYS, set(), "readout")
     rdef = ReadoutConfig()
-    cycles = read_sec.get("cycles_per_point", rdef.cycles_per_point)
-    if isinstance(cycles, bool) or not isinstance(cycles, int):
-        raise ConfigError("readout.cycles_per_point: expected an integer")
-    try:
-        readout = ReadoutConfig(
-            cycles_per_point=cycles,
-            photon_rate_bright=_number(read_sec, "photon_rate_bright",
-                                       "readout", rdef.photon_rate_bright),
-            photon_rate_dark=_number(read_sec, "photon_rate_dark",
-                                     "readout", rdef.photon_rate_dark),
-            t1n_up=_number(read_sec, "t1n_up_s", "readout", rdef.t1n_up),
-            t1n_down=_number(read_sec, "t1n_down_s", "readout", rdef.t1n_down),
-            point_duration=_number(read_sec, "point_duration_s", "readout",
-                                   rdef.point_duration),
-            electron_init_error=_number(read_sec, "electron_init_error",
-                                        "readout", rdef.electron_init_error),
-            pi_pulse_error=_number(read_sec, "pi_pulse_error", "readout",
-                                   rdef.pi_pulse_error),
-            seed=int(doc.get("seed", 0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"readout: {exc}") from exc
+    readout = _build(
+        ReadoutConfig, "readout",
+        cycles_per_point=_integer(read_sec, "cycles_per_point", "readout",
+                                  rdef.cycles_per_point),
+        photon_rate_bright=_number(read_sec, "photon_rate_bright",
+                                   "readout", rdef.photon_rate_bright),
+        photon_rate_dark=_number(read_sec, "photon_rate_dark",
+                                 "readout", rdef.photon_rate_dark),
+        t1n_up=_number(read_sec, "t1n_up_s", "readout", rdef.t1n_up),
+        t1n_down=_number(read_sec, "t1n_down_s", "readout", rdef.t1n_down),
+        point_duration=_number(read_sec, "point_duration_s", "readout",
+                               rdef.point_duration),
+        electron_init_error=_number(read_sec, "electron_init_error",
+                                    "readout", rdef.electron_init_error),
+        pi_pulse_error=_number(read_sec, "pi_pulse_error", "readout",
+                               rdef.pi_pulse_error),
+        seed=seed,
+    )
 
     thr_sec = doc.get("thresholds", {})
     _require_keys(thr_sec, _THRESH_KEYS, set(), "thresholds")
     tdef = ThresholdPolicy()
-    try:
-        thresholds = ThresholdPolicy(
-            init_low=int(thr_sec.get("init_low", tdef.init_low)),
-            init_high=int(thr_sec.get("init_high", tdef.init_high)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"thresholds: {exc}") from exc
+    thresholds = _build(
+        ThresholdPolicy, "thresholds",
+        init_low=_integer(thr_sec, "init_low", "thresholds", tdef.init_low),
+        init_high=_integer(thr_sec, "init_high", "thresholds", tdef.init_high),
+    )
 
     scan_sec = doc.get("scan", {})
     _require_keys(scan_sec, _SCAN_KEYS, set(), "scan")
@@ -187,10 +221,6 @@ def parse_config(doc: dict) -> RunConfig:
     mode = doc.get("propagator_mode", "exact")
     if mode not in ("exact", "magnus"):
         raise ConfigError("config.propagator_mode: expected 'exact' or 'magnus'")
-
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError("config.seed: expected a non-negative integer")
 
     return RunConfig(
         field=fieldcfg, spins=tuple(spins), sequence=seq, readout=readout,
@@ -203,7 +233,7 @@ def load_config(path) -> RunConfig:
     """Read and validate a YAML config file."""
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_StrictLoader)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except yaml.YAMLError as exc:

@@ -103,6 +103,68 @@ def test_cli_schema_error_exits_2(tmp_path):
     assert main(["--config", path, "--out", str(tmp_path), "scan"]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "field_gauss: 305.0\nsequence: [12,\n",
+    "field_gauss: 305.0\n? [a, b]\n: 1\n",
+], ids=["unclosed", "unhashable-key"])
+def test_cli_malformed_yaml_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    assert main(["--config", str(path), "--out", str(tmp_path), "scan"]) == 2
+    assert "invalid YAML" in capsys.readouterr().err
+
+
+# The demo config with one key given twice, at the top level and nested; the
+# last value would win without the check, e.g. a run at 305 G.
+@pytest.mark.parametrize("line, repeat", [
+    ("field_gauss: 691.0", "field_gauss: 305.0"),
+    ("  t1n_up_s: 15.0", "  t1n_up_s: 1.0"),
+    ("  init_low: 2300", "  init_low: 2100"),
+], ids=["top", "readout", "thresholds"])
+def test_cli_duplicate_key_exits_2(tmp_path, capsys, line, repeat):
+    lines = Path(DEMO).read_text().splitlines()
+    lineno = lines.index(line) + 2  # of the repeat, 1-based
+    lines.insert(lineno - 1, repeat)
+    path = tmp_path / "run.yaml"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["--config", str(path), "--out", str(tmp_path), "ssr",
+                 "--points", "2"]) == 2
+    err = capsys.readouterr().err
+    key = repeat.split(":")[0].strip()
+    assert "invalid YAML" in err
+    assert f"found duplicate key {key!r}" in err and f"line {lineno}," in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_strict_loader_parses_as_safe_load():
+    """The duplicate-key loader builds the same document as yaml.safe_load,
+    merge keys included, so config_sha256 does not move."""
+    from ddread.config import _StrictLoader
+
+    demo = Path(DEMO).read_text()
+    assert yaml.load(demo, Loader=_StrictLoader) == yaml.safe_load(demo)
+    merged = "a: &x {b: 1, c: 2}\nd:\n  <<: *x\n  b: 3\n"
+    assert yaml.load(merged, Loader=_StrictLoader) == yaml.safe_load(merged)
+
+
+@pytest.mark.parametrize("patch", [
+    {"thresholds": {"init_low": "2300"}},
+    {"thresholds": {"init_low": 2300.9}},
+    {"thresholds": {"init_high": True}},
+    {"readout": {"cycles_per_point": 40000.0}},
+    {"seed": "abc"},
+    {"seed": 7.0},
+], ids=["low-str", "low-float", "high-bool", "cycles-float", "seed-str",
+        "seed-float"])
+def test_cli_non_integer_field_exits_2(tmp_path, capsys, patch):
+    key = next(iter(patch))
+    name = f"config.{key}" if key == "seed" else f"{key}.{next(iter(patch[key]))}"
+    path = write_config(tmp_path, {**BASE, **patch})
+    assert main(["--config", path, "--out", str(tmp_path), "scan"]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {name}: expected an integer" in err
+
+
 def test_cli_scan_deterministic_and_flat_for_decoupled(tmp_path, capsys):
     doc = dict(BASE)
     doc["spins"] = [{"a_vec_khz": [0.0, 0.0, 0.0]}]

@@ -295,6 +295,59 @@ def test_trace_matches_the_per_point_chain(field_691, readout_spin,
         assert len(set(hidden.tolist())) == 2  # the chain flips
 
 
+def _state_lists(state):
+    """A bit generator state with every array as a list, for comparison."""
+    return {k: _state_lists(v) if isinstance(v, dict)
+            else v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in state.items()}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 1, 2**64 + 7])
+def test_plain_int_reset_is_the_point_rng(seed):
+    """``simulate_trace`` resets one Philox to each point's substream from a
+    state of plain ints.  That is the state ``_point_rng(seed, i)`` starts
+    in (the seed masked to 64 bits), and it gives the same draws."""
+    from ddread.measurement import _plain_state, _point_rng
+
+    rng = _point_rng(seed, 0)
+    bitgen, start = rng.bit_generator, _plain_state(rng.bit_generator)
+    words = start["state"]["counter"] + start["state"]["key"] + start["buffer"]
+    assert all(type(w) is int for w in words)
+    for i in (0, 1, 2, 19_999, 2**40 + 3):
+        start["state"]["counter"][2] = i
+        bitgen.state = start
+        ref = _point_rng(seed, i)
+        assert _state_lists(bitgen.state) == _state_lists(
+            ref.bit_generator.state)
+        # the unravel draw: one raw word is one random() of the reference
+        assert (bitgen.random_raw() >> 11) * 2.0**-53 == ref.random()
+        assert rng.geometric(1e-4) == ref.geometric(1e-4)
+        assert rng.binomial(40_000, 0.1) == ref.binomial(40_000, 0.1)
+        assert rng.poisson(2400.5) == ref.poisson(2400.5)
+        assert np.array_equal(rng.random(9), ref.random(9))
+
+
+def test_first_point_unravels_as_simulate_point(field_691, readout_spin,
+                                                readout_seq):
+    """Point 0 starts fully mixed; ``simulate_trace`` unravels it with the
+    raw-word test ``raw < 2**63``, which is ``simulate_point``'s
+    ``random() < 1/2`` on the same word.  Over many seeds both locked
+    states are drawn, and each 1-point trace is ``simulate_point``'s."""
+    from ddread.measurement import _point_rng
+
+    ch = measurement_channel(readout_spin, field_691, readout_seq, "magnus")
+    starts = set()
+    for seed in range(200):
+        cfg = ReadoutConfig(seed=seed)
+        trace = simulate_trace(readout_spin, field_691, readout_seq, cfg, 1,
+                               "magnus")
+        count, _, dominant = simulate_point(np.eye(2, dtype=complex) / 2.0,
+                                            ch, cfg, _point_rng(seed, 0))
+        assert (trace.points[0], trace.hidden_states[0]) == (count, dominant)
+        starts.add(dominant)
+    assert starts == {1, -1}
+
+
 def test_frozen_t1_means_no_jumps(field_691, readout_spin, readout_seq):
     cfg = ReadoutConfig(seed=5, t1n_up=1e12, t1n_down=1e12)
     trace = simulate_trace(readout_spin, field_691, readout_seq, cfg, 120)
