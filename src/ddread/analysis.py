@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .coherence import CoherenceCurve, _coherence_rows
-from .measurement import PhotonTrace
+from .measurement import _CSV_BLOCK, PhotonTrace
 from .spincore import (
     DEFAULT_CONSTANTS,
     FieldConfig,
@@ -548,8 +548,10 @@ def report_payload(report: FidelityReport) -> dict:
 
 def histograms_to_csv(hists: ConditionalHistograms, path) -> None:
     """Write (count, freq_up, freq_down) rows for each count that occurs."""
-    values, freq_up, freq_down = _count_table(hists.samples_up, hists.samples_down)
+    table = np.column_stack(_count_table(hists.samples_up, hists.samples_down))
     with open(path, "w") as fh:
         fh.write("count,freq_up,freq_down\n")
-        for c, n_up, n_down in zip(values, freq_up, freq_down):
-            fh.write(f"{c},{n_up},{n_down}\n")
+        for start in range(0, len(table), _CSV_BLOCK):
+            # one format over the block's rows, as trace_to_csv writes
+            block = table[start:start + _CSV_BLOCK]
+            fh.write("%d,%d,%d\n" * len(block) % tuple(block.ravel().tolist()))

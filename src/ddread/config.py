@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 
@@ -77,13 +78,26 @@ def _integer(section: dict, key: str, where: str, default=None):
     return v
 
 
-def _number(section: dict, key: str, where: str, default=None):
+def _number(section: dict, key: str, where: str, default=None,
+            infinite_ok: bool = False):
     if key not in section:
         return default
-    v = section[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
-    return float(v)
+    return _real(section[key], f"{where}.{key}", infinite_ok)
+
+
+def _real(value, name: str, infinite_ok: bool = False) -> float:
+    """``value`` as a float: a finite int or float, or also an infinite one
+    where ``infinite_ok``; never NaN."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name}: expected a number, got {value!r}")
+    try:
+        v = float(value)
+    except OverflowError:  # an int beyond float's range
+        v = math.inf if value > 0 else -math.inf
+    if math.isnan(v) or math.isinf(v) and not infinite_ok:
+        kind = "a number" if infinite_ok else "a finite number"
+        raise ConfigError(f"{name}: expected {kind}, got {value!r}")
+    return v
 
 
 def _build(cls, where: str, **kwargs):
@@ -140,7 +154,8 @@ def _parse_spin(entry: dict, where: str):
         vec = entry["a_vec_khz"]
         if not isinstance(vec, (list, tuple)) or len(vec) != 3:
             raise ConfigError(f"{where}.a_vec_khz: expected 3 numbers")
-        return HyperfineSpin(a_vec=np.asarray(vec, dtype=float) * TWO_PI_KHZ)
+        vec = [_real(x, f"{where}.a_vec_khz[{i}]") for i, x in enumerate(vec)]
+        return HyperfineSpin(a_vec=np.asarray(vec) * TWO_PI_KHZ)
     a_par = _number(entry, "a_par_khz", where, 0.0) * TWO_PI_KHZ
     a_perp = _number(entry, "a_perp_khz", where, 0.0) * TWO_PI_KHZ
     return (a_par, a_perp)  # resolved once the field is known
@@ -194,8 +209,11 @@ def parse_config(doc: dict) -> RunConfig:
                                    "readout", rdef.photon_rate_bright),
         photon_rate_dark=_number(read_sec, "photon_rate_dark",
                                  "readout", rdef.photon_rate_dark),
-        t1n_up=_number(read_sec, "t1n_up_s", "readout", rdef.t1n_up),
-        t1n_down=_number(read_sec, "t1n_down_s", "readout", rdef.t1n_down),
+        # an infinite T1 is a frozen one: its flip probability is 0
+        t1n_up=_number(read_sec, "t1n_up_s", "readout", rdef.t1n_up,
+                       infinite_ok=True),
+        t1n_down=_number(read_sec, "t1n_down_s", "readout", rdef.t1n_down,
+                         infinite_ok=True),
         point_duration=_number(read_sec, "point_duration_s", "readout",
                                rdef.point_duration),
         electron_init_error=_number(read_sec, "electron_init_error",
@@ -216,6 +234,8 @@ def parse_config(doc: dict) -> RunConfig:
 
     scan_sec = doc.get("scan", {})
     _require_keys(scan_sec, _SCAN_KEYS, set(), "scan")
+    for key in ("tau_start_ns", "tau_stop_ns", "tau_step_ns"):
+        _number(scan_sec, key, "scan")  # the scan commands read them
     scan = dict(scan_sec)
 
     mode = doc.get("propagator_mode", "exact")
@@ -244,9 +264,32 @@ def load_config(path) -> RunConfig:
 
 
 def snapshot_json(config: RunConfig) -> str:
-    """Round-trippable snapshot: the raw document plus its hash."""
-    return json.dumps(
-        {"config": config.raw, "config_sha256": config.content_hash(),
-         "seed": config.seed},
-        indent=2, sort_keys=True,
+    """Round-trippable snapshot in strict JSON: the raw document plus its
+    hash.  JSON has no infinity, so an infinite number (a frozen T1) is
+    written as the out-of-range number 1e999, which JSON readers read back
+    as infinity."""
+    text = json.dumps(
+        {"config": _mark_infinite(config.raw),
+         "config_sha256": config.content_hash(), "seed": config.seed},
+        indent=2, sort_keys=True, allow_nan=False,
     )
+    for sign in ("", "-"):
+        text = text.replace(json.dumps(sign + _INFINITY), sign + "1e999")
+    return text
+
+
+# Stands in for +-inf while the snapshot is encoded.  A config string equal
+# to it, which YAML can spell only with a "\0" escape, would come out as
+# infinity too; no key takes a string like it.
+_INFINITY = "\x00inf"
+
+
+def _mark_infinite(value):
+    """``value`` with each infinite float as ``_INFINITY``, signed."""
+    if isinstance(value, dict):
+        return {k: _mark_infinite(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_mark_infinite(v) for v in value]
+    if isinstance(value, float) and math.isinf(value):
+        return _INFINITY if value > 0 else "-" + _INFINITY
+    return value

@@ -15,11 +15,9 @@ Traces are reproducible bit for bit regardless of how points are scheduled.
 
 from __future__ import annotations
 
-import warnings
 from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, islice
 
 import numpy as np
 
@@ -523,8 +521,14 @@ def simulate_trace(
                        seed=config.seed)
 
 
-# Rows per block of the trace writer and reader: bounds their memory.
+# Rows per block of the CSV writers: bounds their memory.
 _CSV_BLOCK = 4096
+# Bytes per read of the trace reader: its temporaries stay within a few
+# blocks plus the longest row.
+_READ_BLOCK = 1 << 18
+# place values of a count's digits: at most 19, whose sum fits in uint64
+_POW10 = 10 ** np.arange(19, dtype=np.uint64)
+_INT64_MAX = np.uint64(2**63 - 1)
 
 
 def trace_to_csv(trace: PhotonTrace, path, config_hash: str = "") -> None:
@@ -569,43 +573,113 @@ def read_trace_csv(path, readout: ReadoutConfig) -> PhotonTrace:
 
 def _read_trace_array(path, seed: int):
     """``read_trace_csv``'s (seed, counts, hidden states or None) for a file
-    whose leading comment, header and blank lines are followed by integer
-    rows only: ``np.loadtxt`` over blocks of rows.  Returns None for any
+    whose leading comment, header and blank lines are followed by rows of
+    2 or 3 plain integer columns (state 1 or -1) and blank lines, LF or CRLF
+    ended, read in byte blocks and parsed with numpy.  Returns None for any
     other file, which the line parser then reads or refuses, naming the line.
     """
     width, counts, hidden = 0, array("q"), array("b")  # int64, int8
-    # any failure hands the file to the line parser, the authority on it
-    try:
-        with open(path) as fh, warnings.catch_warnings():
-            warnings.simplefilter("error")  # e.g. "input contained no data"
-            for first in fh:
-                line = first.strip()
+    with open(path, "rb") as fh:
+        for first in fh:
+            line = first.rstrip(b"\r\n")
+            if b"\r" in line:  # a lone CR ends a line in text mode
+                return None
+            try:
+                line = line.decode("ascii").strip()
                 if line[:1] == "#":
-                    seed = next((int(tok[5:]) for tok in line.split()
-                                 if tok.startswith("seed=")), seed)
+                    seed = _comment_seed(line, seed)
                 elif line and not line[0].isalpha():
                     width = line.count(",") + 1
                     break
-            if seed < 0 or width not in (2, 3):
+            except ValueError:
                 return None
-            # one record per row, each column at its own width; a row of
-            # another width fails.  Blocks keep every temporary smaller than
-            # the trace's own arrays.
-            columns = [("index", np.int64), ("count", np.int64),
-                       ("state", np.int8)][:width]
-            lines = chain([first], fh)
-            while block := list(islice(lines, _CSV_BLOCK)):
-                rows = np.loadtxt(block, delimiter=",", dtype=columns,
-                                  ndmin=1, comments=None)
-                if rows["count"].min() < 0 or width == 3 and not np.all(
-                        np.abs(rows["state"]) == 1):
+        if width not in (2, 3):
+            return None
+        rest = first  # the first row starts the first block
+        while True:
+            chunk = fh.read(_READ_BLOCK)
+            data = rest + chunk if chunk else rest + b"\n"
+            cut = data.rfind(b"\n") + 1
+            rest = data[cut:]
+            if cut:
+                rows = _parse_rows(memoryview(data)[:cut], width)
+                if rows is None:
                     return None
-                counts.frombytes(rows["count"].tobytes())
-                if width == 3:
-                    hidden.frombytes(rows["state"].tobytes())
-    except Exception:
+                counts.frombytes(memoryview(rows[0]).cast("B"))
+                hidden.frombytes(memoryview(rows[1]).cast("B"))
+            if not chunk:
+                return seed, counts, hidden if width == 3 else None
+
+
+def _parse_rows(block: bytes, width: int):
+    """(counts as int64, states as int8, empty for 2 columns) of the rows
+    in ``block``, which ends with LF: each row ``index,count[,state]`` of
+    ASCII digits with state 1 or -1, LF or CRLF ended, blank rows skipped.
+    None if a row is anything else."""
+    b = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))
+    cr = np.flatnonzero(b == ord("\r"))
+    commas = np.flatnonzero(b == ord(","))
+    minus = np.count_nonzero(b == ord("-"))
+    # every byte a digit or one of these four: none above "9", and all
+    # below "0" counted here
+    if b.max() > ord("9") or (np.count_nonzero(b < ord("0"))
+                              != len(ends) + len(cr) + len(commas) + minus):
         return None
-    return seed, counts, hidden if width == 3 else None
+    if not (b[cr + 1] == ord("\n")).all():  # a lone CR ends a line in text mode
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # a CRLF row ends at its CR (a row at 0 reads b[-1], the final LF)
+    ends -= b[ends - 1] == ord("\r")
+    full = ends > starts
+    if not full.all():  # blank rows
+        starts, ends = starts[full], ends[full]
+    if len(commas) != (width - 1) * len(starts):
+        return None
+    commas = commas.reshape(-1, width - 1)
+    # each row's fields lie between its own commas: the index (digits) from
+    # its start, the count and the state up to its end
+    count_end = commas[:, 1] if width == 3 else ends
+    count_len = count_end - commas[:, 0] - 1
+    if not ((commas[:, 0] >= starts).all() and (count_len >= 1).all()
+            and (count_len <= 19).all()):
+        return None
+    if width == 3:
+        # a state is "1" or "-1", and no other field holds a minus
+        negative = b[count_end + 1] == ord("-")
+        if not ((ends - count_end == 2 + negative).all()
+                and (b[ends - 1] == ord("1")).all()
+                and minus == np.count_nonzero(negative)):
+            return None
+        states = 1 - 2 * negative.view(np.int8)
+    elif minus:
+        return None
+    else:
+        states = np.empty(0, dtype=np.int8)
+    # the count's digits summed right-aligned; 19 digits fit in uint64
+    total = np.zeros(len(starts), dtype=np.uint64)
+    place, shortest = count_end - 1, count_len.min(initial=19)
+    for j in range(int(count_len.max(initial=0))):
+        digit = b[place] - np.uint8(ord("0"))
+        if j >= shortest:
+            # a shorter count's place j is a byte of another field (or,
+            # wrapped, of the block's end): zeroed
+            digit[count_len <= j] = 0
+        total += digit * _POW10[j]
+        place -= 1
+    if (total > _INT64_MAX).any():
+        return None
+    return total.view(np.int64), states
+
+
+def _comment_seed(line: str, seed: int) -> int:
+    """The ``seed=`` value of a comment line, else ``seed``; ValueError if
+    the result is not an integer >= 0."""
+    seed = next((int(tok[5:]) for tok in line.split()
+                 if tok.startswith("seed=")), seed)
+    if seed < 0:
+        raise ValueError
+    return seed
 
 
 def _read_trace_lines(path, seed: int):
@@ -619,10 +693,7 @@ def _read_trace_lines(path, seed: int):
                 continue  # blank or column-name row
             try:
                 if line[0] == "#":
-                    seed = next((int(tok[5:]) for tok in line.split()
-                                 if tok.startswith("seed=")), seed)
-                    if seed < 0:
-                        raise ValueError
+                    seed = _comment_seed(line, seed)
                     continue
                 row = line.split(",")
                 if len(row) != width:

@@ -6,12 +6,14 @@ same bytes.
 """
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ddread.analysis as analysis
 from ddread.analysis import (
     LOW_STATISTICS_PAIRS,
     ConditionalHistograms,
@@ -144,6 +146,16 @@ def walk_histograms_csv(hists, path):
                 fh.write(f"{c},{fu},{fd}\n")
 
 
+def row_histograms_csv(hists, path):
+    """``histograms_to_csv`` as one formatted write per row, for any range
+    of counts (the block writer's oracle)."""
+    up, down = (Counter(x.tolist()) for x in (hists.samples_up, hists.samples_down))
+    with open(path, "w") as fh:
+        fh.write("count,freq_up,freq_down\n")
+        for c in sorted(up | down):
+            fh.write(f"{c},{up[c]},{down[c]}\n")
+
+
 # ---------------------------------------------------------------- helpers
 
 
@@ -237,3 +249,21 @@ def test_histograms_csv_matches_walk(tmp_path):
         walk_histograms_csv(hists, tmp_path / "walk.csv")
         assert ((tmp_path / "array.csv").read_bytes()
                 == (tmp_path / "walk.csv").read_bytes())
+
+
+@pytest.mark.parametrize("n", [0, 1, 1000])
+def test_histograms_csv_matches_the_row_writer(tmp_path, monkeypatch, n):
+    """The block writer gives the row writer's bytes for any block size, an
+    int64-limit outlier row included."""
+    rng = np.random.default_rng(n)
+    up, down = rng.poisson(2520, n), rng.poisson(2300, n // 2 + 1)
+    up[-1:] = 2**63 - 1
+    hists = ConditionalHistograms(samples_up=up, samples_down=down,
+                                  init_match_up=None, init_match_down=None,
+                                  low_statistics=True)
+    row_histograms_csv(hists, tmp_path / "rows.csv")
+    for block in (7, 1000, analysis._CSV_BLOCK):
+        monkeypatch.setattr(analysis, "_CSV_BLOCK", block)
+        histograms_to_csv(hists, tmp_path / "blocks.csv")
+        assert ((tmp_path / "blocks.csv").read_bytes()
+                == (tmp_path / "rows.csv").read_bytes())

@@ -165,6 +165,93 @@ def test_cli_non_integer_field_exits_2(tmp_path, capsys, patch):
     assert f"config error: {name}: expected an integer" in err
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+# (section, key) of every float key of the schema; a_vec_khz[1] is an entry
+# of the spin's vector form
+_FLOAT_KEYS = [
+    (None, "field_gauss"), ("constants", "gamma_n"),
+    ("spins", "a_par_khz"), ("spins", "a_vec_khz[1]"),
+    ("sequence", "tau_ns"), ("scan", "tau_start_ns"), ("scan", "tau_stop_ns"),
+    ("scan", "tau_step_ns"), ("readout", "photon_rate_bright"),
+    ("readout", "photon_rate_dark"), ("readout", "t1n_up_s"),
+    ("readout", "t1n_down_s"), ("readout", "point_duration_s"),
+    ("readout", "electron_init_error"), ("readout", "pi_pulse_error"),
+]
+
+
+def _with_value(section, key, value):
+    """BASE with one float key set to ``value``, and that key's name."""
+    doc = json.loads(json.dumps(BASE))
+    if section is None:
+        doc[key] = value
+        return doc, f"config.{key}"
+    if section == "spins":
+        if key == "a_vec_khz[1]":
+            doc["spins"] = [{"a_vec_khz": [200.0, value, 330.0]}]
+        else:
+            doc["spins"][0][key] = value
+        return doc, f"spins[0].{key}"
+    doc.setdefault(section, {})[key] = value
+    return doc, f"{section}.{key}"
+
+
+@pytest.mark.parametrize("section,key", _FLOAT_KEYS,
+                         ids=[k for _, k in _FLOAT_KEYS])
+def test_cli_nan_exits_2(tmp_path, capsys, section, key):
+    """YAML .nan is refused for every float key, naming the key."""
+    doc, name = _with_value(section, key, _NAN)
+    path = write_config(tmp_path, doc)
+    assert "nan" in Path(path).read_text()
+    assert main(["--config", path, "--out", str(tmp_path), "scan"]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {name}: expected a" in err and "got nan" in err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    pytest.param(s, k, v, id=f"{k}={v}")
+    for s, k in _FLOAT_KEYS if k not in ("t1n_up_s", "t1n_down_s")
+    for v in (_INF, -_INF)] + [
+    pytest.param(None, "field_gauss", 10**400, id="field_gauss=10**400")])
+def test_cli_infinite_exits_2(tmp_path, capsys, section, key, value):
+    """An infinite value, or an int beyond float's range, is refused for
+    every float key but a T1, with no warning from the physics behind it."""
+    doc, name = _with_value(section, key, value)
+    path = write_config(tmp_path, doc)
+    assert main(["--config", path, "--out", str(tmp_path), "scan"]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {name}: expected a finite number" in err
+    assert "Warning" not in err
+
+
+def test_cli_infinite_t1_is_frozen(tmp_path):
+    """An infinite T1 never flips: the run exits 0, the hidden state stays
+    where the first point put it, and the snapshot is strict JSON that reads
+    back to the same document."""
+    doc = yaml.safe_load(Path(DEMO).read_text())
+    doc["readout"].update(t1n_up_s=_INF, t1n_down_s=_INF)
+    path = write_config(tmp_path, doc)
+    # 400 points are 76 s, five times the demo's finite T1
+    assert main(["--config", path, "--out", str(tmp_path), "ssr",
+                 "--points", "400"]) == 0
+    rows = (tmp_path / "trace.csv").read_text().splitlines()[2:]
+    assert len({row.split(",")[2] for row in rows}) == 1
+    text = (tmp_path / "config_snapshot.json").read_text()
+    assert '"t1n_up_s": 1e999' in text and "Infinity" not in text
+    snap = json.loads(text)
+    assert parse_config(snap["config"]).content_hash() == snap["config_sha256"]
+    assert snap["config_sha256"] == load_config(path).content_hash()
+
+
+def test_snapshot_json_refuses_nan():
+    """No NaN reaches a snapshot: in a value the schema does not read, such
+    as scan.n_max outside an n scan, the snapshot raises."""
+    cfg = parse_config({**BASE, "scan": {"mode": "tau", "n_max": _NAN}})
+    with pytest.raises(ValueError):
+        snapshot_json(cfg)
+
+
 def test_cli_scan_deterministic_and_flat_for_decoupled(tmp_path, capsys):
     doc = dict(BASE)
     doc["spins"] = [{"a_vec_khz": [0.0, 0.0, 0.0]}]

@@ -416,7 +416,8 @@ def test_trace_to_csv_matches_the_row_writer(tmp_path, monkeypatch, n,
 
 @pytest.mark.parametrize("with_hidden", [True, False], ids=["3col", "2col"])
 def test_trace_reader_reads_across_blocks(tmp_path, monkeypatch, with_hidden):
-    """A trace many blocks long reads back whole through the array reader."""
+    """A trace many byte blocks long, rows straddling them, reads back whole
+    through the array reader."""
     import ddread.measurement as m
 
     rng = np.random.default_rng(3)
@@ -426,7 +427,7 @@ def test_trace_reader_reads_across_blocks(tmp_path, monkeypatch, with_hidden):
                         config=ReadoutConfig(), seed=12)
     path = tmp_path / "trace.csv"
     trace_to_csv(trace, path, "abc123")
-    monkeypatch.setattr(m, "_CSV_BLOCK", 7)
+    monkeypatch.setattr(m, "_READ_BLOCK", 7)
     seed, counts, states = m._read_trace_array(path, 0)
     assert seed == 12 and counts.tolist() == trace.points.tolist()
     if with_hidden:
@@ -465,8 +466,8 @@ _TRACE_FILES = {
     "empty-count": (_HEADER + _BODY.format(row="3,,1"), False),
     "hidden-0": (_HEADER + _BODY.format(row="3,2400,0"), False),
     "hidden-300": (_HEADER + _BODY.format(row="3,2400,300"), False),
-    "count-space": (_HEADER + _BODY.format(row="3, 12,1"), True),
-    "count-plus": (_HEADER + _BODY.format(row="3,+12,1"), True),
+    "count-space": (_HEADER + _BODY.format(row="3, 12,1"), False),
+    "count-plus": (_HEADER + _BODY.format(row="3,+12,1"), False),
     "count-underscore": (_HEADER + _BODY.format(row="3,1_000,1"), False),
     "count-float": (_HEADER + _BODY.format(row="3,1.0,1"), False),
     "count-exponent": (_HEADER + _BODY.format(row="3,1e3,1"), False),
@@ -476,6 +477,22 @@ _TRACE_FILES = {
     "count-2**63": (_HEADER + _BODY.format(row=f"3,{2**63},1"), False),
     "count-2**63-1": (_HEADER + _BODY.format(row=f"3,{2**63 - 1},1"), True),
     "index-not-a-number": (_HEADER + _BODY.format(row="?,12,1"), False),
+    "index-empty": (_HEADER + _BODY.format(row=",12,1"), True),
+    "index-negative": (_HEADER + _BODY.format(row="-3,12,1"), False),
+    "count-leading-zeros": (_HEADER + _BODY.format(row="3,0012,1"), True),
+    "count-20-digits": (_HEADER + _BODY.format(row=f"3,0{2**63 - 1},1"), False),
+    "count-minus-zero": (_HEADER + _BODY.format(row="3,-0,1"), False),
+    "state-two-minus": (_HEADER + _BODY.format(row="3,12,--1"), False),
+    "commas-shifted": ("0,2400\n1,23,00\n2\n", False),
+    "2col-count-negative": ("0,2400\n1,-5\n", False),
+    "lone-cr": ("0,2400\r1,2300\n", False),
+    "lone-cr-in-comment": ("# c\r0,2400,1\n1,2300,-1\n", False),
+    "lone-cr-in-header": ("point_index,photon_count\r0,2400\n1,2300\n", False),
+    "cr-before-crlf": ("0,2400\r\r\n1,2300\n", False),
+    "no-final-newline": (_HEADER + "0,2400,1\n1,2300,-1", True),
+    "final-cr": (_HEADER + "0,2400,1\n1,2300,-1\r", True),
+    "negative-then-valid-seed": ("# seed=-3\n# seed=4\n" + _BODY.format(row="3,1,1"),
+                                 False),
 }
 
 
@@ -501,7 +518,7 @@ def test_trace_reader_fast_path_matches_the_line_parser(tmp_path, name):
     with open(path, "w", newline="") as fh:
         fh.write(text)
     expected = _parsed(m._read_trace_lines, path, 5)
-    fast = m._read_trace_array(path, 5)  # a loadtxt warning fails here
+    fast = m._read_trace_array(path, 5)
     assert (fast is not None) == served
     if fast is not None:
         assert _parsed(lambda *_: fast, path, 5) == expected

@@ -1,9 +1,13 @@
 """Property-based invariants across the physics and analysis layers."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import ddread.measurement as measurement
 
 from ddread.analysis import (
     ThresholdPolicy,
@@ -12,7 +16,12 @@ from ddread.analysis import (
     fidelity_vs_threshold,
 )
 from ddread.coherence import coherence_bath, coherence_single
-from ddread.measurement import PhotonTrace, ReadoutConfig, measurement_channel
+from ddread.measurement import (
+    PhotonTrace,
+    ReadoutConfig,
+    measurement_channel,
+    read_trace_csv,
+)
 from ddread.sequence import CpmgSequence
 from ddread.spincore import (
     DEFAULT_CONSTANTS,
@@ -176,3 +185,56 @@ def test_channel_probabilities_valid(spin, field, seq, _seed):
     assert np.trace(post) == pytest.approx(1.0, abs=1e-9)
     evals = np.linalg.eigvalsh(post)
     assert evals.min() >= -1e-9
+
+
+# Trace files for the reader: a preamble, then rows of 2 or 3 well-formed
+# fields with LF or CRLF endings; about one line in eight has one character
+# of the rows' alphabet inserted or substituted.  Counts sit next to int64's
+# limit too.
+_EDITS = st.one_of(st.sampled_from("0123456789"), st.sampled_from(",-+ \r\nx#"))
+_FIELDS = (st.integers(0, 999).map(str),
+           st.one_of(st.integers(0, 3000),
+                     st.integers(2**63 - 2, 2**63 - 1)).map(str),
+           st.sampled_from(["1", "-1"]))
+
+
+@st.composite
+def _trace_files(draw):
+    width = draw(st.sampled_from([2, 3]))
+    lines = [draw(st.sampled_from(["", "# config_sha256=abc seed=42\n",
+                                   "point_index,photon_count,hidden_state\r\n"]))]
+    for fields in draw(st.lists(st.tuples(*_FIELDS[:width]), max_size=12)):
+        lines.append(",".join(fields) + draw(st.sampled_from(["\n", "\r\n"])))
+    for i, line in enumerate(lines):
+        if draw(st.integers(0, 7)) == 0:
+            at = draw(st.integers(0, len(line)))
+            cut = at + draw(st.integers(0, 1))  # insert, or substitute one
+            lines[i] = line[:at] + draw(_EDITS) + line[cut:]
+    return "".join(lines) + draw(st.sampled_from(["", "\n", "\r", "0,7,1", "0,7"]))
+
+
+def _read_outcome(read, path):
+    """(seed, counts, hidden states) as lists, or the ValueError's text."""
+    try:
+        seed, counts, hidden = read(path, 5)
+    except ValueError as exc:
+        return str(exc)
+    return seed, list(counts), None if hidden is None else list(hidden)
+
+
+def _csv_outcome(path, _seed):
+    trace = read_trace_csv(path, ReadoutConfig(seed=5))
+    hidden = trace.hidden_states
+    return trace.seed, trace.points, None if hidden is None else hidden
+
+
+@settings(max_examples=500, deadline=None)
+@given(_trace_files(), st.integers(1, 9))
+def test_trace_reader_matches_the_line_parser(tmp_path_factory, text, block):
+    """Over blocks a few bytes long, so rows straddle them, ``read_trace_csv``
+    returns the line parser's trace or raises its line-naming error."""
+    path = tmp_path_factory.getbasetemp() / "fuzzed_trace.csv"
+    path.write_bytes(text.encode())
+    expected = _read_outcome(measurement._read_trace_lines, path)
+    with mock.patch.object(measurement, "_READ_BLOCK", block):
+        assert _read_outcome(_csv_outcome, path) == expected
