@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .coherence import CoherenceCurve, _coherence_rows
-from .measurement import _CSV_BLOCK, PhotonTrace
+from .measurement import PhotonTrace, _write_rows
 from .spincore import (
     DEFAULT_CONSTANTS,
     FieldConfig,
@@ -548,10 +548,6 @@ def report_payload(report: FidelityReport) -> dict:
 
 def histograms_to_csv(hists: ConditionalHistograms, path) -> None:
     """Write (count, freq_up, freq_down) rows for each count that occurs."""
-    table = np.column_stack(_count_table(hists.samples_up, hists.samples_down))
     with open(path, "w") as fh:
         fh.write("count,freq_up,freq_down\n")
-        for start in range(0, len(table), _CSV_BLOCK):
-            # one format over the block's rows, as trace_to_csv writes
-            block = table[start:start + _CSV_BLOCK]
-            fh.write("%d,%d,%d\n" * len(block) % tuple(block.ravel().tolist()))
+        _write_rows(fh, _count_table(hists.samples_up, hists.samples_down))

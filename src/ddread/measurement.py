@@ -539,17 +539,24 @@ def trace_to_csv(trace: PhotonTrace, path, config_hash: str = "") -> None:
     if trace.hidden_states is not None:
         columns.append(trace.hidden_states)
         header += ",hidden_state"
-    row = "%d" + ",%d" * len(columns) + "\n"
     with open(path, "w") as fh:
         if config_hash:
             fh.write(f"# config_sha256={config_hash} seed={trace.seed}\n")
         fh.write(header + "\n")
-        for start in range(0, len(trace.points), _CSV_BLOCK):
-            stop = min(start + _CSV_BLOCK, len(trace.points))
-            # one format over the block's rows, column values interleaved
-            block = np.column_stack([np.arange(start, stop)]
-                                    + [col[start:stop] for col in columns])
-            fh.write(row * (stop - start) % tuple(block.ravel().tolist()))
+        _write_rows(fh, columns, numbered=True)
+
+
+def _write_rows(fh, columns, numbered: bool = False) -> None:
+    """Write the equal-length int ``columns`` as comma-separated rows, each
+    led by its row number when ``numbered``: one format per block of
+    ``_CSV_BLOCK`` rows, column values interleaved."""
+    n = len(columns[0])
+    row = ",".join(["%d"] * (len(columns) + numbered)) + "\n"
+    for start in range(0, n, _CSV_BLOCK):
+        stop = min(start + _CSV_BLOCK, n)
+        index = [np.arange(start, stop)] if numbered else []
+        block = np.column_stack(index + [col[start:stop] for col in columns])
+        fh.write(row * (stop - start) % tuple(block.ravel().tolist()))
 
 
 def read_trace_csv(path, readout: ReadoutConfig) -> PhotonTrace:
@@ -665,7 +672,9 @@ def _parse_rows(block: bytes, width: int):
             # a shorter count's place j is a byte of another field (or,
             # wrapped, of the block's end): zeroed
             digit[count_len <= j] = 0
-        total += digit * _POW10[j]
+        # uint64 named: numpy 1.x would keep a uint8 digit's type for a
+        # small place value and wrap
+        total += np.multiply(digit, _POW10[j], dtype=np.uint64)
         place -= 1
     if (total > _INT64_MAX).any():
         return None

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ddread.analysis as analysis
+import ddread.measurement as measurement
 from ddread.analysis import (
     LOW_STATISTICS_PAIRS,
     ConditionalHistograms,
@@ -262,8 +262,8 @@ def test_histograms_csv_matches_the_row_writer(tmp_path, monkeypatch, n):
                                   init_match_up=None, init_match_down=None,
                                   low_statistics=True)
     row_histograms_csv(hists, tmp_path / "rows.csv")
-    for block in (7, 1000, analysis._CSV_BLOCK):
-        monkeypatch.setattr(analysis, "_CSV_BLOCK", block)
+    for block in (7, 1000, measurement._CSV_BLOCK):
+        monkeypatch.setattr(measurement, "_CSV_BLOCK", block)
         histograms_to_csv(hists, tmp_path / "blocks.csv")
         assert ((tmp_path / "blocks.csv").read_bytes()
                 == (tmp_path / "rows.csv").read_bytes())
