@@ -114,16 +114,9 @@ def read_curve_csv(path) -> CoherenceCurve:
     raise ValueError(f"{path}: missing or unknown axis metadata")
 
 
-def _scan_params(config: RunConfig):
+def cmd_scan(config: RunConfig, out_dir: Path, normalized: bool) -> int:
     scan = config.scan
     mode = scan.get("mode", "tau")
-    if mode not in ("tau", "n"):
-        raise ConfigError("scan.mode: expected 'tau' or 'n'")
-    return scan, mode
-
-
-def cmd_scan(config: RunConfig, out_dir: Path, normalized: bool) -> int:
-    scan, mode = _scan_params(config)
     if mode == "tau":
         lo = scan.get("tau_start_ns")
         hi = scan.get("tau_stop_ns")
@@ -138,7 +131,7 @@ def cmd_scan(config: RunConfig, out_dir: Path, normalized: bool) -> int:
         if n_max is None:
             raise ConfigError("scan: n mode needs n_max")
         curve = scan_n(config.spins, config.field, config.sequence.tau,
-                       int(n_max), config.propagator_mode, config.constants)
+                       n_max, config.propagator_mode, config.constants)
     out = out_dir / f"scan_{mode}.csv"
     _write_curve_csv(out, config, curve, normalized)
     print(f"wrote {out}")
@@ -146,7 +139,7 @@ def cmd_scan(config: RunConfig, out_dir: Path, normalized: bool) -> int:
 
 
 def cmd_map2d(config: RunConfig, out_dir: Path, normalized: bool) -> int:
-    scan, _ = _scan_params(config)
+    scan = config.scan
     lo = scan.get("tau_start_ns")
     hi = scan.get("tau_stop_ns")
     step = scan.get("tau_step_ns")
@@ -154,7 +147,7 @@ def cmd_map2d(config: RunConfig, out_dir: Path, normalized: bool) -> int:
     if lo is None or hi is None or step is None or not n_list:
         raise ConfigError("scan: map2d needs tau_start_ns/tau_stop_ns/tau_step_ns/n_list")
     cmap = scan_2d(config.spins, config.field, (lo * NS, hi * NS), step * NS,
-                   [int(n) for n in n_list], config.propagator_mode,
+                   n_list, config.propagator_mode,
                    config.constants)
     values = cmap.values
     if normalized:

@@ -9,6 +9,7 @@ one mapping, which YAML forbids and PyYAML would let the last value win.
 
 from __future__ import annotations
 
+import datetime
 import hashlib
 import json
 import math
@@ -100,6 +101,20 @@ def _real(value, name: str, infinite_ok: bool = False) -> float:
     return v
 
 
+def _refuse_non_json(value, name: str):
+    """Refuse the YAML values JSON has no form for (timestamps, binary and
+    sets) anywhere in ``value``: the content hash is taken over JSON."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            _refuse_non_json(v, f"{name}.{key}")
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _refuse_non_json(v, f"{name}[{i}]")
+    elif isinstance(value, (datetime.date, bytes, set)):
+        raise ConfigError(f"{name}: expected a number, string, list or mapping, "
+                          f"got {value!r}")
+
+
 def _build(cls, where: str, **kwargs):
     """``cls(**kwargs)``, its ValueError raised as a ConfigError at ``where``."""
     try:
@@ -164,6 +179,9 @@ def _parse_spin(entry: dict, where: str):
 def parse_config(doc: dict) -> RunConfig:
     """Validate a parsed YAML document and convert to internal units."""
     _require_keys(doc, _TOP_KEYS, {"field_gauss", "sequence"}, "config")
+    for key, value in doc.items():
+        _refuse_non_json(value, key if isinstance(value, (dict, list))
+                         else f"config.{key}")
 
     const_sec = doc.get("constants", {})
     _require_keys(const_sec, _CONST_KEYS, set(), "constants")
@@ -236,6 +254,15 @@ def parse_config(doc: dict) -> RunConfig:
     _require_keys(scan_sec, _SCAN_KEYS, set(), "scan")
     for key in ("tau_start_ns", "tau_stop_ns", "tau_step_ns"):
         _number(scan_sec, key, "scan")  # the scan commands read them
+    if scan_sec.get("mode", "tau") not in ("tau", "n"):
+        raise ConfigError(f"scan.mode: expected 'tau' or 'n', got {scan_sec['mode']!r}")
+    n_list = scan_sec.get("n_list", [1])
+    if not isinstance(n_list, list) or not n_list:
+        raise ConfigError(f"scan.n_list: expected a non-empty list, got {n_list!r}")
+    for name, n in [("n_max", scan_sec.get("n_max", 1))] + [
+            (f"n_list[{i}]", n) for i, n in enumerate(n_list)]:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ConfigError(f"scan.{name}: expected a positive integer, got {n!r}")
     scan = dict(scan_sec)
 
     mode = doc.get("propagator_mode", "exact")

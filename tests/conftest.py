@@ -12,7 +12,7 @@ All constructors are exact closed forms, so tests do not depend on any
 root-finding tolerance.
 
 Every test also fails if it leaves a thread running that was not running
-when it started, such as a refinement thread of ``fit_hyperfine``.
+when it started, such as a worker of a test that runs fits concurrently.
 """
 
 import threading

@@ -282,8 +282,8 @@ def test_fit_truth_is_global_minimum(field_305):
 
 def run_guarded(fn, timeout=60.0):
     """Call ``fn`` in a thread and wait at most ``timeout`` seconds, so that a
-    deadlock fails the test instead of hanging the suite.  Returns ``fn``'s
-    result or exception, and the threads alive before and after the call."""
+    hang fails the test instead of the suite.  Returns ``fn``'s result or
+    exception; fails if the call leaves a thread behind."""
     outcome = {}
 
     def target():
@@ -298,13 +298,13 @@ def run_guarded(fn, timeout=60.0):
     caller.start()
     caller.join(timeout=timeout)
     assert not caller.is_alive(), f"no return within {timeout} s"
-    assert outcome["after"] == outcome["before"], "refinement threads left running"
+    assert outcome["after"] == outcome["before"], "threads left running"
     return outcome
 
 
 def test_fit_propagates_forward_model_errors(field_305, scan_spin, monkeypatch):
-    """An error of the forward model is raised in the caller, which evaluates
-    every round, and the refinements waiting on the round are released."""
+    """An error of the forward model is raised in the caller, which makes
+    every forward-model call itself."""
     import ddread.analysis as analysis
 
     class ModelError(Exception):
@@ -325,8 +325,9 @@ def test_fit_propagates_forward_model_errors(field_305, scan_spin, monkeypatch):
     monkeypatch.setattr(analysis, "_fit_model_values", failing_after_coarse_grid)
     outcome = run_guarded(lambda: fit_hyperfine([curve], field_305, n_grid=n_grid))
     assert type(outcome.get("error")) is ModelError
-    # the coarse grid, then the first round: the first point of every refinement
-    assert rows == [n_grid * n_grid, min(5, n_grid * n_grid)]
+    # the coarse grid, then the first refinement call: every start's point
+    # and its two forward-difference points
+    assert rows == [n_grid * n_grid, 3 * min(5, n_grid * n_grid)]
     assert len(callers) == 1 and threading.main_thread() not in callers
 
 
@@ -334,54 +335,61 @@ def test_fit_propagates_forward_model_errors(field_305, scan_spin, monkeypatch):
 @pytest.mark.parametrize("when", ["at its start", "in its fourth request"])
 def test_fit_refinement_errors_release_the_others(field_305, scan_spin,
                                                   monkeypatch, failing_start, when):
-    """An error inside one local refinement, from ``least_squares`` itself or
-    from its residual function, is raised in the caller with its own type,
-    and the other refinements are released and joined."""
-    import scipy.optimize
+    """An error of the forward model at one start's point, its first or its
+    fourth trial point, is raised in the caller with its own type; the other
+    starts stop with it."""
+    import ddread.analysis as analysis
 
     class RefinementError(Exception):
         pass
 
     curve = scan_tau([scan_spin], field_305, 12, (420e-9, 580e-9), 8e-9)
-    original = scipy.optimize.least_squares
-    starts = []
+    refine = analysis._refine
+    seen = {}
 
-    def recording(fun, x0, **kwargs):
-        starts.append(tuple(x0))
-        return original(fun, x0, **kwargs)
+    def recording(starts, residuals, lb, ub):
+        seen["starts"] = starts
+        # the failing start's trial points, from a refinement of it alone
+        start = sorted(starts)[failing_start]
+        seen["trials"] = trials = []
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", recording)
+        def first_rows(points):
+            trials.append(tuple(points[0]))
+            return residuals(points)
+
+        refine([start], first_rows, lb, ub)
+        return refine(starts, residuals, lb, ub)
+
+    monkeypatch.setattr(analysis, "_refine", recording)
     fit_hyperfine([curve], field_305, n_grid=4)
-    assert len(starts) == 5
-    failing = sorted(starts)[failing_start]
+    assert len(seen["starts"]) == 5 and len(seen["trials"]) >= 4
+    failing = seen["trials"][0 if when == "at its start" else 3]
+    monkeypatch.setattr(analysis, "_refine", refine)
+    original = analysis._fit_model_values
+    calls = []
 
-    def failing_for_one_start(fun, x0, **kwargs):
-        if tuple(x0) != failing:
-            return original(fun, x0, **kwargs)
-        if when == "at its start":
-            raise RefinementError("least_squares failed")
-        calls = []
+    def failing_at_the_point(params, *args):
+        calls.append(len(params))
+        # the coarse grid holds the start points too; it is not a refinement
+        if len(calls) > 1 and failing in map(tuple, np.asarray(params)):
+            raise RefinementError("forward model failed")
+        return original(params, *args)
 
-        def failing_fun(x):
-            calls.append(x)
-            if len(calls) == 4:
-                raise RefinementError("residual failed")
-            return fun(x)
-
-        return original(failing_fun, x0, **dict(kwargs, workers=None))
-
-    monkeypatch.setattr(scipy.optimize, "least_squares", failing_for_one_start)
+    monkeypatch.setattr(analysis, "_fit_model_values", failing_at_the_point)
     outcome = run_guarded(lambda: fit_hyperfine([curve], field_305, n_grid=4))
     assert type(outcome.get("error")) is RefinementError
+    # no call after the failing one
+    assert len(calls) == (2 if when == "at its start" else 5)
 
 
 @pytest.mark.parametrize("n_grid", [1, 3, 8, 20])
 def test_fit_coarse_grid_is_one_model_call(field_305, scan_spin, monkeypatch,
                                            n_grid):
     """The whole coarse grid goes through the forward model in one call.  The
-    local refinements then run in lockstep: each later call is one round,
-    the next residual (one row) or finite-difference Jacobian (two rows) of
-    every live refinement, and the last is the identifiability probe."""
+    starts are then refined in lockstep: each later call holds every live
+    start's trial point and its two forward-difference points, so the
+    first holds three rows per start and no later one holds more than the
+    one before; the last call is the identifiability probe."""
     import ddread.analysis as analysis
 
     curve = scan_tau([scan_spin], field_305, 12, (420e-9, 580e-9), 8e-9)
@@ -394,16 +402,20 @@ def test_fit_coarse_grid_is_one_model_call(field_305, scan_spin, monkeypatch,
 
     monkeypatch.setattr(analysis, "_fit_model_values", counting)
     fit_hyperfine([curve], field_305, n_grid=n_grid)
+    refinement = rows[1:-1]
     assert rows[0] == n_grid * n_grid
-    assert all(1 <= r <= 2 * min(5, n_grid * n_grid) for r in rows[1:-1])
+    assert refinement[0] == 3 * min(5, n_grid * n_grid)
+    assert all(r % 3 == 0 and r > 0 for r in refinement)
+    assert all(later <= earlier for earlier, later in zip(refinement, refinement[1:]))
     # the probe at the fit and at a_par +/- probe
     assert rows[-1] == 3
 
 
 def test_criterion_7_fit_makes_few_model_calls(field_305, monkeypatch):
-    """The rounds bound the fit of criterion 7's curves, noiseless and with
-    its 1% noise, to 60 forward-model calls (56 and 58; the refinements run
-    one after another made 185 and 203)."""
+    """The batched refinements bound the fit of criterion 7's curves,
+    noiseless and with its 1% noise, to 40 forward-model calls (37 and 32;
+    the refinements run one after another with ``least_squares`` made 185
+    and 203)."""
     import ddread.analysis as analysis
     from ddread.coherence import CoherenceCurve
 
@@ -431,7 +443,7 @@ def test_criterion_7_fit_makes_few_model_calls(field_305, monkeypatch):
 
         monkeypatch.setattr(analysis, "_fit_model_values", counting)
         fit_hyperfine(data, field_305, n_grid=8)
-        assert len(calls) <= 60
+        assert len(calls) <= 40
 
 
 def test_fit_uses_the_curves_model(field_305):

@@ -245,11 +245,75 @@ def test_cli_infinite_t1_is_frozen(tmp_path):
 
 
 def test_snapshot_json_refuses_nan():
-    """No NaN reaches a snapshot: in a value the schema does not read, such
-    as scan.n_max outside an n scan, the snapshot raises."""
-    cfg = parse_config({**BASE, "scan": {"mode": "tau", "n_max": _NAN}})
+    """No NaN reaches a snapshot: ``parse_config`` refuses NaN in every key
+    it reads, scan.n_max too, and a document that holds one anyway makes
+    the snapshot raise."""
+    with pytest.raises(ConfigError, match="scan.n_max"):
+        parse_config({**BASE, "scan": {"mode": "tau", "n_max": _NAN}})
+    cfg = replace(parse_config(BASE), raw={**BASE, "scan": {"n_max": _NAN}})
     with pytest.raises(ValueError):
         snapshot_json(cfg)
+
+
+def write_text(tmp_path, text):
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    return str(path)
+
+
+# a bad scan line for the demo config, and the key its error names
+_BAD_SCAN_LINES = [
+    ("  mode: taus", "scan.mode"), ("  mode: 1", "scan.mode"),
+    ("  n_max: .nan", "scan.n_max"), ("  n_max: 0", "scan.n_max"),
+    ("  n_max: -4", "scan.n_max"), ("  n_max: 24.0", "scan.n_max"),
+    ("  n_max: true", "scan.n_max"), ("  n_max: '24'", "scan.n_max"),
+    ("  n_list: []", "scan.n_list"), ("  n_list: 4", "scan.n_list"),
+    ("  n_list: [2, 0]", "scan.n_list[1]"), ("  n_list: [2, 4.0]", "scan.n_list[1]"),
+    ("  n_list: [.nan]", "scan.n_list[0]"), ("  n_list: [true]", "scan.n_list[0]"),
+]
+
+
+@pytest.mark.parametrize("line, name", _BAD_SCAN_LINES, ids=[
+    line.strip().replace(" ", "") for line, _ in _BAD_SCAN_LINES])
+def test_cli_bad_scan_key_exits_2_before_any_output(tmp_path, capsys, line, name):
+    """The scan keys are checked when the config is parsed, so ``ssr``,
+    which does not read them, refuses a bad one before it writes a trace."""
+    key = line.split(":")[0].strip()
+    text = Path(DEMO).read_text()
+    lines = [ln for ln in text.splitlines() if not ln.startswith(f"  {key}:")]
+    path = write_text(tmp_path, "\n".join(lines).replace(
+        "scan:", "scan:\n" + line) + "\n")
+    assert main(["--config", path, "--out", str(tmp_path), "ssr",
+                 "--points", "20"]) == 2
+    assert f"config error: {name}: expected " in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+    assert not (tmp_path / "config_snapshot.json").exists()
+
+
+def test_good_scan_keys_parse():
+    cfg = parse_config({**BASE, "scan": {"mode": "n", "n_max": 24,
+                                         "n_list": [1, 2, 12]}})
+    assert cfg.scan == {"mode": "n", "n_max": 24, "n_list": [1, 2, 12]}
+
+
+@pytest.mark.parametrize("old, new, name", [
+    ("  mode: tau", "  mode: 2024-01-01", "scan.mode"),
+    ("  mode: tau", "  mode: !!binary aGVsbG8=", "scan.mode"),
+    ("  mode: tau", "  mode: !!set {tau, n}", "scan.mode"),
+    ("  n_list: [2, 4, 8, 12]", "  n_list: [2, 2024-01-01]", "scan.n_list[1]"),
+    ("  t1n_up_s: 15.0", "  t1n_up_s: 2024-01-01 10:00:00", "readout.t1n_up_s"),
+    ("seed: 7", "seed: 2024-01-01", "config.seed"),
+], ids=["date", "binary", "set", "date-in-list", "timestamp", "top-level"])
+def test_cli_non_json_yaml_value_exits_2(tmp_path, capsys, old, new, name):
+    """A YAML value JSON has no form for, anywhere in the document, is a
+    config error that names its key, not a traceback from the hash."""
+    text = Path(DEMO).read_text()
+    assert old in text
+    path = write_text(tmp_path, text.replace(old, new, 1))
+    assert main(["--config", path, "--out", str(tmp_path), "ssr",
+                 "--points", "20"]) == 2
+    assert f"config error: {name}: expected a" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_cli_scan_deterministic_and_flat_for_decoupled(tmp_path, capsys):
@@ -523,6 +587,18 @@ def test_cli_fit_malformed_curve_row_exits_2(tmp_path, capsys):
                      "tau_ns,coherence\n200,0.5\n210\n")
     assert main(["--config", DEMO, "--out", str(tmp_path), "fit", str(curve)]) == 2
     assert f"{curve}, line 4" in capsys.readouterr().err
+    assert not (tmp_path / "hyperfine_fit.json").exists()
+
+
+@pytest.mark.parametrize("row", ["210,nan", "-inf,0.4", "1e400,0.4"])
+def test_cli_fit_non_finite_curve_row_exits_2(tmp_path, capsys, row):
+    """A curve with a non-finite value or abscissa is bad input (exit 2), not
+    a fit with a NaN residual."""
+    curve = tmp_path / "scan_tau.csv"
+    curve.write_text("# axis=tau n_pulses=12 propagator_mode=magnus\n"
+                     f"tau_ns,coherence\n200,0.5\n{row}\n220,0.45\n")
+    assert main(["--config", DEMO, "--out", str(tmp_path), "fit", str(curve)]) == 2
+    assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "hyperfine_fit.json").exists()
 
 
