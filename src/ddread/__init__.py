@@ -6,7 +6,7 @@ Modules
 spincore
     Effective nuclear frames, conditional propagators, filter functions.
 sequence
-    CPMG sequences and readout-cycle timing.
+    CPMG sequences.
 coherence
     Coherence scans, dips, baths.
 measurement
@@ -50,7 +50,7 @@ from .measurement import (
     simulate_point,
     simulate_trace,
 )
-from .sequence import CpmgSequence, ReadoutCycleTiming, match_wait_to_precession
+from .sequence import CpmgSequence
 from .spincore import (
     DegenerateFrameError,
     EffectiveFrame,

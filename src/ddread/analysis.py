@@ -20,6 +20,8 @@ from .spincore import (
     FieldConfig,
     PhysicalConstants,
     _frame_component_vectors,
+    _row_dot,
+    _row_norm,
 )
 
 LOW_STATISTICS_PAIRS = 100
@@ -29,6 +31,11 @@ LOW_STATISTICS_PAIRS = 100
 #: is evaluated in blocks of rows; an 8 x 8 grid on a 49-cell tau and N scan
 #: is one block.
 _FIT_BLOCK_CELLS = 1 << 12
+
+#: Span (rad/s) of ``fit_hyperfine``'s coarse grid on each of a_par and
+#: a_perp, 10 kHz to 1 MHz; the refinements are bounded to a tenth of its
+#: low end and twice its high end.
+_FIT_GRID = (2.0 * np.pi * 10e3, 2.0 * np.pi * 1e6)
 
 
 @dataclass(frozen=True)
@@ -240,8 +247,6 @@ class T1nEstimate:
     t1n_down: float
     ci_up: tuple
     ci_down: tuple
-    n_dwells_up: int
-    n_dwells_down: int
 
 
 def estimate_t1n(
@@ -262,10 +267,9 @@ def estimate_t1n(
             raise ValueError("need at least 10 interior dwells per state")
         mean = dw.mean() * point_duration
         sem = mean / np.sqrt(len(dw))
-        results.append((mean, (mean - 1.96 * sem, mean + 1.96 * sem), len(dw)))
-    (t_up, ci_up, n_up), (t_dn, ci_dn, n_dn) = results
-    return T1nEstimate(t1n_up=t_up, t1n_down=t_dn, ci_up=ci_up, ci_down=ci_dn,
-                       n_dwells_up=n_up, n_dwells_down=n_dn)
+        results.append((mean, (mean - 1.96 * sem, mean + 1.96 * sem)))
+    (t_up, ci_up), (t_dn, ci_dn) = results
+    return T1nEstimate(t1n_up=t_up, t1n_down=t_dn, ci_up=ci_up, ci_down=ci_dn)
 
 
 @dataclass(frozen=True)
@@ -334,15 +338,6 @@ _EPS = np.finfo(float).eps
 # so any other rounding sends a start to another point of the flat valley.
 
 
-def _dot(a, b):
-    """Row-wise dot products of two (L, n) arrays."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _norm(a):
-    return np.sqrt(_dot(a, a))
-
-
 def _matvec(mats, vecs):
     """(L, r, c) matrices times (L, c) vectors."""
     return (mats @ vecs[:, :, None])[:, :, 0]
@@ -364,7 +359,7 @@ def _scaling(x, g, lb, ub):
 def _secular(alpha, suf, s, delta):
     """|p(α)| - delta and its derivative in α, p(α) the regularised step."""
     denom = s ** 2 + alpha[:, None]
-    p_norm = _norm(suf / denom)
+    p_norm = _row_norm(suf / denom)
     return p_norm - delta, -np.sum(suf ** 2 / denom ** 3, axis=1) / p_norm
 
 
@@ -379,13 +374,13 @@ def _trust_region_steps(uf, s, v, delta, alpha, m):
     full_rank = s[:, -1] > _EPS * m * s[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         steps = -_matvec(v, uf / s)
-    fits = full_rank & (_norm(steps) <= delta)
+    fits = full_rank & (_row_norm(steps) <= delta)
     alpha = np.where(fits, 0.0, alpha)
     i = np.flatnonzero(~fits)
     if not len(i):
         return steps, alpha
     suf, s, v, delta, full_rank = s[i] * uf[i], s[i], v[i], delta[i], full_rank[i]
-    up = _norm(suf) / delta
+    up = _row_norm(suf) / delta
     with np.errstate(divide="ignore", invalid="ignore"):
         phi, dphi = _secular(np.zeros_like(delta), suf, s, delta)
     lo = np.where(full_rank, -phi / dphi, 0.0)
@@ -405,7 +400,7 @@ def _trust_region_steps(uf, s, v, delta, alpha, m):
         if not active.any():
             break
     p = -_matvec(v, suf / (s ** 2 + al[:, None]))
-    steps[i] = p * (delta / _norm(p))[:, None]
+    steps[i] = p * (delta / _row_norm(p))[:, None]
     alpha[i] = al
     return steps, alpha
 
@@ -422,20 +417,20 @@ def _to_bound(x, s, lb, ub):
 def _model_value(jh, gh, diag, s):
     """The quadratic model ½ sᵀ(JᵀJ + diag) s + gᵀs of each row."""
     js = _matvec(jh, s)
-    return 0.5 * (_dot(js, js) + _dot(s * diag, s)) + _dot(s, gh)
+    return 0.5 * (_row_dot(js, js) + _row_dot(s * diag, s)) + _row_dot(s, gh)
 
 
 def _line_model(jh, gh, diag, s, s0):
     """(a, b, c) of the quadratic model a t² + b t + c along s0 + t s."""
     v, u = _matvec(jh, s), _matvec(jh, s0)
-    a = _dot(v, v)
-    a += _dot(s * diag, s)
+    a = _row_dot(v, v)
+    a += _row_dot(s * diag, s)
     a *= 0.5
-    b = _dot(gh, s)
-    b += _dot(u, v)
-    c = 0.5 * _dot(u, u) + _dot(gh, s0)
-    b += _dot(s0 * diag, s)
-    c += 0.5 * _dot(s0 * diag, s0)
+    b = _row_dot(gh, s)
+    b += _row_dot(u, v)
+    c = 0.5 * _row_dot(u, u) + _row_dot(gh, s0)
+    b += _row_dot(s0 * diag, s)
+    c += 0.5 * _row_dot(s0 * diag, s0)
     return a, b, c
 
 
@@ -469,8 +464,8 @@ def _select_steps(x, jh, diag, gh, p, ph, d, delta, lb, ub, theta):
         rh = np.where(hits, -ph, ph)
         p, ph = p * p_stride[:, None], ph * p_stride[:, None]
         # the reflected direction's stride to the trust-region boundary
-        qa, qb = _dot(rh, rh), _dot(ph, rh)
-        qc = _dot(ph, ph) - _pow(delta, 2)
+        qa, qb = _row_dot(rh, rh), _row_dot(ph, rh)
+        qc = _row_dot(ph, ph) - _pow(delta, 2)
         q = -(qb + np.copysign(np.sqrt(qb * qb - qa * qc), qb))
         to_tr = np.maximum(q / qa, qc / q)
         to_bound, _ = _to_bound(x + p, d * rh, lb, ub)
@@ -488,7 +483,7 @@ def _select_steps(x, jh, diag, gh, p, ph, d, delta, lb, ub, theta):
         p_value = _model_value(jh, gh, diag, ph)
         agh = -gh
         ag = d * agh
-        to_tr = delta / _norm(agh)
+        to_tr = delta / _row_norm(agh)
         to_bound, _ = _to_bound(x, ag, lb, ub)
         a, b, _ = _line_model(jh, gh, diag, agh, np.zeros_like(agh))
         t, ag_value = _line_minimum(a, b, np.zeros_like(a),
@@ -533,9 +528,9 @@ def _refine(starts, residuals, lb, ub):
 
     f, jt = evaluate(x)
     m = f.shape[1]
-    cost = 0.5 * _dot(f, f)
+    cost = 0.5 * _row_dot(f, f)
     g = _matvec(jt, f)
-    delta = _norm(x / _scaling(x, g, lb, ub)[0] ** 0.5)
+    delta = _row_norm(x / _scaling(x, g, lb, ub)[0] ** 0.5)
     delta[delta == 0.0] = 1.0
     alpha, nfev = np.zeros(len(x)), np.ones(len(x))
     live = np.ones(len(x), dtype=bool)
@@ -566,8 +561,8 @@ def _refine(starts, residuals, lb, ub):
         x_new = np.where(x_new >= ub, np.nextafter(ub, lb), x_new)
         f_new, jt_new = evaluate(x_new)
         nfev[k] += 1
-        s_norm = _norm(step_h)
-        cost_new = 0.5 * _dot(f_new, f_new)
+        s_norm = _row_norm(step_h)
+        cost_new = 0.5 * _row_dot(f_new, f_new)
         actual = cost[k] - cost_new
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(predicted > 0.0, actual / predicted,
@@ -576,7 +571,7 @@ def _refine(starts, residuals, lb, ub):
                           np.where((ratio > 0.75) & (s_norm > 0.95 * delta[k]),
                                    delta[k] * 2.0, delta[k]))
         stop = (((actual < _FTOL * cost[k]) & (ratio > 0.25))
-                | (_norm(step) < _XTOL * (_XTOL + _norm(x[k]))))
+                | (_row_norm(step) < _XTOL * (_XTOL + _row_norm(x[k]))))
         go = k[~stop]
         alpha[go] *= delta[go] / radius[~stop]
         delta[go] = radius[~stop]
@@ -592,12 +587,11 @@ def fit_hyperfine(
     curves: Sequence[CoherenceCurve],
     fieldcfg: FieldConfig,
     n_grid: int = 20,
-    grid_range: tuple = (2.0 * np.pi * 10e3, 2.0 * np.pi * 1e6),
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> HyperfineFit:
     """Recover (a_par, a_perp) from coherence scans by least squares.
 
-    An ``n_grid`` x ``n_grid`` coarse grid over ``grid_range``, evaluated in
+    An ``n_grid`` x ``n_grid`` coarse grid over ``_FIT_GRID``, evaluated in
     one batched forward-model call, seeds local refinements from the best
     handful of starts (least squares on the forward model that produced the
     curves, their common ``propagator_mode``; curves of different modes are
@@ -638,7 +632,7 @@ def fit_hyperfine(
         return residual_rows(*_fit_model_values(points, cells, fieldcfg, consts,
                                                 propagator_mode))
 
-    lo, hi = grid_range
+    lo, hi = _FIT_GRID
     grid = np.linspace(lo, hi, n_grid)
     points = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
     coarse = sorted(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,12 +47,16 @@ def _header(config: RunConfig) -> str:
     return f"# config_sha256={config.content_hash()} seed={config.seed}\n"
 
 
+def _unit_peak(values: np.ndarray, normalized: bool) -> np.ndarray:
+    """``values`` over their peak |value| when ``normalized`` and not all 0."""
+    if not normalized:
+        return values
+    peak = np.max(np.abs(values))
+    return values / peak if peak > 0 else values
+
+
 def _write_curve_csv(path, config, curve: CoherenceCurve, normalized: bool):
-    values = curve.values.copy()
-    if normalized:
-        peak = np.max(np.abs(values))
-        if peak > 0:
-            values = values / peak
+    values = _unit_peak(curve.values, normalized)
     with open(path, "w") as fh:
         fh.write(_header(config))
         mode = f"propagator_mode={curve.propagator_mode}"
@@ -149,11 +154,7 @@ def cmd_map2d(config: RunConfig, out_dir: Path, normalized: bool) -> int:
     cmap = scan_2d(config.spins, config.field, (lo * NS, hi * NS), step * NS,
                    n_list, config.propagator_mode,
                    config.constants)
-    values = cmap.values
-    if normalized:
-        peak = np.max(np.abs(values))
-        if peak > 0:
-            values = values / peak
+    values = _unit_peak(cmap.values, normalized)
     out = out_dir / "map2d.csv"
     with open(out, "w") as fh:
         fh.write(_header(config))
@@ -267,9 +268,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError("--seed must be non-negative")
-            from dataclasses import replace
-            config = replace(config, seed=args.seed,
-                             readout=replace(config.readout, seed=args.seed))
+            config = replace(config, readout=replace(config.readout, seed=args.seed))
+        if args.command == "ssr" and args.points < 1:
+            raise ConfigError("--points must be >= 1")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

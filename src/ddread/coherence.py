@@ -1,9 +1,11 @@
 """Electron coherence under CPMG: single spins, baths, scans, dips.
 
 The observable is the signed coherence L = Re Tr(rho_n U_plus^dag U_minus),
-i.e. the overlap of the two conditional nuclear evolutions weighted by the
-nuclear state.  For a bath of mutually non-interacting spins the signal is the
-product of the single-spin factors.
+the overlap of the two conditional nuclear evolutions.  With the nuclear
+state rho_n = (1 + r.sigma)/2 and U_plus^dag U_minus = w - i v.sigma it is w
+for every r, so one quaternion dot product gives it and no state enters.
+For a bath of mutually non-interacting spins the signal is the product of
+the single-spin factors.
 """
 
 from __future__ import annotations
@@ -20,11 +22,8 @@ from .spincore import (
     FieldConfig,
     HyperfineSpin,
     PhysicalConstants,
-    conditional_propagators,
     cpmg_quaternions,
 )
-
-MIXED_STATE = np.eye(2, dtype=complex) / 2.0
 
 
 @dataclass(frozen=True)
@@ -71,33 +70,15 @@ class CoherenceMap2D:
             raise ValueError("coherence values must lie in [-1, 1]")
 
 
-def _check_density_matrix(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError("nuclear state must be a 2x2 density matrix")
-    if np.linalg.norm(rho - rho.conj().T) > 1e-9:
-        raise ValueError("density matrix must be Hermitian")
-    if abs(np.trace(rho) - 1.0) > 1e-9:
-        raise ValueError("density matrix must have unit trace")
-    if np.min(np.linalg.eigvalsh(rho)) < -1e-9:
-        raise ValueError("density matrix must be positive semidefinite")
-    return rho
-
-
 def coherence_single(
     spin: HyperfineSpin,
     fieldcfg: FieldConfig,
     seq: CpmgSequence,
-    nuclear_state: np.ndarray = MIXED_STATE,
     propagator_mode: str = "exact",
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> float:
-    """Signed electron coherence from one bath spin."""
-    rho = _check_density_matrix(nuclear_state)
-    u_plus, u_minus = conditional_propagators(
-        spin, fieldcfg, seq.n_pulses, seq.tau, propagator_mode, consts
-    )
-    return float(np.real(np.trace(rho @ u_plus.conj().T @ u_minus)))
+    """Signed electron coherence from one bath spin: the bath of one."""
+    return coherence_bath([spin], fieldcfg, seq, propagator_mode, consts)
 
 
 def coherence_bath(
@@ -107,24 +88,24 @@ def coherence_bath(
     propagator_mode: str = "exact",
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> float:
-    """Product of single-spin coherences at rho = I/2 (independent spins)."""
+    """Product of single-spin coherences (independent spins)."""
     return float(_bath_curve_tau(
         spins, fieldcfg, seq.n_pulses, seq.tau, propagator_mode, consts
     ))
 
 
 def _bath_curve_tau(spins, fieldcfg, n_pulses, taus, propagator_mode, consts):
-    """Bath coherence at rho = I/2 on the broadcast grid of pulse numbers
-    and half-intervals: one propagator call for the stack of the bath's
-    hyperfine vectors, then the product over its spin axis."""
+    """Bath coherence on the broadcast grid of pulse numbers and
+    half-intervals: one propagator call for the stack of the bath's hyperfine
+    vectors, then the product over its spin axis."""
     a_vecs = np.array([spin.a_vec for spin in spins], dtype=float).reshape(-1, 3)
     return np.prod(_coherence_rows(a_vecs, fieldcfg, n_pulses, taus,
                                    propagator_mode, consts), axis=0)
 
 
 def _coherence_rows(a_vecs, fieldcfg, n_pulses, taus, propagator_mode, consts):
-    """Single-spin coherence at rho = I/2 for each row of a (P, 3) stack of
-    hyperfine vectors: shape (P,) + the broadcast grid.
+    """Single-spin coherence for each row of a (P, 3) stack of hyperfine
+    vectors: shape (P,) + the broadcast grid.
 
     0.5 Re Tr(U_plus^dag U_minus) of two SU(2) matrices is the dot product
     w_plus w_minus + v_plus . v_minus of their quaternions, which does not
@@ -199,8 +180,12 @@ def scan_2d(
     )
 
 
-def find_dips(curve: CoherenceCurve, depth_threshold: float = 0.8):
-    """Local minima with L below ``depth_threshold``.
+#: ``find_dips`` reports minima with L below this.
+DIP_DEPTH = 0.8
+
+
+def find_dips(curve: CoherenceCurve):
+    """Local minima with L below ``DIP_DEPTH``.
 
     Each minimum is refined by a parabola through the three bracketing
     samples.  Returns a list of (abscissa, depth) tuples.
@@ -210,7 +195,7 @@ def find_dips(curve: CoherenceCurve, depth_threshold: float = 0.8):
         raise ValueError("empty curve")
     dips = []
     for i in range(1, len(x) - 1):
-        if y[i] < y[i - 1] and y[i] <= y[i + 1] and y[i] < depth_threshold:
+        if y[i] < y[i - 1] and y[i] <= y[i + 1] and y[i] < DIP_DEPTH:
             denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
             if denom > 0:
                 shift = 0.5 * (y[i - 1] - y[i + 1]) / denom

@@ -135,8 +135,12 @@ class RunConfig:
     constants: PhysicalConstants
     propagator_mode: str
     scan: dict
-    seed: int
     raw: dict = field(repr=False, default_factory=dict)
+
+    @property
+    def seed(self) -> int:
+        """The master seed, which the readout carries."""
+        return self.readout.seed
 
     def content_hash(self) -> str:
         """sha256 of the canonical JSON form of the raw document."""
@@ -195,8 +199,11 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError("config.field_gauss: expected a non-negative number")
     fieldcfg = FieldConfig(field_gauss * GAUSS)
 
+    spin_entries = doc.get("spins", [])
+    if not isinstance(spin_entries, list):
+        raise ConfigError(f"spins: expected a list, got {spin_entries!r}")
     spins = []
-    for i, entry in enumerate(doc.get("spins", [])):
+    for i, entry in enumerate(spin_entries):
         parsed = _parse_spin(entry, f"spins[{i}]")
         if isinstance(parsed, tuple):
             try:
@@ -272,7 +279,7 @@ def parse_config(doc: dict) -> RunConfig:
     return RunConfig(
         field=fieldcfg, spins=tuple(spins), sequence=seq, readout=readout,
         thresholds=thresholds, constants=consts, propagator_mode=mode,
-        scan=scan, seed=seed, raw=doc,
+        scan=scan, raw=doc,
     )
 
 

@@ -203,13 +203,16 @@ class PhotonTrace:
     ``hidden_states`` (+1 for up, -1 for down) is the dominant locked state
     during each point, or None for an experimental trace; it exists for
     validation only and must not leak into analysis that claims to be
-    single-shot.
+    single-shot.  Its seed is the seed of its ``config``.
     """
 
     points: np.ndarray
     hidden_states: np.ndarray | None
     config: ReadoutConfig
-    seed: int
+
+    @property
+    def seed(self) -> int:
+        return self.config.seed
 
     def __post_init__(self):
         if self.hidden_states is not None:
@@ -240,17 +243,17 @@ def _plain_state(bitgen: np.random.Philox) -> dict:
     return state
 
 
-def simulate_point(nuclear_state: np.ndarray, channel: MeasurementChannel,
+def simulate_point(rho: np.ndarray, channel: MeasurementChannel,
                    config: ReadoutConfig, rng: np.random.Generator):
-    """One binned data point of cycles_per_point measurement cycles: each
-    draws the electron outcome from the Kraus pair and collapses the nucleus,
+    """One binned data point of cycles_per_point measurement cycles from the
+    nuclear density matrix ``rho``: each cycle draws the electron outcome from the Kraus pair and collapses the nucleus,
     then Poisson photons of the outcome class (misassigned with probability
     electron_init_error), the optional depolarizing kick and a T1 flip.
-    Returns (photon_count, nuclear_state_after, dominant_state), the dominant
+    Returns (photon_count, rho_after, dominant_state), the dominant
     locked state +1 (up) / -1 (down) by occupation time."""
     # unravel the input into a pure locked-basis state with one uniform draw
     basis = channel.locked_frame[0]
-    evals, evecs = np.linalg.eigh(basis.conj().T @ nuclear_state @ basis)
+    evals, evecs = np.linalg.eigh(basis.conj().T @ rho @ basis)
     if evals[1] - evals[0] < _NEGLIGIBLE:  # rho ∝ 1: any basis unravels it
         evecs = np.eye(2)
     psi = evecs[:, 0 if rng.random() < evals[0] / evals.sum() else 1].tolist()
@@ -517,8 +520,7 @@ def simulate_trace(
         if not i:
             psi = [1.0, 0.0] if raw < 1 << 63 else [0.0, 1.0]
         points[i], psi, hidden[i] = sample(psi)
-    return PhotonTrace(points=points, hidden_states=hidden, config=config,
-                       seed=config.seed)
+    return PhotonTrace(points=points, hidden_states=hidden, config=config)
 
 
 # Rows per block of the CSV writers: bounds their memory.
@@ -575,7 +577,7 @@ def read_trace_csv(path, readout: ReadoutConfig) -> PhotonTrace:
         hidden = np.array(hidden, dtype=np.int8)
     return PhotonTrace(points=np.array(counts, dtype=np.int64),
                        hidden_states=hidden,
-                       config=replace(readout, seed=seed), seed=seed)
+                       config=replace(readout, seed=seed))
 
 
 def _read_trace_array(path, seed: int):

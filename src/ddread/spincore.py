@@ -245,19 +245,19 @@ def spin_from_axial_components(
 
     ``a_z`` is the component of A along the NV/field axis (the quantity
     usually quoted from spectroscopy), ``a_perp`` the transverse frame
-    component.  Solved by a scalar bisection on the frame a_par.
+    component.  With b = gamma_n * B the frame axes have n_par.z =
+    sqrt(b^2 - a_perp^2/4) / b and n_perp.z = -a_perp / (2 b) whatever
+    a_par is, so a_z = A.z is linear in a_par and
+
+        a_par = (b a_z + a_perp^2/2) / sqrt(b^2 - a_perp^2/4).
+
+    Requires |a_perp| < 2 b.
     """
     b = consts.gamma_n * fieldcfg.b_magnitude
-
-    def axial_of(a_par: float) -> float:
-        omega = a_par / 2.0 + np.sqrt(b * b - a_perp * a_perp / 4.0)
-        # A.z = a_par (n_par.z) + a_perp (n_perp.z)
-        return a_par * (omega - a_par / 2.0) / b - a_perp * a_perp / (2.0 * b)
-
-    from scipy.optimize import brentq
-
-    span = 4.0 * (abs(a_z) + abs(a_perp) + 1.0)
-    a_par = brentq(lambda x: axial_of(x) - a_z, -span, span, xtol=1e-6)
+    disc = b * b - a_perp * a_perp / 4.0
+    if not disc > 0:
+        raise ValueError("a_perp must be smaller than 2 gamma_n B")
+    a_par = (b * a_z + a_perp * a_perp / 2.0) / np.sqrt(disc)
     return spin_from_frame_components(a_par, a_perp, fieldcfg, consts)
 
 

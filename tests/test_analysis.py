@@ -30,7 +30,7 @@ def make_trace(counts, hidden=None):
         hidden = np.where(counts >= 2400, 1, -1)
     return PhotonTrace(points=counts,
                        hidden_states=np.asarray(hidden, dtype=np.int8),
-                       config=ReadoutConfig(), seed=0)
+                       config=ReadoutConfig())
 
 
 def telegraph_trace(rng, n_points, mean_dwell, rate_up=2520.0, rate_down=2300.0):

@@ -195,7 +195,7 @@ def make_trace(counts, hidden=True):
     counts = np.asarray(counts, dtype=np.int64)
     states = np.where(counts >= 2400, 1, -1).astype(np.int8) if hidden else None
     return PhotonTrace(points=counts, hidden_states=states,
-                       config=ReadoutConfig(), seed=0)
+                       config=ReadoutConfig())
 
 
 # ------------------------------------------------------------------ tests
@@ -208,7 +208,7 @@ small_traces = st.builds(
         hidden_states=(None if signs is None
                        else np.resize(np.asarray(signs, dtype=np.int8),
                                       len(counts))),
-        config=ReadoutConfig(), seed=0),
+        config=ReadoutConfig()),
     st.lists(st.integers(0, 40), min_size=0, max_size=300),
     st.none() | st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=50),
 )

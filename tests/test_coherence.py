@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ddread.coherence import (
-    MIXED_STATE,
     CoherenceCurve,
     coherence_bath,
     coherence_single,
@@ -19,8 +18,10 @@ from ddread.coherence import (
 from ddread.sequence import CpmgSequence
 from ddread.spincore import (
     DEFAULT_CONSTANTS,
+    FieldConfig,
     HyperfineSpin,
     conditional_propagator_exact,
+    conditional_propagators,
     effective_frame,
     spin_from_frame_components,
     spin_operator,
@@ -43,14 +44,27 @@ def test_parallel_coupling_refocuses(field_305):
             pytest.approx(1.0, abs=1e-10)
 
 
-def test_invalid_density_matrix_rejected(field_305, scan_spin):
-    seq = CpmgSequence(2, 300e-9)
-    with pytest.raises(ValueError):
-        coherence_single(scan_spin, field_305, seq,
-                         nuclear_state=np.eye(2))  # trace 2
-    with pytest.raises(ValueError):
-        coherence_single(scan_spin, field_305, seq,
-                         nuclear_state=np.array([[1.5, 0], [0, -0.5]]))
+def test_coherence_does_not_depend_on_the_nuclear_state():
+    """Re Tr(rho U_plus^dag U_minus) from the propagator matrices equals
+    ``coherence_single`` for every nuclear state rho = (1 + r.sigma)/2,
+    |r| <= 1: the scalar part of U_plus^dag U_minus is all that survives
+    the trace, so no state enters the coherence."""
+    rng = np.random.default_rng(2024)
+    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    worst = 0.0
+    for _ in range(200):
+        field = FieldConfig(rng.uniform(50.0, 1000.0) * 1e-4)
+        spin = HyperfineSpin(rng.uniform(-500.0, 500.0, 3) * TWO_PI_KHZ)
+        seq = CpmgSequence(int(rng.integers(1, 41)), rng.uniform(50e-9, 900e-9))
+        r = rng.normal(size=3)
+        r *= rng.uniform() ** (1.0 / 3.0) / np.linalg.norm(r)  # in the ball
+        rho = (np.eye(2) + np.tensordot(r, paulis, axes=1)) / 2.0
+        for mode in ("exact", "magnus"):
+            u_plus, u_minus = conditional_propagators(
+                spin, field, seq.n_pulses, seq.tau, mode)
+            direct = np.real(np.trace(rho @ u_plus.conj().T @ u_minus))
+            worst = max(worst, abs(direct - coherence_single(spin, field, seq, mode)))
+    assert worst <= 1e-14
 
 
 def test_cosine_oscillation_at_resonance(field_305, scan_spin,

@@ -316,6 +316,59 @@ def test_cli_non_json_yaml_value_exits_2(tmp_path, capsys, old, new, name):
     assert not (tmp_path / "trace.csv").exists()
 
 
+_DEMO_SPINS = ("spins:\n  - a_par_khz: 541.7443183523178\n"
+               "    a_perp_khz: 131.95533659231322\n")
+
+
+@pytest.mark.parametrize("value", ["5", "null", "{a: 1}"],
+                         ids=["int", "null", "mapping"])
+def test_cli_spins_not_a_list_exits_2_before_any_output(tmp_path, capsys, value):
+    """``spins`` that is not a list is a config error that says so, not a
+    traceback (an int or null) or a complaint about an entry (a mapping)."""
+    text = Path(DEMO).read_text()
+    assert _DEMO_SPINS in text
+    path = write_text(tmp_path, text.replace(_DEMO_SPINS, f"spins: {value}\n"))
+    assert main(["--config", path, "--out", str(tmp_path), "ssr",
+                 "--points", "2"]) == 2
+    assert "config error: spins: expected a list" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+    assert not (tmp_path / "config_snapshot.json").exists()
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_cli_ssr_non_positive_points_exits_2_before_any_output(tmp_path, capsys,
+                                                               points):
+    """A point count below 1 is refused as ``--seed -1`` is: exit 2, before
+    the output directory is made."""
+    out = tmp_path / "out"
+    assert main(["--config", DEMO, "--out", str(out), "ssr",
+                 "--points", points]) == 2
+    assert "config error: --points must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, name, n_header", [
+    ("scan", "scan_tau.csv", 3), ("map2d", "map2d.csv", 2)])
+def test_cli_normalized_divides_by_the_peak(tmp_path, command, name, n_header):
+    """``--normalized`` divides each value by the peak |value| of the run and
+    changes nothing else in the file."""
+    plain, unit = tmp_path / "plain", tmp_path / "unit"
+    assert main(["--config", DEMO, "--out", str(plain), command]) == 0
+    assert main(["--config", DEMO, "--out", str(unit), "--normalized",
+                 command]) == 0
+    plain_lines = (plain / name).read_text().splitlines()
+    unit_lines = (unit / name).read_text().splitlines()
+    assert unit_lines[:n_header] == plain_lines[:n_header]
+    plain_rows = [line.rsplit(",", 1) for line in plain_lines[n_header:]]
+    unit_rows = [line.rsplit(",", 1) for line in unit_lines[n_header:]]
+    assert [key for key, _ in unit_rows] == [key for key, _ in plain_rows]
+    values = np.array([float(v) for _, v in plain_rows])
+    peak = np.max(np.abs(values))
+    assert peak < 1.0  # so the division shows
+    # 17 significant digits give each value back exactly
+    assert np.array_equal([float(v) for _, v in unit_rows], values / peak)
+
+
 def test_cli_scan_deterministic_and_flat_for_decoupled(tmp_path, capsys):
     doc = dict(BASE)
     doc["spins"] = [{"a_vec_khz": [0.0, 0.0, 0.0]}]

@@ -404,7 +404,7 @@ def test_trace_to_csv_matches_the_row_writer(tmp_path, monkeypatch, n,
     hidden = rng.choice(np.array([-1, 1], dtype=np.int8), n)
     trace = PhotonTrace(points=rng.integers(0, 10**12, n),
                         hidden_states=hidden if with_hidden else None,
-                        config=ReadoutConfig(), seed=12)
+                        config=ReadoutConfig(seed=12))
     for config_hash in ("", "abc123"):
         _row_writer(trace, tmp_path / "rows.csv", config_hash)
         for block in (7, 1000, m._CSV_BLOCK):
@@ -424,7 +424,7 @@ def test_trace_reader_reads_across_blocks(tmp_path, monkeypatch, with_hidden):
     hidden = rng.choice(np.array([-1, 1], dtype=np.int8), 1000)
     trace = PhotonTrace(points=rng.integers(0, 10**12, 1000),
                         hidden_states=hidden if with_hidden else None,
-                        config=ReadoutConfig(), seed=12)
+                        config=ReadoutConfig(seed=12))
     path = tmp_path / "trace.csv"
     trace_to_csv(trace, path, "abc123")
     monkeypatch.setattr(m, "_READ_BLOCK", 7)
@@ -540,7 +540,7 @@ def test_photon_trace_validation():
     cfg = ReadoutConfig()
     with pytest.raises(ValueError):
         PhotonTrace(points=np.array([1, 2]), hidden_states=np.array([1]),
-                    config=cfg, seed=0)
+                    config=cfg)
     with pytest.raises(ValueError):
         PhotonTrace(points=np.array([-1]), hidden_states=np.array([1]),
-                    config=cfg, seed=0)
+                    config=cfg)

@@ -136,7 +136,7 @@ counts_arrays = st.lists(
 def _trace(counts):
     hidden = np.where(counts >= 2400, 1, -1).astype(np.int8)
     return PhotonTrace(points=counts, hidden_states=hidden,
-                       config=ReadoutConfig(), seed=0)
+                       config=ReadoutConfig())
 
 
 @settings(max_examples=40, deadline=None)
@@ -159,7 +159,7 @@ def test_analysis_shift_equivariance(counts, shift):
     rec = detect_jumps(_trace(counts), policy)
     shifted = PhotonTrace(points=counts + shift,
                           hidden_states=np.where(counts >= 2400, 1, -1).astype(np.int8),
-                          config=ReadoutConfig(), seed=0)
+                          config=ReadoutConfig())
     rec2 = detect_jumps(shifted, shifted_policy)
     assert np.array_equal(rec.states, rec2.states)
 

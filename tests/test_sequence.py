@@ -1,9 +1,9 @@
-"""CPMG sequence timing and readout-cycle wait matching."""
+"""CPMG sequence timing."""
 
 import numpy as np
 import pytest
 
-from ddread.sequence import CpmgSequence, match_wait_to_precession
+from ddread.sequence import CpmgSequence
 
 
 def test_single_pulse_times():
@@ -40,20 +40,3 @@ def test_invalid_sequences_rejected():
         CpmgSequence(0, 1e-7)
     with pytest.raises(ValueError):
         CpmgSequence(4, 0.0)
-
-
-def test_wait_matching_paper_numbers():
-    timing = match_wait_to_precession(5.952e-6, 300e-9, 1e-6)
-    assert timing.cycle_total == pytest.approx(7e-6)
-    assert timing.wait == pytest.approx(748e-9)
-
-
-def test_wait_zero_when_already_multiple():
-    timing = match_wait_to_precession(3e-6, 0.0, 1e-6)
-    assert timing.wait == pytest.approx(0.0, abs=1e-15)
-
-
-def test_degenerate_period_warns():
-    with pytest.warns(UserWarning):
-        timing = match_wait_to_precession(1e-6, 1e-7, 0.0)
-    assert timing.wait == 0.0

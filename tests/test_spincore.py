@@ -133,14 +133,30 @@ def test_paper_spin_omega(scan_spin, field_305):
 
 
 def test_axial_constructor_matches_request(field_305):
-    spin = spin_from_axial_components(330.0 * TWO_PI_KHZ, 200.0 * TWO_PI_KHZ,
-                                      field_305)
-    assert spin.a_vec[2] == pytest.approx(330.0 * TWO_PI_KHZ, rel=1e-9)
-    frame = effective_frame(spin, field_305)
-    assert frame.a_perp == pytest.approx(200.0 * TWO_PI_KHZ, rel=1e-9)
+    """The axial component of A is linear in the frame a_par, so the
+    requested a_z and a_perp come back to rounding (the conftest bath, the
+    456 ns dip spin and a negative a_z); an a_perp of 2 gamma_n B or more
+    realises no frame and is refused."""
+    specs = [(330.0, 200.0), (240.0, 130.0), (160.0, 80.0), (90.0, 45.0),
+             (384.7586910143187, 200.0), (-200.0, 50.0)]
+    for a_z, a_perp in specs:
+        spin = spin_from_axial_components(a_z * TWO_PI_KHZ, a_perp * TWO_PI_KHZ,
+                                          field_305)
+        assert spin.a_vec[2] == pytest.approx(a_z * TWO_PI_KHZ, rel=1e-14)
+        assert effective_frame(spin, field_305).a_perp == pytest.approx(
+            a_perp * TWO_PI_KHZ, rel=1e-12)
     # quoted paper values: A_z = 330 kHz together with A_perp = 200 kHz
     # give omega close to 517 kHz at 305 G
-    assert frame.omega / TWO_PI_KHZ == pytest.approx(517.0, abs=1.0)
+    spin = spin_from_axial_components(330.0 * TWO_PI_KHZ, 200.0 * TWO_PI_KHZ,
+                                      field_305)
+    assert effective_frame(spin, field_305).omega / TWO_PI_KHZ == pytest.approx(
+        517.0, abs=1.0)
+    b = DEFAULT_CONSTANTS.gamma_n * field_305.b_magnitude
+    for a_perp in (2.0 * b, 3.0 * b):
+        with pytest.raises(ValueError, match="a_perp"):
+            spin_from_axial_components(0.0, a_perp, field_305)
+    with pytest.raises(ValueError, match="a_perp"):
+        spin_from_axial_components(0.0, 0.0, FieldConfig(0.0))
 
 
 def test_degenerate_frame_raises():
