@@ -119,38 +119,44 @@ def read_curve_csv(path) -> CoherenceCurve:
     raise ValueError(f"{path}: missing or unknown axis metadata")
 
 
-def cmd_scan(config: RunConfig, out_dir: Path, normalized: bool) -> int:
-    scan = config.scan
-    mode = scan.get("mode", "tau")
+_TAU_KEYS = ("tau_start_ns", "tau_stop_ns", "tau_step_ns")
+
+
+def _scan_grid(config: RunConfig, command: str) -> list:
+    """The values of the scan keys that ``command`` (scan in the configured
+    mode, or map2d) reads; a ConfigError names the keys if one is missing."""
+    if command == "map2d":
+        keys, what = _TAU_KEYS + ("n_list",), "map2d"
+    elif config.scan.get("mode", "tau") == "tau":
+        keys, what = _TAU_KEYS, "tau mode"
+    else:
+        keys, what = ("n_max",), "n mode"
+    values = [config.scan.get(k) for k in keys]
+    if None in values:
+        raise ConfigError(f"scan: {what} needs {'/'.join(keys)}")
+    return values
+
+
+def cmd_scan(config: RunConfig, out_dir: Path, grid: list,
+             normalized: bool) -> int:
+    mode = config.scan.get("mode", "tau")
     if mode == "tau":
-        lo = scan.get("tau_start_ns")
-        hi = scan.get("tau_stop_ns")
-        step = scan.get("tau_step_ns")
-        if lo is None or hi is None or step is None:
-            raise ConfigError("scan: tau mode needs tau_start_ns/tau_stop_ns/tau_step_ns")
+        lo, hi, step = grid
         curve = scan_tau(config.spins, config.field, config.sequence.n_pulses,
                          (lo * NS, hi * NS), step * NS,
                          config.propagator_mode, config.constants)
     else:
-        n_max = scan.get("n_max")
-        if n_max is None:
-            raise ConfigError("scan: n mode needs n_max")
         curve = scan_n(config.spins, config.field, config.sequence.tau,
-                       n_max, config.propagator_mode, config.constants)
+                       grid[0], config.propagator_mode, config.constants)
     out = out_dir / f"scan_{mode}.csv"
     _write_curve_csv(out, config, curve, normalized)
     print(f"wrote {out}")
     return EXIT_OK
 
 
-def cmd_map2d(config: RunConfig, out_dir: Path, normalized: bool) -> int:
-    scan = config.scan
-    lo = scan.get("tau_start_ns")
-    hi = scan.get("tau_stop_ns")
-    step = scan.get("tau_step_ns")
-    n_list = scan.get("n_list")
-    if lo is None or hi is None or step is None or not n_list:
-        raise ConfigError("scan: map2d needs tau_start_ns/tau_stop_ns/tau_step_ns/n_list")
+def cmd_map2d(config: RunConfig, out_dir: Path, grid: list,
+              normalized: bool) -> int:
+    lo, hi, step, n_list = grid
     cmap = scan_2d(config.spins, config.field, (lo * NS, hi * NS), step * NS,
                    n_list, config.propagator_mode,
                    config.constants)
@@ -248,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the config seed")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--normalized", action="store_true",
-                        help="scale coherence outputs to unit peak")
+                        help="scale coherence outputs to unit peak "
+                             "(scan and map2d only)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("scan", help="1D coherence scan (mode from config)")
     sub.add_parser("map2d", help="coherence on a (tau, N) grid")
@@ -271,6 +278,11 @@ def main(argv=None) -> int:
             config = replace(config, readout=replace(config.readout, seed=args.seed))
         if args.command == "ssr" and args.points < 1:
             raise ConfigError("--points must be >= 1")
+        if args.command in ("scan", "map2d"):
+            grid = _scan_grid(config, args.command)
+        elif args.normalized:
+            raise ConfigError(f"--normalized applies to scan and map2d, "
+                              f"not {args.command}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -278,9 +290,9 @@ def main(argv=None) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "scan":
-            return cmd_scan(config, out_dir, args.normalized)
+            return cmd_scan(config, out_dir, grid, args.normalized)
         if args.command == "map2d":
-            return cmd_map2d(config, out_dir, args.normalized)
+            return cmd_map2d(config, out_dir, grid, args.normalized)
         if args.command == "ssr":
             return cmd_ssr(config, out_dir, args.points)
         if args.command == "analyze":

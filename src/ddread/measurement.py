@@ -7,10 +7,15 @@ on the nucleus whose strength runs from no measurement to fully projective as
 the conditional phase grows.
 
 Long photon traces are produced by chaining many 40,000-cycle points.  Each
-point draws from its own counter-based substream: one Philox bit generator
-serves the whole trace and has its counter set to the point's block before
-the point, which gives the same substreams as a fresh generator per point.
-Traces are reproducible bit for bit regardless of how points are scheduled.
+point draws its unravel word and its clocks from its own counter-based
+substream: one Philox bit generator serves the whole trace and has its
+counter set to the point's block before the point, which gives the same
+substreams as a fresh generator per point.  A point with an event draws its
+photons there too.  A quiet point (it starts on a fixed point and no clock
+fires in it) feeds nothing back into the chain, so its photon run is drawn
+after the loop, with every other quiet point's, from one block stream per
+trace (Philox key [seed, 1]).  The hidden trajectory therefore does not
+depend on the photon draws, and traces are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -258,6 +263,8 @@ def simulate_point(rho: np.ndarray, channel: MeasurementChannel,
         evecs = np.eye(2)
     psi = evecs[:, 0 if rng.random() < evals[0] / evals.sum() else 1].tolist()
     count, psi, dominant = _point_sampler(channel, config, rng)(psi)
+    if count < 0:  # a quiet run of outcome ~count
+        count = _photon_runs(rng, config, np.array([~count]))[0]
     psi_lab = basis @ np.array(psi)
     return count, np.outer(psi_lab, psi_lab.conj()), dominant
 
@@ -376,20 +383,18 @@ def _point_sampler(channel, config, rng):
     ``psi`` (a list), with the per-trace constants built once.  A point that
     starts on a fixed point v_o draws the clocks of ``_simulate_point_aggregate``
     there, in its order; if all land beyond the point, the point is one quiet
-    run of outcome o and takes only the run's photon draws.  Any other point
-    goes to the event loop, with the clocks already drawn."""
+    run of outcome o: it draws nothing more, and its count is ~o (< 0), for
+    the caller to draw with ``_photon_runs``.  Any other point goes to the
+    event loop, with the clocks already drawn."""
     _, _, fixed = channel.locked_frame
     flips = f_up, f_down = _t1_flip_probs(config)
-    n, eie = config.cycles_per_point, config.electron_init_error
-    rates = (config.photon_rate_bright, config.photon_rate_dark)
-    geometric, binomial, poisson = rng.geometric, rng.binomial, rng.poisson
+    n, geometric = config.cycles_per_point, rng.geometric
     starts = []
     for o, (v, q, p_up) in enumerate(fixed):
         # clock probabilities, 0 for a clock that is not drawn
         probs = [p if p > _NEGLIGIBLE else 0.0 for p in (
             q, config.pi_pulse_error, f_down + p_up * (f_up - f_down))]
-        starts.append((o, v, *probs, rates[o], rates[1 - o],
-                       1 if p_up > 0.5 else -1))
+        starts.append((o, v, *probs, 1 if p_up > 0.5 else -1))
     # A point that no event ends returns the fixed vector itself, so the next
     # start is found by identity; each vector gets the start the abs test
     # gives it (the first fixed point, should the two coincide).
@@ -402,19 +407,31 @@ def _point_sampler(channel, config, rng):
             if o is None:
                 return _simulate_point_aggregate(psi, channel, config, rng, flips)
             start = starts[o]
-        o, v, p_other, p_kick, p_flip, rate, rate_other, dominant = start
+        o, v, p_other, p_kick, p_flip, dominant = start
         t_other = geometric(p_other) if p_other else n + 1
         t_kick = geometric(p_kick) if p_kick else n + 1
         t_flip = geometric(p_flip) if p_flip else n + 1
         if t_other > n and t_kick > n and t_flip > n:
-            wrong = binomial(n, eie) if eie > 0 else 0
-            photons = poisson(rate * (n - wrong))
-            return (photons + poisson(rate_other * wrong) if wrong else photons,
-                    v, dominant)
+            return ~o, v, dominant
         return _simulate_point_aggregate(v, channel, config, rng, flips,
                                          (o, (t_other, t_kick, t_flip)))
 
     return sample
+
+
+def _photon_runs(rng, config, outcomes):
+    """Photon counts of quiet points, one per entry of the int array
+    ``outcomes``: all cycles of a point give outcome o, and a binomial number
+    of them are misassigned to the other class.  Drawn as arrays, in this
+    order: every point's misassigned cycles (none when electron_init_error is
+    0), every point's photons of its own class, then of the other class (a
+    Poisson mean of 0 draws nothing).  Size-1 arrays draw what the scalar
+    calls of ``_simulate_point_aggregate``'s ``emit`` draw for one run."""
+    n, eie = config.cycles_per_point, config.electron_init_error
+    rates = np.array([config.photon_rate_bright, config.photon_rate_dark])
+    wrong = rng.binomial(n, eie, size=len(outcomes)) if eie > 0 else 0
+    return (rng.poisson(rates[outcomes] * (n - wrong))
+            + rng.poisson(rates[1 - outcomes] * wrong))
 
 
 def _simulate_point_aggregate(psi, channel, config, rng, flips, first=None):
@@ -520,6 +537,10 @@ def simulate_trace(
         if not i:
             psi = [1.0, 0.0] if raw < 1 << 63 else [0.0, 1.0]
         points[i], psi, hidden[i] = sample(psi)
+    quiet = points < 0  # ~o for a quiet run of outcome o
+    block = np.random.Generator(np.random.Philox(
+        key=[config.seed & 0xFFFFFFFFFFFFFFFF, 1]))
+    points[quiet] = _photon_runs(block, config, ~points[quiet])
     return PhotonTrace(points=points, hidden_states=hidden, config=config)
 
 

@@ -48,6 +48,23 @@ def is_unitary(u, tol=1e-12):
     return dev < tol and abs(abs(np.linalg.det(u)) - 1.0) < tol
 
 
+def replay_quiet_runs(config, outcomes):
+    """Photon counts of a trace's quiet points, whose locked outcomes are
+    ``outcomes`` in point order, drawn one call at a time in the layout of
+    ``simulate_trace``'s block stream, Philox keyed by [seed, 1]: every
+    point's misassigned cycles, then every point's photons of its own class,
+    then of the other class (none drawn for no misassigned cycle)."""
+    rng = np.random.Generator(
+        np.random.Philox(key=[config.seed & (2**64 - 1), 1]))
+    n, eie = config.cycles_per_point, config.electron_init_error
+    rates = (config.photon_rate_bright, config.photon_rate_dark)
+    wrong = [int(rng.binomial(n, eie)) if eie > 0 else 0 for _ in outcomes]
+    own = [int(rng.poisson(rates[o] * (n - w)))
+           for o, w in zip(outcomes, wrong)]
+    return [c + (int(rng.poisson(rates[1 - o] * w)) if w else 0)
+            for c, o, w in zip(own, outcomes, wrong)]
+
+
 def frame_a_par_for(omega, a_perp, fieldcfg, consts=DEFAULT_CONSTANTS):
     """Parallel frame component that yields precession ``omega`` given a_perp."""
     b = consts.gamma_n * fieldcfg.b_magnitude

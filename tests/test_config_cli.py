@@ -347,6 +347,41 @@ def test_cli_ssr_non_positive_points_exits_2_before_any_output(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, old, new, needs", [
+    ("scan", "  tau_start_ns: 200.0\n", "", "tau mode needs"),
+    ("scan", "  mode: tau\n", "  mode: n\n", "n mode needs n_max"),
+    ("map2d", "  n_list: [2, 4, 8, 12]   # used by map2d\n", "", "map2d needs"),
+    ("map2d", "  tau_step_ns: 1.0\n", "", "map2d needs"),
+], ids=["scan-tau", "scan-n", "map2d-n_list", "map2d-tau"])
+def test_cli_missing_scan_key_exits_2_before_any_output(tmp_path, capsys,
+                                                        command, old, new,
+                                                        needs):
+    """A scan key the command reads is checked before the output directory
+    is made, as the config's other errors are."""
+    text = Path(DEMO).read_text()
+    assert old in text
+    path = write_text(tmp_path, text.replace(old, new))
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), command]) == 2
+    assert f"config error: scan: {needs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["ssr", "--points", "2"], ["analyze", "--trace", "trace.csv"],
+    ["fit", "scan_tau.csv"]], ids=["ssr", "analyze", "fit"])
+def test_cli_normalized_elsewhere_exits_2_before_any_output(tmp_path, capsys,
+                                                            command):
+    """``--normalized`` scales coherence outputs only; the commands that
+    write none refuse it rather than ignore it."""
+    out = tmp_path / "out"
+    assert main(["--config", DEMO, "--out", str(out), "--normalized"]
+                + command) == 2
+    assert (f"config error: --normalized applies to scan and map2d, "
+            f"not {command[0]}") in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, name, n_header", [
     ("scan", "scan_tau.csv", 3), ("map2d", "map2d.csv", 2)])
 def test_cli_normalized_divides_by_the_peak(tmp_path, command, name, n_header):
@@ -547,9 +582,9 @@ EXACT_KICKS = {"propagator_mode": "exact",
 
 @pytest.mark.parametrize("args, sha256, overrides", [
     (["ssr", "--points", "5000"],
-     "a050d84f6f08cde415adad1f262632712dbc1f2e0cb1dcf939166859fb3844fb", {}),
+     "b7bd255cf1486725ebab8b70d044c4e82e88204a027008e14211d16d8be91766", {}),
     (["--seed", "5", "ssr", "--points", "20000"],
-     "60d57e225f7b3071d162e0bc068653ec4b8657cdee9a7cb57f1f03f57fce2fad", {}),
+     "06d5fc4107bc5b9600c944a99a5c691df8ac6d9415c1388745be86e9711159c3", {}),
     (["ssr", "--points", "300"],
      "117593eaf10ae16629d7c7eb8dab484d6b6629500e74c0fc4399dfed66aa561d", EXACT_KICKS),
 ], ids=["5000-seed-7", "20000-seed-5", "300-exact-kicks-asymmetric-t1"])

@@ -19,7 +19,7 @@ from ddread.measurement import (
 from ddread.sequence import CpmgSequence
 from ddread.spincore import HyperfineSpin, spin_from_frame_components
 
-from conftest import TWO_PI_KHZ
+from conftest import TWO_PI_KHZ, replay_quiet_runs
 
 
 def test_completeness_over_grid(field_305, scan_spin, bath_305):
@@ -266,30 +266,54 @@ def test_trace_determinism_and_substreams(field_691, readout_spin, readout_seq):
     assert not np.array_equal(t1.points, other.points)
 
 
+def _point_chain(ch, cfg, n_points, monkeypatch):
+    """(points, hidden states) of chaining ``simulate_point`` over density
+    matrices from the fully mixed state, with a fresh ``_point_rng(seed, i)``
+    per point.  The points that ``simulate_point`` finds quiet (it draws
+    their photon run with ``_photon_runs``) take their counts from the
+    trace's block stream instead, replayed."""
+    import ddread.measurement as m
+
+    outcomes, photon_runs = [], m._photon_runs
+
+    def recorded(rng, config, quiet):
+        outcomes.extend(quiet.tolist())
+        return photon_runs(rng, config, quiet)
+
+    rho, rows, quiet = np.eye(2, dtype=complex) / 2.0, [], []
+    with monkeypatch.context() as patch:
+        patch.setattr(m, "_photon_runs", recorded)
+        for i in range(n_points):
+            n_quiet = len(outcomes)
+            count, rho, dominant = simulate_point(rho, ch, cfg,
+                                                  m._point_rng(cfg.seed, i))
+            rows.append((count, dominant))
+            if len(outcomes) > n_quiet:
+                quiet.append(i)
+    points, hidden = np.array(rows).T
+    points[quiet] = replay_quiet_runs(cfg, outcomes)
+    return points, hidden
+
+
 @pytest.mark.parametrize("mode, overrides", [
     ("magnus", {}),
     ("exact", {"pi_pulse_error": 1e-4, "t1n_up": 5.0, "t1n_down": 20.0}),
 ], ids=["magnus", "exact-kicks-asymmetric-t1"])
 def test_trace_matches_the_per_point_chain(field_691, readout_spin,
-                                           readout_seq, mode, overrides):
+                                           readout_seq, monkeypatch, mode,
+                                           overrides):
     """``simulate_trace`` carries the locked-basis state from point to point
     and moves one Philox to each point's counter.  That is the same trace,
     draw for draw, as chaining ``simulate_point`` over density matrices from
-    the fully mixed state with a fresh ``_point_rng(seed, i)`` per point.
+    the fully mixed state with a fresh ``_point_rng(seed, i)`` per point,
+    but for the quiet points' photon runs, which come from the block stream.
     The exact case runs transients, kicks and unequal T1 flips."""
-    from ddread.measurement import _point_rng
-
     ch = measurement_channel(readout_spin, field_691, readout_seq, mode)
     for seed in (3, 77, 2**40 + 5):
         cfg = ReadoutConfig(seed=seed, **overrides)
         trace = simulate_trace(readout_spin, field_691, readout_seq, cfg,
                                300, mode)
-        rho, rows = np.eye(2, dtype=complex) / 2.0, []
-        for i in range(300):
-            count, rho, dominant = simulate_point(rho, ch, cfg,
-                                                  _point_rng(seed, i))
-            rows.append((count, dominant))
-        points, hidden = np.array(rows).T
+        points, hidden = _point_chain(ch, cfg, 300, monkeypatch)
         assert np.array_equal(trace.points, points)
         assert np.array_equal(trace.hidden_states, hidden)
         assert len(set(hidden.tolist())) == 2  # the chain flips
@@ -328,21 +352,19 @@ def test_plain_int_reset_is_the_point_rng(seed):
 
 
 def test_first_point_unravels_as_simulate_point(field_691, readout_spin,
-                                                readout_seq):
+                                                readout_seq, monkeypatch):
     """Point 0 starts fully mixed; ``simulate_trace`` unravels it with the
     raw-word test ``raw < 2**63``, which is ``simulate_point``'s
     ``random() < 1/2`` on the same word.  Over many seeds both locked
-    states are drawn, and each 1-point trace is ``simulate_point``'s."""
-    from ddread.measurement import _point_rng
-
+    states are drawn, and each 1-point trace is ``simulate_point``'s, with
+    a quiet point's photon run from the block stream."""
     ch = measurement_channel(readout_spin, field_691, readout_seq, "magnus")
     starts = set()
     for seed in range(200):
         cfg = ReadoutConfig(seed=seed)
         trace = simulate_trace(readout_spin, field_691, readout_seq, cfg, 1,
                                "magnus")
-        count, _, dominant = simulate_point(np.eye(2, dtype=complex) / 2.0,
-                                            ch, cfg, _point_rng(seed, 0))
+        (count,), (dominant,) = _point_chain(ch, cfg, 1, monkeypatch)
         assert (trace.points[0], trace.hidden_states[0]) == (count, dominant)
         starts.add(dominant)
     assert starts == {1, -1}

@@ -3,16 +3,29 @@
 The engine and trace loop below are the reference: they enter the event loop
 for every point, find the start's fixed point with the ``abs`` test and draw
 its clocks there.  The sampler draws a point's clocks once, before any event
-loop set-up, and finishes a point whose clocks all land beyond it with its
-photon run.  The draws and their order are the same, so the traces must be
-equal, not close.
+loop set-up, and leaves the photon run of a point whose clocks all land
+beyond it to the trace's block stream.  The reference finds those quiet
+points itself and replays the block stream's draws for them.  The draws and
+their order are the same, so the traces must be equal, not close.
+
+The block stream changed the bytes of every projective trace, so the last
+test checks, across seeds, that it did not change their distribution: the
+reference without the replay is the layout before the block stream.
 """
 
 import numpy as np
 import pytest
 
+from conftest import replay_quiet_runs
+from ddread.analysis import (
+    ThresholdPolicy,
+    conditional_histograms,
+    detect_jumps,
+    fidelity_vs_threshold,
+)
 from ddread.measurement import (
     _NEGLIGIBLE,
+    PhotonTrace,
     ReadoutConfig,
     _collapse,
     _point_rng,
@@ -25,13 +38,15 @@ from ddread.measurement import (
 
 
 def loop_point(psi, channel, config, rng, flips, first=None):
-    """The event loop for the whole point.  ``first`` collects, for a point
+    """The event loop for the whole point: (count, psi, dominant state,
+    outcome o of a quiet point or None).  ``first`` collects, for a point
     that starts on a fixed point, the earliest of the clocks drawn there."""
     _, kraus, fixed = channel.locked_frame
     f_up, f_down = flips  # T1 flip probabilities per cycle
     eie, pie, rates = (config.electron_init_error, config.pi_pulse_error,
                        (config.photon_rate_bright, config.photon_rate_dark))
     remaining, photons, up_cycles, run, run_len = config.cycles_per_point, 0, 0, 0, 0
+    quiet = None
 
     def emit(outcome, n):  # n cycles of ``outcome``; a new outcome ends the run
         nonlocal photons, run, run_len
@@ -59,6 +74,8 @@ def loop_point(psi, channel, config, rng, flips, first=None):
                 first.append(min(t for t, p in zip(clocks, probs)
                                  if p > _NEGLIGIBLE))
             t = min(t_other, t_kick, t_flip, remaining + 1)
+            if t > remaining == config.cycles_per_point:
+                quiet = o  # no clock fires in the point
             emit(o, t - 1)
             up_cycles += (t - 1) * (p_up > 0.5)
             remaining -= t - 1
@@ -77,26 +94,36 @@ def loop_point(psi, channel, config, rng, flips, first=None):
             psi = psi[::-1]
         remaining -= 1
     emit(None, 0)
-    return photons, psi, 1 if 2 * up_cycles >= config.cycles_per_point else -1
+    dominant = 1 if 2 * up_cycles >= config.cycles_per_point else -1
+    return photons, psi, dominant, quiet
 
 
-def loop_trace(channel, config, n_points, first=None):
-    """(points, hidden states) of ``simulate_trace``, one event loop per point."""
+def loop_trace(channel, config, n_points, first=None, block=True):
+    """(points, hidden states, outcome o of each quiet point, -1 elsewhere)
+    of ``simulate_trace``, one event loop per point and the quiet points'
+    photon runs replayed from the block stream.  ``block=False`` keeps each
+    quiet point's own draws: the layout before the block stream."""
     flips = _t1_flip_probs(config)
     rng = _point_rng(config.seed, 0)
     bitgen, start = rng.bit_generator, rng.bit_generator.state
     counter = start["state"]["counter"]
     points = np.empty(n_points, dtype=np.int64)
     hidden = np.empty(n_points, dtype=np.int8)
+    outcome = np.full(n_points, -1)
     for i in range(n_points):
         counter[2] = i
         bitgen.state = start
         u = rng.random()
         if not i:
             psi = [1.0, 0.0] if u < 0.5 else [0.0, 1.0]
-        points[i], psi, hidden[i] = loop_point(
+        points[i], psi, hidden[i], o = loop_point(
             psi, channel, config, rng, flips, first)
-    return points, hidden
+        if o is not None:
+            outcome[i] = o
+    if block:
+        quiet = outcome >= 0
+        points[quiet] = replay_quiet_runs(config, outcome[quiet].tolist())
+    return points, hidden, outcome
 
 
 # ------------------------------------------------------------ equality
@@ -120,10 +147,64 @@ def test_trace_matches_the_event_loop(field_691, readout_spin, readout_seq,
                                seed=101 + k)
         trace = simulate_trace(readout_spin, field_691, readout_seq, config,
                                200, mode)
-        points, hidden = loop_trace(channel, config, 200, first)
+        points, hidden, _ = loop_trace(channel, config, 200, first)
         assert np.array_equal(trace.points, points)
         assert np.array_equal(trace.hidden_states, hidden)
     # the quiet test's edge: an event in a point's last cycle, and a first
     # clock one cycle beyond the point
     if cycles < 2000:
         assert {cycles, cycles + 1} <= set(first)
+
+
+# ------------------------------------------------------------ distribution
+
+LAYOUT_SEEDS = range(20)
+# Bounds fixed before the first run: a two-sample KS p-value of at least
+# 1e-3, and every shift within 4 of its standard errors.
+KS_P_MIN, Z_MAX = 1e-3, 4.0
+
+
+def test_block_layout_keeps_the_distribution(field_691, readout_spin,
+                                             readout_seq):
+    """Criterion 5 and 6's trace (demo working point, 5,000 points) over 20
+    seeds, drawn with the block stream and with each quiet point's own draws
+    (the layout before it).  The hidden states are the same trace for trace.
+    The quiet points' counts, pooled per locked state, agree in distribution
+    (two-sample KS), mean and spread.  The ``detect_jumps`` dwell mean and
+    the fidelity of each seed move by less than their paired spread across
+    seeds allows."""
+    from scipy.stats import ks_2samp
+
+    channel = measurement_channel(readout_spin, field_691, readout_seq,
+                                  "magnus")
+    policy = ThresholdPolicy()
+    quiet = {0: ([], []), 1: ([], [])}  # outcome -> (block, own) counts
+    shifts = []  # per seed: (dwell mean, fidelity) with block minus own
+    for seed in LAYOUT_SEEDS:
+        config = ReadoutConfig(seed=seed)
+        trace = simulate_trace(readout_spin, field_691, readout_seq, config,
+                               5000, "magnus")
+        points, hidden, outcome = loop_trace(channel, config, 5000,
+                                             block=False)
+        assert np.array_equal(trace.hidden_states, hidden)
+        for o, (block, own) in quiet.items():
+            block.append(trace.points[outcome == o])
+            own.append(points[outcome == o])
+        stats = []
+        for t in (trace, PhotonTrace(points, hidden, config)):
+            jumps = detect_jumps(t, policy)
+            report = fidelity_vs_threshold(conditional_histograms(t, policy))
+            stats.append((
+                np.concatenate([jumps.dwells_up, jumps.dwells_down]).mean(),
+                min(report.fidelity_up, report.fidelity_down)))
+        shifts.append(np.subtract(*stats))
+    for block, own in quiet.values():
+        a, b = np.concatenate(block), np.concatenate(own)
+        assert ks_2samp(a, b).pvalue >= KS_P_MIN
+        assert abs(a.mean() - b.mean()) <= Z_MAX * np.hypot(
+            a.std() / np.sqrt(len(a)), b.std() / np.sqrt(len(b)))
+        assert abs(a.std() - b.std()) <= Z_MAX * np.hypot(
+            a.std() / np.sqrt(2 * len(a)), b.std() / np.sqrt(2 * len(b)))
+    shifts = np.array(shifts)
+    assert (np.abs(shifts.mean(axis=0))
+            <= Z_MAX * shifts.std(axis=0, ddof=1) / np.sqrt(len(shifts))).all()
