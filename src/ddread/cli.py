@@ -47,6 +47,13 @@ def _header(config: RunConfig) -> str:
     return f"# config_sha256={config.content_hash()} seed={config.seed}\n"
 
 
+def _output(out_dir: Path, name: str) -> Path:
+    """``out_dir / name``, with ``out_dir`` made: each command asks for it
+    only once it has read its input, so bad input leaves no directory."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir / name
+
+
 def _unit_peak(values: np.ndarray, normalized: bool) -> np.ndarray:
     """``values`` over their peak |value| when ``normalized`` and not all 0."""
     if not normalized:
@@ -148,7 +155,7 @@ def cmd_scan(config: RunConfig, out_dir: Path, grid: list,
     else:
         curve = scan_n(config.spins, config.field, config.sequence.tau,
                        grid[0], config.propagator_mode, config.constants)
-    out = out_dir / f"scan_{mode}.csv"
+    out = _output(out_dir, f"scan_{mode}.csv")
     _write_curve_csv(out, config, curve, normalized)
     print(f"wrote {out}")
     return EXIT_OK
@@ -161,7 +168,7 @@ def cmd_map2d(config: RunConfig, out_dir: Path, grid: list,
                    n_list, config.propagator_mode,
                    config.constants)
     values = _unit_peak(cmap.values, normalized)
-    out = out_dir / "map2d.csv"
+    out = _output(out_dir, "map2d.csv")
     with open(out, "w") as fh:
         fh.write(_header(config))
         fh.write("tau_ns,n_pulses,coherence\n")
@@ -178,7 +185,7 @@ def cmd_ssr(config: RunConfig, out_dir: Path, n_points: int) -> int:
     trace = simulate_trace(config.spins[0], config.field, config.sequence,
                            config.readout, n_points,
                            config.propagator_mode, config.constants)
-    out = out_dir / "trace.csv"
+    out = _output(out_dir, "trace.csv")
     trace_to_csv(trace, out, config.content_hash())
     snap = out_dir / "config_snapshot.json"
     snap.write_text(snapshot_json(config))
@@ -194,7 +201,7 @@ def cmd_analyze(config: RunConfig, out_dir: Path, trace_path) -> int:
         raise ConfigError(f"analyze: {exc}") from exc
     hists = conditional_histograms(trace, config.thresholds)
     report = fidelity_vs_threshold(hists)
-    histograms_to_csv(hists, out_dir / "histograms.csv")
+    histograms_to_csv(hists, _output(out_dir, "histograms.csv"))
     jumps = detect_jumps(trace, config.thresholds)
     extra = {}
     try:
@@ -238,7 +245,7 @@ def cmd_fit(config: RunConfig, out_dir: Path, curve_paths) -> int:
         "config_sha256": config.content_hash(),
         "seed": config.seed,
     }
-    out = out_dir / "hyperfine_fit.json"
+    out = _output(out_dir, "hyperfine_fit.json")
     out.write_text(json.dumps(payload, indent=2, sort_keys=True))
     print(f"wrote {out}")
     return EXIT_OK
@@ -288,7 +295,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     out_dir = Path(args.out)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "scan":
             return cmd_scan(config, out_dir, grid, args.normalized)
         if args.command == "map2d":

@@ -14,7 +14,8 @@ import hashlib
 import json
 import math
 from collections.abc import Hashable
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
+from functools import partial
 
 import numpy as np
 import yaml
@@ -70,35 +71,33 @@ def _require_keys(section: dict, allowed: set, required: set, where: str):
         raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
 
 
-def _integer(section: dict, key: str, where: str, default=None):
-    if key not in section:
-        return default
-    v = section[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{where}.{key}: expected an integer, got {v!r}")
-    return v
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name}: expected an integer, got {value!r}")
+    return value
 
 
-def _number(section: dict, key: str, where: str, default=None,
-            infinite_ok: bool = False):
-    if key not in section:
-        return default
-    return _real(section[key], f"{where}.{key}", infinite_ok)
-
-
-def _real(value, name: str, infinite_ok: bool = False) -> float:
-    """``value`` as a float: a finite int or float, or also an infinite one
-    where ``infinite_ok``; never NaN."""
+def _real(value, name: str, scale: float = 1.0,
+          infinite_ok: bool = False) -> float:
+    """``value`` times ``scale`` as a float: ``value`` a finite int or float,
+    or also an infinite one where ``infinite_ok``; never NaN.  A product
+    beyond float's range counts as infinite."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name}: expected a number, got {value!r}")
     try:
-        v = float(value)
+        v = float(value) * scale
     except OverflowError:  # an int beyond float's range
         v = math.inf if value > 0 else -math.inf
     if math.isnan(v) or math.isinf(v) and not infinite_ok:
         kind = "a number" if infinite_ok else "a finite number"
         raise ConfigError(f"{name}: expected {kind}, got {value!r}")
     return v
+
+
+_ns = partial(_real, scale=NS)
+_khz = partial(_real, scale=TWO_PI_KHZ)  # to angular rad/s
+# an infinite T1 is a frozen one: its flip probability is 0
+_lifetime = partial(_real, infinite_ok=True)
 
 
 def _refuse_non_json(value, name: str):
@@ -115,10 +114,10 @@ def _refuse_non_json(value, name: str):
                           f"got {value!r}")
 
 
-def _build(cls, where: str, **kwargs):
-    """``cls(**kwargs)``, its ValueError raised as a ConfigError at ``where``."""
+def _build(make, where: str, **kwargs):
+    """``make(**kwargs)``, its ValueError raised as a ConfigError at ``where``."""
     try:
-        return cls(**kwargs)
+        return make(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -148,20 +147,49 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-_TOP_KEYS = {"field_gauss", "constants", "spins", "sequence", "readout",
-             "thresholds", "scan", "seed", "propagator_mode"}
-_CONST_KEYS = {"gamma_n"}
 _SPIN_KEYS = {"a_par_khz", "a_perp_khz", "a_vec_khz"}
-_SEQ_KEYS = {"n_pulses", "tau_ns"}
-_READ_KEYS = {"cycles_per_point", "photon_rate_bright", "photon_rate_dark",
-              "t1n_up_s", "t1n_down_s", "point_duration_s",
-              "electron_init_error", "pi_pulse_error"}
-_THRESH_KEYS = {"init_low", "init_high"}
 _SCAN_KEYS = {"mode", "tau_start_ns", "tau_stop_ns", "tau_step_ns",
               "n_max", "n_list"}
 
+# The sections that map one to one onto a dataclass: per YAML key, the field
+# it sets and the reader that gives the field's value.
+_SECTIONS = {
+    "constants": (PhysicalConstants, {"gamma_n": ("gamma_n", _real)}),
+    "sequence": (CpmgSequence, {"n_pulses": ("n_pulses", _integer),
+                                "tau_ns": ("tau", _ns)}),
+    "readout": (ReadoutConfig, {
+        "cycles_per_point": ("cycles_per_point", _integer),
+        "photon_rate_bright": ("photon_rate_bright", _real),
+        "photon_rate_dark": ("photon_rate_dark", _real),
+        "t1n_up_s": ("t1n_up", _lifetime),
+        "t1n_down_s": ("t1n_down", _lifetime),
+        "point_duration_s": ("point_duration", _real),
+        "electron_init_error": ("electron_init_error", _real),
+        "pi_pulse_error": ("pi_pulse_error", _real),
+    }),
+    "thresholds": (ThresholdPolicy, {"init_low": ("init_low", _integer),
+                                     "init_high": ("init_high", _integer)}),
+}
+_TOP_KEYS = {"field_gauss", "spins", "scan", "seed", "propagator_mode",
+             *_SECTIONS}
 
-def _parse_spin(entry: dict, where: str):
+
+def _section(doc: dict, name: str, **fixed):
+    """The dataclass of section ``name`` from the keys it gives and the
+    fields in ``fixed``; the dataclass defaults fill the rest, and a field
+    without a default needs its key."""
+    cls, table = _SECTIONS[name]
+    section = doc.get(name, {})
+    required = {key for key, (attr, _) in table.items()
+                if cls.__dataclass_fields__[attr].default is MISSING}
+    _require_keys(section, set(table), required, name)
+    kwargs = {attr: read(section[key], f"{name}.{key}")
+              for key, (attr, read) in table.items() if key in section}
+    return _build(cls, name, **kwargs, **fixed)
+
+
+def _spin(entry: dict, where: str, fieldcfg: FieldConfig,
+          consts: PhysicalConstants) -> HyperfineSpin:
     _require_keys(entry, _SPIN_KEYS, set(), where)
     has_vec = "a_vec_khz" in entry
     has_frame = "a_par_khz" in entry or "a_perp_khz" in entry
@@ -173,11 +201,12 @@ def _parse_spin(entry: dict, where: str):
         vec = entry["a_vec_khz"]
         if not isinstance(vec, (list, tuple)) or len(vec) != 3:
             raise ConfigError(f"{where}.a_vec_khz: expected 3 numbers")
-        vec = [_real(x, f"{where}.a_vec_khz[{i}]") for i, x in enumerate(vec)]
-        return HyperfineSpin(a_vec=np.asarray(vec) * TWO_PI_KHZ)
-    a_par = _number(entry, "a_par_khz", where, 0.0) * TWO_PI_KHZ
-    a_perp = _number(entry, "a_perp_khz", where, 0.0) * TWO_PI_KHZ
-    return (a_par, a_perp)  # resolved once the field is known
+        return _build(HyperfineSpin, where, a_vec=np.array(
+            [_khz(x, f"{where}.a_vec_khz[{i}]") for i, x in enumerate(vec)]))
+    a_par, a_perp = (_khz(entry.get(key, 0.0), f"{where}.{key}")
+                     for key in ("a_par_khz", "a_perp_khz"))
+    return _build(spin_from_frame_components, where, a_par=a_par,
+                  a_perp=a_perp, fieldcfg=fieldcfg, consts=consts)
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -187,80 +216,28 @@ def parse_config(doc: dict) -> RunConfig:
         _refuse_non_json(value, key if isinstance(value, (dict, list))
                          else f"config.{key}")
 
-    const_sec = doc.get("constants", {})
-    _require_keys(const_sec, _CONST_KEYS, set(), "constants")
-    defaults = PhysicalConstants()
-    consts = PhysicalConstants(
-        gamma_n=_number(const_sec, "gamma_n", "constants", defaults.gamma_n),
-    )
-
-    field_gauss = _number(doc, "field_gauss", "config")
-    if field_gauss is None or field_gauss < 0:
-        raise ConfigError("config.field_gauss: expected a non-negative number")
-    fieldcfg = FieldConfig(field_gauss * GAUSS)
+    consts = _section(doc, "constants")
+    fieldcfg = _build(FieldConfig, "config.field_gauss", b_magnitude=_real(
+        doc["field_gauss"], "config.field_gauss", GAUSS))
 
     spin_entries = doc.get("spins", [])
     if not isinstance(spin_entries, list):
         raise ConfigError(f"spins: expected a list, got {spin_entries!r}")
-    spins = []
-    for i, entry in enumerate(spin_entries):
-        parsed = _parse_spin(entry, f"spins[{i}]")
-        if isinstance(parsed, tuple):
-            try:
-                parsed = spin_from_frame_components(parsed[0], parsed[1],
-                                                    fieldcfg, consts)
-            except ValueError as exc:
-                raise ConfigError(f"spins[{i}]: {exc}") from exc
-        spins.append(parsed)
+    spins = tuple(_spin(entry, f"spins[{i}]", fieldcfg, consts)
+                  for i, entry in enumerate(spin_entries))
 
-    seq_sec = doc["sequence"]
-    _require_keys(seq_sec, _SEQ_KEYS, _SEQ_KEYS, "sequence")
-    seq = _build(CpmgSequence, "sequence",
-                 n_pulses=_integer(seq_sec, "n_pulses", "sequence"),
-                 tau=_number(seq_sec, "tau_ns", "sequence") * NS)
-
-    seed = _integer(doc, "seed", "config", 0)
+    seq = _section(doc, "sequence")
+    seed = _integer(doc.get("seed", 0), "config.seed")
     if seed < 0:
         raise ConfigError("config.seed: expected a non-negative integer")
-
-    read_sec = doc.get("readout", {})
-    _require_keys(read_sec, _READ_KEYS, set(), "readout")
-    rdef = ReadoutConfig()
-    readout = _build(
-        ReadoutConfig, "readout",
-        cycles_per_point=_integer(read_sec, "cycles_per_point", "readout",
-                                  rdef.cycles_per_point),
-        photon_rate_bright=_number(read_sec, "photon_rate_bright",
-                                   "readout", rdef.photon_rate_bright),
-        photon_rate_dark=_number(read_sec, "photon_rate_dark",
-                                 "readout", rdef.photon_rate_dark),
-        # an infinite T1 is a frozen one: its flip probability is 0
-        t1n_up=_number(read_sec, "t1n_up_s", "readout", rdef.t1n_up,
-                       infinite_ok=True),
-        t1n_down=_number(read_sec, "t1n_down_s", "readout", rdef.t1n_down,
-                         infinite_ok=True),
-        point_duration=_number(read_sec, "point_duration_s", "readout",
-                               rdef.point_duration),
-        electron_init_error=_number(read_sec, "electron_init_error",
-                                    "readout", rdef.electron_init_error),
-        pi_pulse_error=_number(read_sec, "pi_pulse_error", "readout",
-                               rdef.pi_pulse_error),
-        seed=seed,
-    )
-
-    thr_sec = doc.get("thresholds", {})
-    _require_keys(thr_sec, _THRESH_KEYS, set(), "thresholds")
-    tdef = ThresholdPolicy()
-    thresholds = _build(
-        ThresholdPolicy, "thresholds",
-        init_low=_integer(thr_sec, "init_low", "thresholds", tdef.init_low),
-        init_high=_integer(thr_sec, "init_high", "thresholds", tdef.init_high),
-    )
+    readout = _section(doc, "readout", seed=seed)
+    thresholds = _section(doc, "thresholds")
 
     scan_sec = doc.get("scan", {})
     _require_keys(scan_sec, _SCAN_KEYS, set(), "scan")
     for key in ("tau_start_ns", "tau_stop_ns", "tau_step_ns"):
-        _number(scan_sec, key, "scan")  # the scan commands read them
+        if key in scan_sec:  # the scan commands read them
+            _real(scan_sec[key], f"scan.{key}")
     if scan_sec.get("mode", "tau") not in ("tau", "n"):
         raise ConfigError(f"scan.mode: expected 'tau' or 'n', got {scan_sec['mode']!r}")
     n_list = scan_sec.get("n_list", [1])
@@ -277,7 +254,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError("config.propagator_mode: expected 'exact' or 'magnus'")
 
     return RunConfig(
-        field=fieldcfg, spins=tuple(spins), sequence=seq, readout=readout,
+        field=fieldcfg, spins=spins, sequence=seq, readout=readout,
         thresholds=thresholds, constants=consts, propagator_mode=mode,
         scan=scan, raw=doc,
     )

@@ -191,7 +191,8 @@ def _frame_component_vectors(a_par, a_perp, fieldcfg, consts):
     a_par = np.asarray(a_par, dtype=float)
     a_perp = np.asarray(a_perp, dtype=float)
     b = consts.gamma_n * fieldcfg.b_magnitude
-    disc = b * b - a_perp * a_perp / 4.0
+    with np.errstate(over="ignore"):  # an a_perp too large to square: not real
+        disc = b * b - a_perp * a_perp / 4.0
     real = disc > 0
     omega = a_par / 2.0 + np.sqrt(np.where(real, disc, 0.0))
     valid = real & (omega >= DEGENERATE_OMEGA)

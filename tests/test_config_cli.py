@@ -81,6 +81,51 @@ def test_spin_vector_form():
     assert np.allclose(cfg.spins[0].a_vec / TWO_PI_KHZ, [200.0, 0.0, 330.0])
 
 
+# YAML key -> (dataclass field, YAML value, field value) for each section read
+# by table; every value differs from the field's default
+_EVERY_KEY = {
+    "constants": {"gamma_n": ("gamma_n", 7.0e7, 7.0e7)},
+    "sequence": {"n_pulses": ("n_pulses", 8, 8),
+                 "tau_ns": ("tau", 300.0, 300.0e-9)},
+    "readout": {
+        "cycles_per_point": ("cycles_per_point", 1000, 1000),
+        "photon_rate_bright": ("photon_rate_bright", 0.07, 0.07),
+        "photon_rate_dark": ("photon_rate_dark", 0.05, 0.05),
+        "t1n_up_s": ("t1n_up", 5.0, 5.0),
+        "t1n_down_s": ("t1n_down", float("inf"), float("inf")),
+        "point_duration_s": ("point_duration", 0.2, 0.2),
+        "electron_init_error": ("electron_init_error", 0.05, 0.05),
+        "pi_pulse_error": ("pi_pulse_error", 1e-4, 1e-4),
+    },
+    "thresholds": {"init_low": ("init_low", 2200, 2200),
+                   "init_high": ("init_high", 2600, 2600)},
+}
+
+
+def test_schema_sets_each_field_by_one_key():
+    """Each field of the table-read sections' dataclasses (but the readout's
+    seed, which the top-level key sets) is set by exactly one YAML key, and
+    a document that sets every key parses to exactly those values."""
+    from dataclasses import fields
+
+    from ddread.config import _SECTIONS
+
+    assert set(_SECTIONS) == set(_EVERY_KEY)
+    doc = {**BASE, **{name: {key: value for key, (_, value, _) in keys.items()}
+                      for name, keys in _EVERY_KEY.items()}}
+    cfg = parse_config(doc)
+    for name, keys in _EVERY_KEY.items():
+        cls, table = _SECTIONS[name]
+        assert {key: attr for key, (attr, _) in table.items()} == {
+            key: attr for key, (attr, _, _) in keys.items()}
+        assert sorted(attr for attr, _, _ in keys.values()) == sorted(
+            f.name for f in fields(cls) if f.name != "seed")
+        built = getattr(cfg, name)
+        for attr, _, want in keys.values():
+            assert getattr(built, attr) == pytest.approx(want, rel=1e-15)
+    assert cfg.readout.seed == BASE["seed"]
+
+
 def test_snapshot_roundtrip(tmp_path):
     path = write_config(tmp_path, BASE)
     cfg = load_config(path)
@@ -213,10 +258,13 @@ def test_cli_nan_exits_2(tmp_path, capsys, section, key):
     pytest.param(s, k, v, id=f"{k}={v}")
     for s, k in _FLOAT_KEYS if k not in ("t1n_up_s", "t1n_down_s")
     for v in (_INF, -_INF)] + [
-    pytest.param(None, "field_gauss", 10**400, id="field_gauss=10**400")])
+    pytest.param(None, "field_gauss", 10**400, id="field_gauss=10**400")] + [
+    pytest.param("spins", k, 1.0e306, id=f"{k}=1e306")
+    for k in ("a_par_khz", "a_perp_khz", "a_vec_khz[1]")])
 def test_cli_infinite_exits_2(tmp_path, capsys, section, key, value):
-    """An infinite value, or an int beyond float's range, is refused for
-    every float key but a T1, with no warning from the physics behind it."""
+    """An infinite value, an int beyond float's range, or a kHz value whose
+    rad/s is beyond it, is refused for every float key but a T1, with no
+    warning from the physics behind it."""
     doc, name = _with_value(section, key, value)
     path = write_config(tmp_path, doc)
     assert main(["--config", path, "--out", str(tmp_path), "scan"]) == 2
@@ -333,6 +381,32 @@ def test_cli_spins_not_a_list_exits_2_before_any_output(tmp_path, capsys, value)
     assert "config error: spins: expected a list" in capsys.readouterr().err
     assert not (tmp_path / "trace.csv").exists()
     assert not (tmp_path / "config_snapshot.json").exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("seed: 7\n", "seed: 7\nconstants: {gamma_n: -1.0}\n",
+     "constants: gyromagnetic ratio must be strictly positive"),
+    ("seed: 7\n", "seed: 7\nconstants: {gamma_n: 0}\n",
+     "constants: gyromagnetic ratio must be strictly positive"),
+    (_DEMO_SPINS, "spins:\n  - a_vec_khz: [1.0e+306, 0.0, 0.0]\n",
+     "spins[0].a_vec_khz[0]: expected a finite number, got 1e+306"),
+    ("a_perp_khz: 131.95533659231322", "a_perp_khz: 1.0e+300",
+     "spins[0]: a_perp must be smaller than 2 gamma_n B"),
+], ids=["gamma_n-negative", "gamma_n-zero", "a_vec-1e306", "a_perp-1e300"])
+def test_cli_bad_physics_value_exits_2_before_any_output(tmp_path, capsys, old,
+                                                        new, message):
+    """A constant or hyperfine value that the physics refuses is a config
+    error that names its section or spin, with no numpy warning and before
+    the output directory is made."""
+    text = Path(DEMO).read_text()
+    assert old in text
+    path = write_text(tmp_path, text.replace(old, new, 1))
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "ssr",
+                 "--points", "2"]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err and "Warning" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("points", ["0", "-3"])
@@ -567,10 +641,11 @@ def test_trace_with_a_negative_seed_exits_2(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     trace.write_text("# config_sha256=abc seed=-3\n"
                      "point_index,photon_count,hidden_state\n0,2400,1\n")
-    assert main(["--config", DEMO, "--out", str(tmp_path),
+    out = tmp_path / "out"
+    assert main(["--config", DEMO, "--out", str(out),
                  "analyze", "--trace", str(trace)]) == 2
     assert f"{trace}, line 1" in capsys.readouterr().err
-    assert not (tmp_path / "fidelity_report.json").exists()
+    assert not out.exists()
 
 
 # The demo config on the exact (non-QND) channel with depolarizing kicks and
@@ -623,16 +698,18 @@ def test_cli_spectroscopy_bytes(tmp_path):
 
 @pytest.mark.parametrize("row", ["3,2400,1,0", "3,24x0,1", "3,2400", "3,,1",
                                  "3,2400,0", "3,2400,300", "3,-5,1",
-                                 "3,99999999999999999999,1"])
+                                 "3,99999999999999999999,1", "3,abc"])
 def test_cli_analyze_malformed_row_exits_2(tmp_path, capsys, row):
-    """A malformed trace row is bad input (exit 2), reported with its line."""
+    """A malformed trace row is bad input (exit 2), reported with its line,
+    before the output directory is made."""
     trace = tmp_path / "trace.csv"
     trace.write_text("point_index,photon_count,hidden_state\n"
                      "0,2400,1\n1,2300,-1\n2,2500,1\n" + row + "\n4,2350,-1\n")
-    assert main(["--config", DEMO, "--out", str(tmp_path),
+    out = tmp_path / "out"
+    assert main(["--config", DEMO, "--out", str(out),
                  "analyze", "--trace", str(trace)]) == 2
     assert "line 5" in capsys.readouterr().err
-    assert not (tmp_path / "fidelity_report.json").exists()
+    assert not out.exists()
 
 
 def test_cli_fit_roundtrip(tmp_path):
@@ -664,30 +741,34 @@ def test_cli_fit_bad_curve_metadata_exits_2(tmp_path, axis_line):
     """A curve file with bad metadata is bad input (exit 2), not a crash."""
     curve = tmp_path / "scan_tau.csv"
     curve.write_text(axis_line + "\ntau_ns,coherence\n200,0.5\n210,0.4\n")
-    assert main(["--config", DEMO, "--out", str(tmp_path), "fit", str(curve)]) == 2
-    assert not (tmp_path / "hyperfine_fit.json").exists()
+    out = tmp_path / "out"
+    assert main(["--config", DEMO, "--out", str(out), "fit", str(curve)]) == 2
+    assert not out.exists()
 
 
 def test_cli_fit_malformed_curve_row_exits_2(tmp_path, capsys):
-    """A curve row that is not two numbers is bad input, named by its line."""
+    """A curve row that is not two numbers is bad input, named by its line,
+    before the output directory is made."""
     curve = tmp_path / "scan_tau.csv"
     curve.write_text("# axis=tau n_pulses=12 propagator_mode=magnus\n"
                      "tau_ns,coherence\n200,0.5\n210\n")
-    assert main(["--config", DEMO, "--out", str(tmp_path), "fit", str(curve)]) == 2
+    out = tmp_path / "out"
+    assert main(["--config", DEMO, "--out", str(out), "fit", str(curve)]) == 2
     assert f"{curve}, line 4" in capsys.readouterr().err
-    assert not (tmp_path / "hyperfine_fit.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("row", ["210,nan", "-inf,0.4", "1e400,0.4"])
 def test_cli_fit_non_finite_curve_row_exits_2(tmp_path, capsys, row):
     """A curve with a non-finite value or abscissa is bad input (exit 2), not
-    a fit with a NaN residual."""
+    a fit with a NaN residual, and no output directory."""
     curve = tmp_path / "scan_tau.csv"
     curve.write_text("# axis=tau n_pulses=12 propagator_mode=magnus\n"
                      f"tau_ns,coherence\n200,0.5\n{row}\n220,0.45\n")
-    assert main(["--config", DEMO, "--out", str(tmp_path), "fit", str(curve)]) == 2
+    out = tmp_path / "out"
+    assert main(["--config", DEMO, "--out", str(out), "fit", str(curve)]) == 2
     assert "finite" in capsys.readouterr().err
-    assert not (tmp_path / "hyperfine_fit.json").exists()
+    assert not out.exists()
 
 
 def test_cli_refuses_the_removed_readout_threshold(tmp_path):

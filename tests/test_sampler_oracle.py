@@ -33,6 +33,7 @@ from ddread.measurement import (
     measurement_channel,
     simulate_trace,
 )
+from ddread.sequence import CpmgSequence
 
 # ------------------------------------------------------------ event loop
 
@@ -40,7 +41,8 @@ from ddread.measurement import (
 def loop_point(psi, channel, config, rng, flips, first=None):
     """The event loop for the whole point: (count, psi, dominant state,
     outcome o of a quiet point or None).  ``first`` collects, for a point
-    that starts on a fixed point, the earliest of the clocks drawn there."""
+    that starts on a fixed point, the clocks drawn there (other outcome,
+    kick, flip; None for one not drawn)."""
     _, kraus, fixed = channel.locked_frame
     f_up, f_down = flips  # T1 flip probabilities per cycle
     eie, pie, rates = (config.electron_init_error, config.pi_pulse_error,
@@ -71,8 +73,8 @@ def loop_point(psi, channel, config, rng, flips, first=None):
                 int(rng.geometric(p)) if p > _NEGLIGIBLE else remaining + 1
                 for p in probs]
             if first is not None and remaining == config.cycles_per_point:
-                first.append(min(t for t, p in zip(clocks, probs)
-                                 if p > _NEGLIGIBLE))
+                first.append([t if p > _NEGLIGIBLE else None
+                              for t, p in zip(clocks, probs)])
             t = min(t_other, t_kick, t_flip, remaining + 1)
             if t > remaining == config.cycles_per_point:
                 quiet = o  # no clock fires in the point
@@ -132,28 +134,46 @@ def loop_trace(channel, config, n_points, first=None, block=True):
 # the misassignment and kick settings switch the binomial draw and the kick
 # clock on and off.
 GRID = [(eie, pie) for eie in (0.0, 0.1) for pie in (0.0, 1e-3)]
+# A weak working point (q = 0.25 per cycle) with frequent kicks and the
+# default T1s: the other-outcome and the kick clock each fire in a point's
+# last cycle while the other clocks land beyond it.
+WEAK_SEQ, WEAK_PIE = CpmgSequence(4, 248e-9), 0.1
 
 
 @pytest.mark.parametrize("cycles", [1, 2, 7, 2000])
 @pytest.mark.parametrize("mode", ["magnus", "exact"])
 def test_trace_matches_the_event_loop(field_691, readout_spin, readout_seq,
                                       mode, cycles):
-    channel = measurement_channel(readout_spin, field_691, readout_seq, mode)
-    first = []
-    for k, (eie, pie) in enumerate(GRID):
-        config = ReadoutConfig(cycles_per_point=cycles, point_duration=0.189,
-                               t1n_up=0.1, t1n_down=0.3,
-                               electron_init_error=eie, pi_pulse_error=pie,
-                               seed=101 + k)
-        trace = simulate_trace(readout_spin, field_691, readout_seq, config,
-                               200, mode)
-        points, hidden, _ = loop_trace(channel, config, 200, first)
+    cases = [(readout_seq, ReadoutConfig(
+        cycles_per_point=cycles, point_duration=0.189, t1n_up=0.1,
+        t1n_down=0.3, electron_init_error=eie, pi_pulse_error=pie,
+        seed=101 + k)) for k, (eie, pie) in enumerate(GRID)]
+    if cycles < 2000:
+        cases.append((WEAK_SEQ, ReadoutConfig(cycles_per_point=cycles,
+                                              pi_pulse_error=WEAK_PIE,
+                                              seed=105)))
+    first = []  # per case, the clocks of each point that starts on v_o
+    for seq, config in cases:
+        channel = measurement_channel(readout_spin, field_691, seq, mode)
+        first.append([])
+        trace = simulate_trace(readout_spin, field_691, seq, config, 200, mode)
+        points, hidden, _ = loop_trace(channel, config, 200, first[-1])
         assert np.array_equal(trace.points, points)
         assert np.array_equal(trace.hidden_states, hidden)
-    # the quiet test's edge: an event in a point's last cycle, and a first
-    # clock one cycle beyond the point
-    if cycles < 2000:
-        assert {cycles, cycles + 1} <= set(first)
+    if cycles == 2000:
+        return
+    # the quiet test's edge: at the projective point, an event in a point's
+    # last cycle, and a first clock one cycle beyond the point
+    earliest = {min(t for t in clocks if t is not None)
+                for clocks in sum(first[:len(GRID)], [])}
+    assert {cycles, cycles + 1} <= earliest
+    # and, at the weak point, where every point starts on v_o in magnus mode,
+    # the other-outcome clock and the kick clock each alone in the last cycle
+    if mode == "magnus":
+        for i in (0, 1):
+            assert any(clocks[i] == cycles and all(
+                t is None or t > cycles for t in clocks[:i] + clocks[i + 1:])
+                for clocks in first[-1])
 
 
 # ------------------------------------------------------------ distribution
