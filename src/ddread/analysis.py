@@ -8,7 +8,10 @@ concurrently.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -80,6 +83,21 @@ class ConditionalHistograms:
     init_match_down: int | None
     low_statistics: bool
 
+    @cached_property
+    def count_table(self):
+        """The distinct sample values, ascending, and how many samples of
+        each class take every value: a table whose size follows the number
+        of samples, not the range of their values.  Computed once; the
+        fidelity curve and the histogram CSV both read it."""
+        up, down = self.samples_up, self.samples_down
+        values = np.sort(np.concatenate([up, down]))
+        distinct = np.ones(len(values), dtype=bool)
+        distinct[1:] = values[1:] != values[:-1]
+        values = values[distinct]
+        return (values,) + tuple(
+            np.diff(np.searchsorted(np.sort(x), values, "right"), prepend=0)
+            for x in (up, down))
+
 
 @dataclass(frozen=True)
 class FidelityReport:
@@ -144,19 +162,6 @@ def conditional_histograms(
     )
 
 
-def _count_table(up: np.ndarray, down: np.ndarray):
-    """The distinct values of ``up`` and ``down`` together, ascending, and
-    how many samples of each take every value: a table whose size follows
-    the number of samples, not the range of their values."""
-    values = np.sort(np.concatenate([up, down]))
-    distinct = np.ones(len(values), dtype=bool)
-    distinct[1:] = values[1:] != values[:-1]
-    values = values[distinct]
-    return (values,) + tuple(
-        np.diff(np.searchsorted(np.sort(x), values, "right"), prepend=0)
-        for x in (up, down))
-
-
 def fidelity_vs_threshold(hists: ConditionalHistograms) -> FidelityReport:
     """Scan every candidate threshold and report the max-min optimum.
 
@@ -169,7 +174,7 @@ def fidelity_vs_threshold(hists: ConditionalHistograms) -> FidelityReport:
     up, down = hists.samples_up, hists.samples_down
     if len(up) == 0 or len(down) == 0:
         raise ValueError("both conditional histograms must be nonempty")
-    values, n_up, n_down = _count_table(up, down)
+    values, n_up, n_down = hists.count_table
     # below_x[k]: how many samples of x lie under the threshold of row k;
     # row k + 1's threshold is values[k] + 1, formed without overflow
     below_up, below_down = (np.concatenate(([0], np.cumsum(n)))
@@ -675,8 +680,26 @@ def report_payload(report: FidelityReport) -> dict:
     }
 
 
+def report_json(payload: dict) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte, for
+    a ``report_payload`` with any other keys added.  The threshold curve,
+    rows of finite floats whose JSON is their repr, is formatted in one
+    ``%r`` pass rather than by json's indenting encoder, which runs in pure
+    Python, one value at a time."""
+    curve = payload["threshold_curve"]
+    text = json.dumps({**payload, "threshold_curve": []}, indent=2,
+                      sort_keys=True)
+    if not curve:
+        return text
+    row = "\n    [\n" + ",\n".join(["      %r"] * len(curve[0])) + "\n    ]"
+    rows = ",".join([row] * len(curve)) % tuple(chain.from_iterable(curve))
+    # a string value holds its quotes escaped, so only the key matches
+    return text.replace('"threshold_curve": []',
+                        f'"threshold_curve": [{rows}\n  ]', 1)
+
+
 def histograms_to_csv(hists: ConditionalHistograms, path) -> None:
     """Write (count, freq_up, freq_down) rows for each count that occurs."""
     with open(path, "w") as fh:
         fh.write("count,freq_up,freq_down\n")
-        _write_rows(fh, _count_table(hists.samples_up, hists.samples_down))
+        _write_rows(fh, hists.count_table)

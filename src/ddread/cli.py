@@ -26,6 +26,7 @@ from .analysis import (
     fidelity_vs_threshold,
     fit_hyperfine,
     histograms_to_csv,
+    report_json,
     report_payload,
 )
 from .coherence import CoherenceCurve, scan_2d, scan_n, scan_tau
@@ -218,7 +219,7 @@ def cmd_analyze(config: RunConfig, out_dir: Path, trace_path) -> int:
     payload["config_sha256"] = config.content_hash()
     payload["seed"] = trace.seed
     out = out_dir / "fidelity_report.json"
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    out.write_text(report_json(payload))
     print(f"wrote {out}")
     print(f"wrote {out_dir / 'histograms.csv'}")
     if report.low_statistics:

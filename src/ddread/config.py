@@ -219,6 +219,12 @@ def parse_config(doc: dict) -> RunConfig:
     consts = _section(doc, "constants")
     fieldcfg = _build(FieldConfig, "config.field_gauss", b_magnitude=_real(
         doc["field_gauss"], "config.field_gauss", GAUSS))
+    # the frame squares gamma_n B, so the square too must be a finite float
+    b = consts.gamma_n * fieldcfg.b_magnitude
+    if math.isinf(b * b):
+        raise ConfigError(
+            f"config.field_gauss: (gamma_n B)^2 is beyond float's range for "
+            f"field_gauss {doc['field_gauss']!r} and gamma_n {consts.gamma_n!r}")
 
     spin_entries = doc.get("spins", [])
     if not isinstance(spin_entries, list):

@@ -23,6 +23,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -262,9 +263,18 @@ def simulate_point(rho: np.ndarray, channel: MeasurementChannel,
     if evals[1] - evals[0] < _NEGLIGIBLE:  # rho ∝ 1: any basis unravels it
         evecs = np.eye(2)
     psi = evecs[:, 0 if rng.random() < evals[0] / evals.sum() else 1].tolist()
-    count, psi, dominant = _point_sampler(channel, config, rng)(psi)
-    if count < 0:  # a quiet run of outcome ~count
-        count = _photon_runs(rng, config, np.array([~count]))[0]
+    table = _start_table(channel, config)
+    o = _fixed_index(psi, table)
+    before = rng.bit_generator.state
+    if o is not None and all(rng.geometric(p) > config.cycles_per_point
+                             for p in table[o].probs):
+        # simulate_trace's quiet test: one quiet run of outcome o
+        psi, dominant = table[o].v, table[o].dominant
+        count = _photon_runs(rng, config, np.array([o]))[0]
+    else:  # the event loop, from the stream before any clock was drawn
+        rng.bit_generator.state = before
+        count, psi, dominant = _simulate_point_aggregate(
+            psi, channel, config, rng, _t1_flip_probs(config), table)
     psi_lab = basis @ np.array(psi)
     return count, np.outer(psi_lab, psi_lab.conj()), dominant
 
@@ -281,9 +291,10 @@ def _collapse(k, psi):
     return p, ((x[0] / p ** 0.5, x[1] / p ** 0.5) if p else psi)
 
 
-def _fixed_index(psi, fixed):
-    """Outcome o of the first fixed point v_o that ``psi`` is on, or None."""
-    return next((o for o, (v, _, _) in enumerate(fixed)
+def _fixed_index(psi, table):
+    """Outcome o of the first fixed point v_o of the ``_start_table`` that
+    ``psi`` is on, or None."""
+    return next((o for o, v, *_ in table
                  if abs(v[0] * psi[1] - v[1] * psi[0]) ** 2 < _NEGLIGIBLE), None)
 
 
@@ -291,6 +302,32 @@ def _t1_flip_probs(config: ReadoutConfig):
     dt = config.cycle_time
     return tuple(float(1.0 - np.exp(-dt / t1))
                  for t1 in (config.t1n_up, config.t1n_down))
+
+
+class _Start(NamedTuple):
+    """A point's start on the fixed point ``v`` of K_o.  A point there runs
+    three competing geometric clocks, in this draw order (their slots):
+    other outcome (0), depolarizing kick (1) and T1 flip (2).  Only the live
+    ones, whose probability is above ``_NEGLIGIBLE``, are listed and drawn;
+    the others never fire."""
+
+    o: int
+    v: list
+    dominant: int  # the locked state of v, +1 up / -1 down
+    slots: tuple  # of the live clocks
+    probs: tuple  # per cycle, of the live clocks
+
+
+def _start_table(channel: MeasurementChannel, config: ReadoutConfig):
+    """The ``_Start`` of each outcome o of ``channel`` under ``config``."""
+    f_up, f_down = _t1_flip_probs(config)
+    table = []
+    for o, (v, q, p_up) in enumerate(channel.locked_frame[2]):
+        probs = (q, config.pi_pulse_error, f_down + p_up * (f_up - f_down))
+        slots = tuple(k for k, p in enumerate(probs) if p > _NEGLIGIBLE)
+        table.append(_Start(o, v, 1 if p_up > 0.5 else -1, slots,
+                            tuple(probs[k] for k in slots)))
+    return table
 
 
 def _cycle_kernel(k0, k1, psi, u, rate_bright, rate_dark, eie, pie,
@@ -378,47 +415,6 @@ def _simulate_point_cycles(rho, channel, config, rng):
     return int(photons), rho_out, dominant
 
 
-def _point_sampler(channel, config, rng):
-    """``sample(psi)``: ``simulate_point`` from the locked-basis pure state
-    ``psi`` (a list), with the per-trace constants built once.  A point that
-    starts on a fixed point v_o draws the clocks of ``_simulate_point_aggregate``
-    there, in its order; if all land beyond the point, the point is one quiet
-    run of outcome o: it draws nothing more, and its count is ~o (< 0), for
-    the caller to draw with ``_photon_runs``.  Any other point goes to the
-    event loop, with the clocks already drawn."""
-    _, _, fixed = channel.locked_frame
-    flips = f_up, f_down = _t1_flip_probs(config)
-    n, geometric = config.cycles_per_point, rng.geometric
-    starts = []
-    for o, (v, q, p_up) in enumerate(fixed):
-        # clock probabilities, 0 for a clock that is not drawn
-        probs = [p if p > _NEGLIGIBLE else 0.0 for p in (
-            q, config.pi_pulse_error, f_down + p_up * (f_up - f_down))]
-        starts.append((o, v, *probs, 1 if p_up > 0.5 else -1))
-    # A point that no event ends returns the fixed vector itself, so the next
-    # start is found by identity; each vector gets the start the abs test
-    # gives it (the first fixed point, should the two coincide).
-    at = {id(v): starts[_fixed_index(v, fixed)] for v, _, _ in fixed}
-
-    def sample(psi):
-        start = at.get(id(psi))
-        if start is None:
-            o = _fixed_index(psi, fixed)
-            if o is None:
-                return _simulate_point_aggregate(psi, channel, config, rng, flips)
-            start = starts[o]
-        o, v, p_other, p_kick, p_flip, dominant = start
-        t_other = geometric(p_other) if p_other else n + 1
-        t_kick = geometric(p_kick) if p_kick else n + 1
-        t_flip = geometric(p_flip) if p_flip else n + 1
-        if t_other > n and t_kick > n and t_flip > n:
-            return ~o, v, dominant
-        return _simulate_point_aggregate(v, channel, config, rng, flips,
-                                         (o, (t_other, t_kick, t_flip)))
-
-    return sample
-
-
 def _photon_runs(rng, config, outcomes):
     """Photon counts of quiet points, one per entry of the int array
     ``outcomes``: all cycles of a point give outcome o, and a binomial number
@@ -434,24 +430,21 @@ def _photon_runs(rng, config, outcomes):
             + rng.poisson(rates[1 - outcomes] * wrong))
 
 
-def _simulate_point_aggregate(psi, channel, config, rng, flips, first=None):
+def _simulate_point_aggregate(psi, channel, config, rng, flips, table):
     """``simulate_point`` from the locked-basis pure state ``psi`` (a list)
-    with the per-cycle T1 flip probabilities ``flips``; returns the photon
-    count, ``psi`` after the point and the dominant state.  Sampled exactly,
-    event by event: at a fixed point v_o of K_o outcome o repeats with a
-    constant probability, so the quiet cycles before an event take one
-    geometric draw per competing clock: other outcome, kick, T1 flip
-    (Dalibard, Castin & Molmer, PRL 68, 580 (1992); Gillespie, J. Phys. Chem.
-    81, 2340 (1977)).  Event and transient cycles are stepped as in
-    ``_cycle_kernel``; photons are drawn per run.  ``first``, when given, is
-    (o, (t_other, t_kick, t_flip)): ``psi`` is on v_o and the clocks of the
-    first quiet cycles are drawn."""
-    _, kraus, fixed = channel.locked_frame
+    with the per-cycle T1 flip probabilities ``flips`` and the channel's
+    ``_start_table``; returns the photon count, ``psi`` after the point and
+    the dominant state.  Sampled exactly, event by event: at a fixed point
+    v_o of K_o outcome o repeats with a constant probability, so the quiet
+    cycles before an event take one geometric draw per live clock of v_o's
+    entry (Dalibard, Castin & Molmer, PRL 68, 580 (1992); Gillespie, J.
+    Phys. Chem. 81, 2340 (1977)).  Event and transient cycles are stepped as
+    in ``_cycle_kernel``; photons are drawn per run."""
+    kraus = channel.locked_frame[1]
     f_up, f_down = flips  # T1 flip probabilities per cycle
     eie, pie, rates = (config.electron_init_error, config.pi_pulse_error,
                        (config.photon_rate_bright, config.photon_rate_dark))
     remaining, photons, up_cycles, run, run_len = config.cycles_per_point, 0, 0, 0, 0
-    o, clocks = first or (None, None)
 
     def emit(outcome, n):  # n cycles of ``outcome``; a new outcome ends the run
         nonlocal photons, run, run_len
@@ -462,22 +455,21 @@ def _simulate_point_aggregate(psi, channel, config, rng, flips, first=None):
         run, run_len = outcome, (run_len if outcome == run else 0) + n
 
     while remaining:
-        if clocks is None:
-            o = _fixed_index(psi, fixed)
+        o = _fixed_index(psi, table)
         flip = None  # None: drawn in this cycle
         if o is None:  # transient: step one cycle
             outcome = int(rng.random() >= _collapse(kraus[0], psi)[0])
             kick = rng.random() < pie
         else:  # quiet cycles at v_o up to the first event cycle
-            psi, q, p_up = fixed[o]
+            _, psi, dominant, slots, probs = table[o]
             emit(o, 0)
-            t_other, t_kick, t_flip = clocks or (
-                int(rng.geometric(p)) if p > _NEGLIGIBLE else remaining + 1
-                for p in (q, pie, f_down + p_up * (f_up - f_down)))
-            clocks = None
+            clocks = [remaining + 1] * 3  # a clock that is not live
+            for k, p in zip(slots, probs):
+                clocks[k] = rng.geometric(p)
+            t_other, t_kick, t_flip = clocks
             t = min(t_other, t_kick, t_flip, remaining + 1)
             emit(o, t - 1)
-            up_cycles += (t - 1) * (p_up > 0.5)
+            up_cycles += (t - 1) * (dominant > 0)
             remaining -= t - 1
             if not remaining:
                 break
@@ -523,9 +515,9 @@ def simulate_trace(
     rng = _point_rng(config.seed, 0)
     bitgen, start = rng.bit_generator, _plain_state(rng.bit_generator)
     counter, random_raw = start["state"]["counter"], bitgen.random_raw
-    sample = _point_sampler(channel, config, rng)
-    points = np.empty(n_points, dtype=np.int64)
-    hidden = np.empty(n_points, dtype=np.int8)
+    table, flips = _start_table(channel, config), _t1_flip_probs(config)
+    n, geometric = config.cycles_per_point, rng.geometric
+    counts, states, o = [], [], None  # o: the fixed point psi is on, if known
     for i in range(n_points):
         counter[2] = i
         bitgen.state = start
@@ -534,14 +526,39 @@ def simulate_trace(
         # to either locked state, 1/2 each.  random() is (raw >> 11) * 2**-53,
         # so random() < 0.5 is raw < 2**63.
         raw = random_raw()
-        if not i:
-            psi = [1.0, 0.0] if raw < 1 << 63 else [0.0, 1.0]
-        points[i], psi, hidden[i] = sample(psi)
+        if o is None:  # the first point, or the one after an event
+            if not i:
+                psi = [1.0, 0.0] if raw < 1 << 63 else [0.0, 1.0]
+            o = _fixed_index(psi, table)
+        if o is not None:
+            # On v_o: the live clocks.  If all land beyond the point, it is
+            # one quiet run of outcome o, counted ~o (< 0) until the block
+            # draws it, and the next point starts on v_o again.  Otherwise
+            # the stream goes back to before the clocks, and the event loop
+            # draws them again.
+            _, psi, dominant, _, probs = table[o]
+            for p in probs:
+                if geometric(p) <= n:
+                    break
+            else:
+                counts.append(~o)
+                states.append(dominant)
+                continue
+            bitgen.state = start
+            random_raw()
+        count, psi, dominant = _simulate_point_aggregate(
+            psi, channel, config, rng, flips, table)
+        counts.append(count)
+        states.append(dominant)
+        o = None
+    points = np.array(counts, dtype=np.int64)
     quiet = points < 0  # ~o for a quiet run of outcome o
     block = np.random.Generator(np.random.Philox(
         key=[config.seed & 0xFFFFFFFFFFFFFFFF, 1]))
     points[quiet] = _photon_runs(block, config, ~points[quiet])
-    return PhotonTrace(points=points, hidden_states=hidden, config=config)
+    return PhotonTrace(points=points,
+                       hidden_states=np.array(states, dtype=np.int8),
+                       config=config)
 
 
 # Rows per block of the CSV writers: bounds their memory.
@@ -594,9 +611,10 @@ def read_trace_csv(path, readout: ReadoutConfig) -> PhotonTrace:
     """
     seed, counts, hidden = (_read_trace_array(path, readout.seed)
                             or _read_trace_lines(path, readout.seed))
+    # the int64 and int8 arrays wrap the readers' buffers, uncopied
     if hidden is not None:
-        hidden = np.array(hidden, dtype=np.int8)
-    return PhotonTrace(points=np.array(counts, dtype=np.int64),
+        hidden = np.frombuffer(hidden, dtype=np.int8)
+    return PhotonTrace(points=np.frombuffer(counts, dtype=np.int64),
                        hidden_states=hidden,
                        config=replace(readout, seed=seed))
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ddread.analysis import (
+    FidelityReport,
     ThresholdPolicy,
     conditional_histograms,
     detect_jumps,
@@ -13,6 +14,8 @@ from ddread.analysis import (
     fidelity_vs_threshold,
     fit_hyperfine,
     histograms_to_csv,
+    report_json,
+    report_payload,
 )
 from ddread.coherence import scan_n, scan_tau
 from ddread.measurement import PhotonTrace, ReadoutConfig, simulate_trace
@@ -151,6 +154,44 @@ def test_fidelity_shift_invariance():
     best2 = min(report2.fidelity_up, report2.fidelity_down)
     assert best1 == pytest.approx(best2, abs=1e-12)
     assert report2.optimal_threshold == report.optimal_threshold + shift
+
+
+def test_report_json_is_json_dumps():
+    """``report_json`` writes what ``json.dumps(payload, indent=2,
+    sort_keys=True)`` writes, byte for byte, for the payloads ``analyze``
+    builds: with the T1n keys, with the T1n note, from a trace without
+    hidden states (null initialization fidelities), and for a one-row
+    curve."""
+    import json
+
+    rng = np.random.default_rng(5)
+    trace = telegraph_trace(rng, 6000, 60.0)
+    bare = PhotonTrace(points=trace.points, hidden_states=None,
+                       config=trace.config)
+    jumps = detect_jumps(trace, POLICY)
+    est = estimate_t1n(jumps.dwells_up, jumps.dwells_down, 0.189)
+    t1n = {"t1n_up_s": est.t1n_up, "t1n_down_s": est.t1n_down,
+           "t1n_up_ci_s": list(est.ci_up), "t1n_down_ci_s": list(est.ci_down)}
+    note = {"t1n_note": "insufficient dwells for a lifetime estimate"}
+    one_row = FidelityReport(
+        fidelity_up=1.0, fidelity_down=0.0, init_fidelity_up=None,
+        init_fidelity_down=None, optimal_threshold=2400,
+        threshold_curve=np.array([[2400.0, 1.0, 0.0, 0.5]]), n_pairs_up=1,
+        n_pairs_down=1, low_statistics=True)
+    payloads = []
+    for report, extra in [
+            (fidelity_vs_threshold(conditional_histograms(trace, POLICY)), t1n),
+            (fidelity_vs_threshold(conditional_histograms(trace, POLICY)), note),
+            (fidelity_vs_threshold(conditional_histograms(bare, POLICY)), t1n),
+            (one_row, note)]:
+        payload = report_payload(report)
+        payload.update(extra, config_sha256="ab" * 32, seed=7)
+        payloads.append(payload)
+    assert payloads[2]["init_fidelity_up"] is None
+    assert len(payloads[0]["threshold_curve"]) > 100
+    for payload in payloads:
+        assert report_json(payload) == json.dumps(payload, indent=2,
+                                                  sort_keys=True)
 
 
 # ------------------------------------------------------------------ jumps

@@ -392,7 +392,12 @@ def test_cli_spins_not_a_list_exits_2_before_any_output(tmp_path, capsys, value)
      "spins[0].a_vec_khz[0]: expected a finite number, got 1e+306"),
     ("a_perp_khz: 131.95533659231322", "a_perp_khz: 1.0e+300",
      "spins[0]: a_perp must be smaller than 2 gamma_n B"),
-], ids=["gamma_n-negative", "gamma_n-zero", "a_vec-1e306", "a_perp-1e300"])
+    ("field_gauss: 691.0\n", "field_gauss: 1.0e+305\n",
+     "config.field_gauss: (gamma_n B)^2 is beyond float's range"),
+    ("seed: 7\n", "seed: 7\nconstants: {gamma_n: 1.0e+300}\n",
+     "config.field_gauss: (gamma_n B)^2 is beyond float's range"),
+], ids=["gamma_n-negative", "gamma_n-zero", "a_vec-1e306", "a_perp-1e300",
+        "field-1e305", "gamma_n-1e300"])
 def test_cli_bad_physics_value_exits_2_before_any_output(tmp_path, capsys, old,
                                                         new, message):
     """A constant or hyperfine value that the physics refuses is a config
@@ -693,6 +698,24 @@ def test_cli_spectroscopy_bytes(tmp_path):
             "3c76deef4f22520db2b7448d1b89844c0bb99bcd5d61e1abb9c4437e316a9e02",
         "hyperfine_fit.json":
             "6a0d80db48a22bd379c7b732c3ad1fe5f7ea1256f559a2b02c9b17a42fad9143",
+    }
+
+
+def test_cli_analyze_bytes(tmp_path):
+    """``analyze`` of the demo's 5,000-point trace at seed 7, byte for byte:
+    the reader, the count table and the report and histogram writers are
+    pinned together."""
+    out = str(tmp_path)
+    assert main(["--config", DEMO, "--out", out, "ssr", "--points", "5000"]) == 0
+    assert main(["--config", DEMO, "--out", out, "analyze", "--trace",
+                 str(tmp_path / "trace.csv")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("fidelity_report.json", "histograms.csv")}
+    assert digests == {
+        "fidelity_report.json":
+            "e92bfe72d9a323be0138c89708c7af43498b7d23fd8c1c53ee49b119a5b316d4",
+        "histograms.csv":
+            "05dd18ea428cd6fc9ba872075e564052f0bd30ddd78c4e8f6cf7fc946fba1962",
     }
 
 

@@ -6,7 +6,9 @@ run rather than on the next benchmark.  The readout run checks what
 ``analyze`` reads from the harness's telegraph trace against its ground truth.
 """
 
+import importlib
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +23,18 @@ def _run(*args):
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1]), proc.stdout
+
+
+def test_every_traced_name_resolves():
+    """Each function that the harness's ``TRACED`` table names exists in its
+    ddread module, so a rename fails here with the missing name.  The table
+    is read with ``runpy``, which writes no bytecode cache."""
+    traced = runpy.run_path(str(ROOT / "perfbench" / "tracing.py"))["TRACED"]
+    missing = [f"ddread.{layer}.{name}" for layer, names in traced.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"ddread.{layer}"),
+                                       name, None))]
+    assert not missing
 
 
 def test_traced_spectroscopy_run_is_correct():

@@ -2,11 +2,13 @@
 
 The engine and trace loop below are the reference: they enter the event loop
 for every point, find the start's fixed point with the ``abs`` test and draw
-its clocks there.  The sampler draws a point's clocks once, before any event
-loop set-up, and leaves the photon run of a point whose clocks all land
-beyond it to the trace's block stream.  The reference finds those quiet
-points itself and replays the block stream's draws for them.  The draws and
-their order are the same, so the traces must be equal, not close.
+its clocks there.  The sampler draws a point's live clocks from its start
+table before any event loop set-up and leaves the photon run of a point
+whose clocks all land beyond it to the trace's block stream; any other point
+resets its substream and enters the event loop, which draws the same clocks
+again.  The reference finds those quiet points itself and replays the block
+stream's draws for them.  The draws and their order are the same, so the
+traces must be equal, not close.
 
 The block stream changed the bytes of every projective trace, so the last
 test checks, across seeds, that it did not change their distribution: the
@@ -29,6 +31,7 @@ from ddread.measurement import (
     ReadoutConfig,
     _collapse,
     _point_rng,
+    _start_table,
     _t1_flip_probs,
     measurement_channel,
     simulate_trace,
@@ -138,6 +141,12 @@ GRID = [(eie, pie) for eie in (0.0, 0.1) for pie in (0.0, 1e-3)]
 # default T1s: the other-outcome and the kick clock each fire in a point's
 # last cycle while the other clocks land beyond it.
 WEAK_SEQ, WEAK_PIE = CpmgSequence(4, 248e-9), 0.1
+# The start table's edge entries: no live clock at either fixed point (frozen
+# T1, no kicks; in magnus mode no other outcome either), and a T1 clock live
+# at the down fixed point only (frozen T1 up; in magnus mode the flip
+# probability at v_up is exactly 0).
+EDGES = [dict(t1n_up=np.inf, t1n_down=np.inf),
+         dict(t1n_up=np.inf, t1n_down=0.3)]
 
 
 @pytest.mark.parametrize("cycles", [1, 2, 7, 2000])
@@ -148,18 +157,36 @@ def test_trace_matches_the_event_loop(field_691, readout_spin, readout_seq,
         cycles_per_point=cycles, point_duration=0.189, t1n_up=0.1,
         t1n_down=0.3, electron_init_error=eie, pi_pulse_error=pie,
         seed=101 + k)) for k, (eie, pie) in enumerate(GRID)]
+    cases += [(readout_seq, ReadoutConfig(
+        cycles_per_point=cycles, point_duration=0.189,
+        electron_init_error=0.1, seed=111 + k, **t1s))
+        for k, t1s in enumerate(EDGES)]
     if cycles < 2000:
         cases.append((WEAK_SEQ, ReadoutConfig(cycles_per_point=cycles,
                                               pi_pulse_error=WEAK_PIE,
                                               seed=105)))
-    first = []  # per case, the clocks of each point that starts on v_o
-    for seq, config in cases:
+    first, quiet = [], []  # per case, the clocks of each point that starts
+    for seq, config in cases:  # on v_o, and which points are quiet
         channel = measurement_channel(readout_spin, field_691, seq, mode)
         first.append([])
         trace = simulate_trace(readout_spin, field_691, seq, config, 200, mode)
-        points, hidden, _ = loop_trace(channel, config, 200, first[-1])
+        points, hidden, outcome = loop_trace(channel, config, 200, first[-1])
         assert np.array_equal(trace.points, points)
         assert np.array_equal(trace.hidden_states, hidden)
+        quiet.append((outcome >= 0, hidden))
+    if mode == "magnus":
+        # the live slots (other outcome 0, kick 1, T1 flip 2) at (v_up, v_down)
+        edges = cases[len(GRID):len(GRID) + 2]
+        assert [[start.slots for start in _start_table(
+            measurement_channel(readout_spin, field_691, seq, mode), config)]
+            for seq, config in edges] == [[(), ()], [(), (2,)]]
+        # no live clock: every point quiet, the hidden state constant
+        still, hidden = quiet[len(GRID)]
+        assert still.all() and len(set(hidden.tolist())) == 1
+        # T1 live at v_down only: the trace starts down, flips up and stays
+        _, hidden = quiet[len(GRID) + 1]
+        up = hidden.argmax()
+        assert hidden[0] == -1 and (hidden[up:] == 1).all()
     if cycles == 2000:
         return
     # the quiet test's edge: at the projective point, an event in a point's
