@@ -281,8 +281,8 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be non-negative")
+            if not 0 <= args.seed < 2**63:
+                raise ConfigError("--seed must lie in [0, 2**63)")
             config = replace(config, readout=replace(config.readout, seed=args.seed))
         if args.command == "ssr" and args.points < 1:
             raise ConfigError("--points must be >= 1")

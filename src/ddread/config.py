@@ -71,9 +71,15 @@ def _require_keys(section: dict, allowed: set, required: set, where: str):
         raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
 
 
-def _integer(value, name: str) -> int:
+def _integer(value, name: str, low: int = -2**63) -> int:
+    """``value``, an int in [``low``, 2**63): at most int64's range, the
+    widest that numpy's integer code takes."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name}: expected an integer, got {value!r}")
+    if not low <= value < 2**63:
+        span = "int64's range" if low == -2**63 else f"[{low}, 2**63)"
+        raise ConfigError(f"{name}: expected an integer in {span}, "
+                          f"got {value!r}")
     return value
 
 
@@ -233,9 +239,7 @@ def parse_config(doc: dict) -> RunConfig:
                   for i, entry in enumerate(spin_entries))
 
     seq = _section(doc, "sequence")
-    seed = _integer(doc.get("seed", 0), "config.seed")
-    if seed < 0:
-        raise ConfigError("config.seed: expected a non-negative integer")
+    seed = _integer(doc.get("seed", 0), "config.seed", 0)
     readout = _section(doc, "readout", seed=seed)
     thresholds = _section(doc, "thresholds")
 
@@ -251,8 +255,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"scan.n_list: expected a non-empty list, got {n_list!r}")
     for name, n in [("n_max", scan_sec.get("n_max", 1))] + [
             (f"n_list[{i}]", n) for i, n in enumerate(n_list)]:
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ConfigError(f"scan.{name}: expected a positive integer, got {n!r}")
+        _integer(n, f"scan.{name}", 1)
     scan = dict(scan_sec)
 
     mode = doc.get("propagator_mode", "exact")

@@ -20,6 +20,7 @@ depend on the photon draws, and traces are reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -196,6 +197,10 @@ class ReadoutConfig:
                 raise ValueError("error probabilities must lie in [0, 1]")
         if self.t1n_up <= 0 or self.t1n_down <= 0 or self.point_duration <= 0:
             raise ValueError("lifetimes and durations must be positive")
+        # numpy reads a Philox key word beyond int64 through float64, so
+        # larger seeds would share streams
+        if not 0 <= self.seed < 2**63:
+            raise ValueError("seed must lie in [0, 2**63)")
 
     @property
     def cycle_time(self) -> float:
@@ -252,29 +257,22 @@ def _plain_state(bitgen: np.random.Philox) -> dict:
 def simulate_point(rho: np.ndarray, channel: MeasurementChannel,
                    config: ReadoutConfig, rng: np.random.Generator):
     """One binned data point of cycles_per_point measurement cycles from the
-    nuclear density matrix ``rho``: each cycle draws the electron outcome from the Kraus pair and collapses the nucleus,
-    then Poisson photons of the outcome class (misassigned with probability
-    electron_init_error), the optional depolarizing kick and a T1 flip.
-    Returns (photon_count, rho_after, dominant_state), the dominant
-    locked state +1 (up) / -1 (down) by occupation time."""
-    # unravel the input into a pure locked-basis state with one uniform draw
+    nuclear density matrix ``rho``: each cycle draws the electron outcome
+    from the Kraus pair and collapses the nucleus, then Poisson photons of
+    the outcome class (misassigned with probability electron_init_error),
+    the optional depolarizing kick and a T1 flip.  ``rho`` is unravelled
+    into a locked-basis pure state with one uniform draw, and the point is
+    sampled by ``_simulate_point_aggregate``.  Returns (photon_count,
+    rho_after, dominant_state), the dominant locked state +1 (up) / -1
+    (down) by occupation time."""
     basis = channel.locked_frame[0]
     evals, evecs = np.linalg.eigh(basis.conj().T @ rho @ basis)
     if evals[1] - evals[0] < _NEGLIGIBLE:  # rho ∝ 1: any basis unravels it
         evecs = np.eye(2)
     psi = evecs[:, 0 if rng.random() < evals[0] / evals.sum() else 1].tolist()
-    table = _start_table(channel, config)
-    o = _fixed_index(psi, table)
-    before = rng.bit_generator.state
-    if o is not None and all(rng.geometric(p) > config.cycles_per_point
-                             for p in table[o].probs):
-        # simulate_trace's quiet test: one quiet run of outcome o
-        psi, dominant = table[o].v, table[o].dominant
-        count = _photon_runs(rng, config, np.array([o]))[0]
-    else:  # the event loop, from the stream before any clock was drawn
-        rng.bit_generator.state = before
-        count, psi, dominant = _simulate_point_aggregate(
-            psi, channel, config, rng, _t1_flip_probs(config), table)
+    count, psi, dominant = _simulate_point_aggregate(
+        psi, channel, config, rng, _t1_flip_probs(config),
+        _start_table(channel, config))
     psi_lab = basis @ np.array(psi)
     return count, np.outer(psi_lab, psi_lab.conj()), dominant
 
@@ -330,89 +328,58 @@ def _start_table(channel: MeasurementChannel, config: ReadoutConfig):
     return table
 
 
-def _cycle_kernel(k0, k1, psi, u, rate_bright, rate_dark, eie, pie,
-                  p_flip_up, p_flip_down):
-    """Pure-state quantum-trajectory loop in the locked basis (test reference).
-
-    ``u`` holds six pre-drawn uniforms per cycle (outcome, misassignment,
-    photon count, depolarizing occurrence, depolarizing target, T1 flip), so
-    the kernel is deterministic given its inputs.
-    The depolarizing kick is unravelled as a jump to a random locked state
-    with the channel's probability, which reproduces the density-matrix map
-    in ensemble average.  Returns (photon total, cycles spent nearer up).
-    """
-    photons = 0
-    up_cycles = 0
-    for i in range(u.shape[0]):
-        a0 = k0[0, 0] * psi[0] + k0[0, 1] * psi[1]
-        a1 = k0[1, 0] * psi[0] + k0[1, 1] * psi[1]
-        p0 = a0.real * a0.real + a0.imag * a0.imag \
-            + a1.real * a1.real + a1.imag * a1.imag
-        if u[i, 0] < p0:
-            norm = np.sqrt(p0)
-            psi[0] = a0 / norm
-            psi[1] = a1 / norm
-            bright = True
-        else:
-            b0 = k1[0, 0] * psi[0] + k1[0, 1] * psi[1]
-            b1 = k1[1, 0] * psi[0] + k1[1, 1] * psi[1]
-            norm = np.sqrt(b0.real * b0.real + b0.imag * b0.imag
-                           + b1.real * b1.real + b1.imag * b1.imag)
-            psi[0] = b0 / norm
-            psi[1] = b1 / norm
-            bright = False
-        if eie > 0.0 and u[i, 1] < eie:
-            bright = not bright
-        lam = rate_bright if bright else rate_dark
-        # inverse-CDF Poisson draw (lam is well below 1 in practice)
-        uu = u[i, 2]
-        k = 0
-        p = np.exp(-lam)
-        cdf = p
-        while uu > cdf and k < 10000:
-            k += 1
-            p *= lam / k
-            cdf += p
-        photons += k
-        if pie > 0.0 and u[i, 3] < pie:
-            if u[i, 4] < 0.5:
-                psi[0] = 1.0 + 0.0j
-                psi[1] = 0.0 + 0.0j
-            else:
-                psi[0] = 0.0 + 0.0j
-                psi[1] = 1.0 + 0.0j
-        p_up = psi[0].real * psi[0].real + psi[0].imag * psi[0].imag
-        if p_up > 0.5:
-            up_cycles += 1
-        if u[i, 5] < p_up * p_flip_up + (1.0 - p_up) * p_flip_down:
-            tmp = psi[0]
-            psi[0] = psi[1]
-            psi[1] = tmp
-    return photons, up_cycles
-
-
 def _simulate_point_cycles(rho, channel, config, rng):
-    basis = np.column_stack([channel.basis_up, channel.basis_down])
-    k0 = basis.conj().T @ channel.kraus_0 @ basis
-    k1 = basis.conj().T @ channel.kraus_1 @ basis
-    # unravel the input density matrix into a pure state in the locked basis
-    rho_b = basis.conj().T @ rho @ basis
-    evals, evecs = np.linalg.eigh(rho_b)
+    """``simulate_point`` stepped one cycle at a time: the pure-state
+    quantum-trajectory loop in the locked basis (test reference; Dalibard,
+    Castin & Molmer, PRL 68, 580 (1992)).
+
+    After the unravel draw, each cycle takes six uniforms from one block
+    drawn up front: outcome, misassignment, photon count (inverse-CDF
+    Poisson), depolarizing occurrence, depolarizing target and T1 flip.  The
+    depolarizing kick is unravelled as a jump to a random locked state with
+    the channel's probability, which reproduces the density-matrix map in
+    ensemble average.
+    """
+    basis, (((a, b), (c, d)), ((e, f), (g, h))), _ = channel.locked_frame
+    evals, evecs = np.linalg.eigh(basis.conj().T @ rho @ basis)
     evals = np.clip(evals, 0.0, 1.0)
     pick = 1 if rng.random() < evals[1] / max(evals.sum(), 1e-300) else 0
-    psi = np.ascontiguousarray(evecs[:, pick], dtype=np.complex128)
-    p_flip_up, p_flip_down = _t1_flip_probs(config)
-    u = rng.random((config.cycles_per_point, 6))
-    photons, up_cycles = _cycle_kernel(
-        np.ascontiguousarray(k0), np.ascontiguousarray(k1), psi, u,
-        config.photon_rate_bright, config.photon_rate_dark,
-        config.electron_init_error, config.pi_pulse_error,
-        p_flip_up, p_flip_down,
-    )
-    psi_lab = basis @ psi
-    rho_out = np.outer(psi_lab, psi_lab.conj())
+    psi0, psi1 = evecs[:, pick].tolist()
+    eie, pie = config.electron_init_error, config.pi_pulse_error
+    f_up, f_down = _t1_flip_probs(config)
+    # (rate, e^-rate) per class, dark then bright
+    poisson = [(rate, float(np.exp(-rate)))
+               for rate in (config.photon_rate_dark, config.photon_rate_bright)]
+    photons = up_cycles = 0
+    for u in rng.random((config.cycles_per_point, 6)).tolist():
+        x, y = a * psi0 + b * psi1, c * psi0 + d * psi1
+        p = x.real * x.real + x.imag * x.imag + y.real * y.real + y.imag * y.imag
+        bright = u[0] < p
+        if not bright:
+            x, y = e * psi0 + f * psi1, g * psi0 + h * psi1
+            p = (x.real * x.real + x.imag * x.imag
+                 + y.real * y.real + y.imag * y.imag)
+        # a product with the reciprocal, as numpy divides a complex by a
+        # real: the arithmetic the pinned draws were recorded with
+        scale = 1.0 / math.sqrt(p)
+        psi0, psi1 = x * scale, y * scale
+        # the outcome's class, the other one when misassigned
+        lam, term = poisson[bright != (u[1] < eie)]
+        k, cdf = 0, term
+        while u[2] > cdf and k < 10000:
+            k += 1
+            term *= lam / k
+            cdf += term
+        photons += k
+        if u[3] < pie:
+            psi0, psi1 = (1 + 0j, 0j) if u[4] < 0.5 else (0j, 1 + 0j)
+        p_up = psi0.real * psi0.real + psi0.imag * psi0.imag
+        up_cycles += p_up > 0.5
+        if u[5] < p_up * f_up + (1.0 - p_up) * f_down:
+            psi0, psi1 = psi1, psi0
+    psi_lab = basis @ np.array([psi0, psi1])
     dominant = 1 if up_cycles * 2 >= config.cycles_per_point else -1
-    return int(photons), rho_out, dominant
+    return photons, np.outer(psi_lab, psi_lab.conj()), dominant
 
 
 def _photon_runs(rng, config, outcomes):
@@ -421,8 +388,7 @@ def _photon_runs(rng, config, outcomes):
     of them are misassigned to the other class.  Drawn as arrays, in this
     order: every point's misassigned cycles (none when electron_init_error is
     0), every point's photons of its own class, then of the other class (a
-    Poisson mean of 0 draws nothing).  Size-1 arrays draw what the scalar
-    calls of ``_simulate_point_aggregate``'s ``emit`` draw for one run."""
+    Poisson mean of 0 draws nothing)."""
     n, eie = config.cycles_per_point, config.electron_init_error
     rates = np.array([config.photon_rate_bright, config.photon_rate_dark])
     wrong = rng.binomial(n, eie, size=len(outcomes)) if eie > 0 else 0
@@ -439,7 +405,7 @@ def _simulate_point_aggregate(psi, channel, config, rng, flips, table):
     cycles before an event take one geometric draw per live clock of v_o's
     entry (Dalibard, Castin & Molmer, PRL 68, 580 (1992); Gillespie, J.
     Phys. Chem. 81, 2340 (1977)).  Event and transient cycles are stepped as
-    in ``_cycle_kernel``; photons are drawn per run."""
+    in ``_simulate_point_cycles``; photons are drawn per run."""
     kraus = channel.locked_frame[1]
     f_up, f_down = flips  # T1 flip probabilities per cycle
     eie, pie, rates = (config.electron_init_error, config.pi_pulse_error,
@@ -607,7 +573,8 @@ def read_trace_csv(path, readout: ReadoutConfig) -> PhotonTrace:
     comment when there is one.  Rows are taken in file order; the
     point_index column is not read.  A row whose width differs from the
     first row's, whose count is not an int64 >= 0 or whose hidden state is
-    not +1 or -1, or a negative seed, raises ValueError naming its line.
+    not +1 or -1, or a seed outside [0, 2**63), raises ValueError naming
+    its line.
     """
     seed, counts, hidden = (_read_trace_array(path, readout.seed)
                             or _read_trace_lines(path, readout.seed))
@@ -724,10 +691,10 @@ def _parse_rows(block: bytes, width: int):
 
 def _comment_seed(line: str, seed: int) -> int:
     """The ``seed=`` value of a comment line, else ``seed``; ValueError if
-    the result is not an integer >= 0."""
+    the result is not an integer in [0, 2**63)."""
     seed = next((int(tok[5:]) for tok in line.split()
                  if tok.startswith("seed=")), seed)
-    if seed < 0:
+    if not 0 <= seed < 2**63:
         raise ValueError
     return seed
 

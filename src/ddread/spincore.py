@@ -12,6 +12,7 @@ frequency in Hz happens at configuration boundaries, not here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +81,9 @@ class HyperfineSpin:
             raise ValueError("a_vec must be a 3-vector")
         if not np.all(np.isfinite(vec)):
             raise ValueError("a_vec components must be finite")
+        # the frame squares A, so its square too must be a finite float
+        if math.isinf(sum(x * x for x in vec.tolist())):
+            raise ValueError("|a_vec|^2 is beyond float's range")
         object.__setattr__(self, "a_vec", vec)
 
 

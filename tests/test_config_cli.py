@@ -199,8 +199,14 @@ def test_strict_loader_parses_as_safe_load():
     {"readout": {"cycles_per_point": 40000.0}},
     {"seed": "abc"},
     {"seed": 7.0},
+    {"readout": {"cycles_per_point": 2**70}},
+    {"sequence": {"n_pulses": 2**70, "tau_ns": 248.0}},
+    {"seed": -1},
+    {"seed": 2**63},
+    {"seed": 2**64 + 7},
 ], ids=["low-str", "low-float", "high-bool", "cycles-float", "seed-str",
-        "seed-float"])
+        "seed-float", "cycles-2**70", "n_pulses-2**70", "seed-negative",
+        "seed-2**63", "seed-2**64+7"])
 def test_cli_non_integer_field_exits_2(tmp_path, capsys, patch):
     key = next(iter(patch))
     name = f"config.{key}" if key == "seed" else f"{key}.{next(iter(patch[key]))}"
@@ -318,6 +324,7 @@ _BAD_SCAN_LINES = [
     ("  n_list: []", "scan.n_list"), ("  n_list: 4", "scan.n_list"),
     ("  n_list: [2, 0]", "scan.n_list[1]"), ("  n_list: [2, 4.0]", "scan.n_list[1]"),
     ("  n_list: [.nan]", "scan.n_list[0]"), ("  n_list: [true]", "scan.n_list[0]"),
+    (f"  n_list: [{2**70}]", "scan.n_list[0]"), (f"  n_max: {2**63}", "scan.n_max"),
 ]
 
 
@@ -396,8 +403,12 @@ def test_cli_spins_not_a_list_exits_2_before_any_output(tmp_path, capsys, value)
      "config.field_gauss: (gamma_n B)^2 is beyond float's range"),
     ("seed: 7\n", "seed: 7\nconstants: {gamma_n: 1.0e+300}\n",
      "config.field_gauss: (gamma_n B)^2 is beyond float's range"),
+    (_DEMO_SPINS, "spins:\n  - a_vec_khz: [1.0e+300, 0.0, 0.0]\n",
+     "spins[0]: |a_vec|^2 is beyond float's range"),
+    (_DEMO_SPINS, "spins:\n  - a_vec_khz: [0, 0, 1.0e+300]\n",
+     "spins[0]: |a_vec|^2 is beyond float's range"),
 ], ids=["gamma_n-negative", "gamma_n-zero", "a_vec-1e306", "a_perp-1e300",
-        "field-1e305", "gamma_n-1e300"])
+        "field-1e305", "gamma_n-1e300", "a_vec-x-1e300", "a_vec-z-1e300"])
 def test_cli_bad_physics_value_exits_2_before_any_output(tmp_path, capsys, old,
                                                         new, message):
     """A constant or hyperfine value that the physics refuses is a config
@@ -411,6 +422,21 @@ def test_cli_bad_physics_value_exits_2_before_any_output(tmp_path, capsys, old,
                  "--points", "2"]) == 2
     err = capsys.readouterr().err
     assert f"config error: {message}" in err and "Warning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**63), "18446744073709551623"])
+def test_cli_seed_out_of_range_exits_2_before_any_output(tmp_path, capsys,
+                                                         seed):
+    """``--seed`` takes the config seed's range, [0, 2**63): numpy reads a
+    larger Philox key word through float64, so such seeds shared streams
+    (2**64 + 7 gave seed 7's trace rows).  Exit 2, no traceback, before the
+    output directory is made."""
+    out = tmp_path / "out"
+    assert main(["--config", DEMO, "--seed", seed, "--out", str(out), "ssr",
+                 "--points", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: --seed must lie in [0, 2**63)\n")
     assert not out.exists()
 
 
@@ -642,15 +668,16 @@ def test_read_trace_csv_carries_the_run_readout(tmp_path):
 
 
 def test_trace_with_a_negative_seed_exits_2(tmp_path, capsys):
-    """A trace's seed obeys the rule of ``--seed``: non-negative."""
+    """A trace's seed obeys the rule of ``--seed``: in [0, 2**63)."""
     trace = tmp_path / "trace.csv"
-    trace.write_text("# config_sha256=abc seed=-3\n"
-                     "point_index,photon_count,hidden_state\n0,2400,1\n")
     out = tmp_path / "out"
-    assert main(["--config", DEMO, "--out", str(out),
-                 "analyze", "--trace", str(trace)]) == 2
-    assert f"{trace}, line 1" in capsys.readouterr().err
-    assert not out.exists()
+    for seed in (-3, 2**63, 2**64 + 7):
+        trace.write_text(f"# config_sha256=abc seed={seed}\n"
+                         "point_index,photon_count,hidden_state\n0,2400,1\n")
+        assert main(["--config", DEMO, "--out", str(out),
+                     "analyze", "--trace", str(trace)]) == 2
+        assert f"{trace}, line 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # The demo config on the exact (non-QND) channel with depolarizing kicks and

@@ -1,5 +1,6 @@
 """Kraus channels, entanglement tuning, and the photon-trace engine."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from ddread.sequence import CpmgSequence
 from ddread.spincore import HyperfineSpin, spin_from_frame_components
 
 from conftest import TWO_PI_KHZ, replay_quiet_runs
+from test_sampler_oracle import loop_trace
 
 
 def test_completeness_over_grid(field_305, scan_spin, bath_305):
@@ -170,6 +172,9 @@ def test_readout_config_validation():
         ReadoutConfig(electron_init_error=1.5)
     with pytest.raises(ValueError):
         ReadoutConfig(t1n_up=0.0)
+    for seed in (-1, 2**63, 2**64 + 7):  # a seed is a Philox key word in int64
+        with pytest.raises(ValueError, match="seed"):
+            ReadoutConfig(seed=seed)
     cfg = ReadoutConfig()
     assert cfg.cycles_per_point == 40000
     assert cfg.point_duration == pytest.approx(0.189)
@@ -195,7 +200,7 @@ def test_point_distribution_matches_poisson_mixture(field_691, readout_spin,
 
 
 def test_trajectory_and_aggregate_paths_agree(field_691, readout_spin,
-                                              readout_seq, monkeypatch):
+                                              readout_seq):
     """The per-cycle reference and the event-driven engine sample the same
     distribution at a projective working point."""
     import ddread.measurement as m
@@ -214,10 +219,15 @@ def test_trajectory_and_aggregate_paths_agree(field_691, readout_spin,
     assert abs(fast.std() - slow.std()) / slow.std() < 0.25
 
 
-@pytest.mark.parametrize("overrides", [
+# the cases of test_engine_matches_per_cycle_reference
+REFERENCE_CASES = [
     {},
     {"pi_pulse_error": 1e-3, "t1n_up": 5e-3, "t1n_down": 20e-3},
-], ids=["backaction", "kicks-asymmetric-t1"])
+]
+
+
+@pytest.mark.parametrize("overrides", REFERENCE_CASES,
+                         ids=["backaction", "kicks-asymmetric-t1"])
 def test_engine_matches_per_cycle_reference(field_691, readout_spin,
                                             readout_seq, overrides):
     """The event-driven engine against the brute-force per-cycle loop on the
@@ -255,6 +265,37 @@ def test_engine_matches_per_cycle_reference(field_691, readout_spin,
         assert abs(f_eng.mean() - f_ref.mean()) <= 4 * pooled_se
 
 
+# sha256 of the points below, recorded with the numpy-scalar form of the
+# per-cycle reference that the distribution tests above first ran with
+REFERENCE_PIN = "9d4b9ac2d5115c944abe5fcc3fd1ca95b36814e2568221334edd5ea2e37b425f"
+
+
+def test_per_cycle_reference_draws_are_pinned(field_691, readout_spin,
+                                              readout_seq):
+    """The per-cycle reference that the three distribution tests above rely
+    on keeps its draws and its arithmetic, bit for bit: the sha256 over
+    (count, dominant state, rho bytes) of two 40,000-cycle magnus points and
+    of 20 exact 2,000-cycle points per case of
+    ``test_engine_matches_per_cycle_reference`` (its first 20 reference
+    points) is pinned."""
+    import ddread.measurement as m
+
+    cases = [("magnus", ReadoutConfig(seed=0), 9, 2)] + [
+        ("exact", ReadoutConfig(cycles_per_point=2000,
+                                point_duration=0.189 / 20, **overrides), 22, 20)
+        for overrides in REFERENCE_CASES]
+    digest = hashlib.sha256()
+    for mode, cfg, seed, n_points in cases:
+        ch = measurement_channel(readout_spin, field_691, readout_seq, mode)
+        rho = np.outer(ch.basis_down, ch.basis_down.conj())
+        rng = np.random.default_rng(seed)
+        for _ in range(n_points):
+            count, rho_out, dominant = m._simulate_point_cycles(rho, ch, cfg,
+                                                                rng)
+            digest.update(repr((count, dominant)).encode() + rho_out.tobytes())
+    assert digest.hexdigest() == REFERENCE_PIN
+
+
 def test_trace_determinism_and_substreams(field_691, readout_spin, readout_seq):
     cfg = ReadoutConfig(seed=31)
     t1 = simulate_trace(readout_spin, field_691, readout_seq, cfg, 60)
@@ -266,32 +307,26 @@ def test_trace_determinism_and_substreams(field_691, readout_spin, readout_seq):
     assert not np.array_equal(t1.points, other.points)
 
 
-def _point_chain(ch, cfg, n_points, monkeypatch):
+def _point_chain(ch, cfg, n_points):
     """(points, hidden states) of chaining ``simulate_point`` over density
     matrices from the fully mixed state, with a fresh ``_point_rng(seed, i)``
-    per point.  The points that ``simulate_point`` finds quiet (it draws
-    their photon run with ``_photon_runs``) take their counts from the
-    trace's block stream instead, replayed."""
-    import ddread.measurement as m
+    per point.  The chain is checked, draw for draw, against the event
+    loop's trace with each quiet point's own draws (``loop_trace`` with
+    ``block=False``); its quiet points then take their photon runs from the
+    trace's block stream, replayed."""
+    from ddread.measurement import _point_rng
 
-    outcomes, photon_runs = [], m._photon_runs
-
-    def recorded(rng, config, quiet):
-        outcomes.extend(quiet.tolist())
-        return photon_runs(rng, config, quiet)
-
-    rho, rows, quiet = np.eye(2, dtype=complex) / 2.0, [], []
-    with monkeypatch.context() as patch:
-        patch.setattr(m, "_photon_runs", recorded)
-        for i in range(n_points):
-            n_quiet = len(outcomes)
-            count, rho, dominant = simulate_point(rho, ch, cfg,
-                                                  m._point_rng(cfg.seed, i))
-            rows.append((count, dominant))
-            if len(outcomes) > n_quiet:
-                quiet.append(i)
+    rho, rows = np.eye(2, dtype=complex) / 2.0, []
+    for i in range(n_points):
+        count, rho, dominant = simulate_point(rho, ch, cfg,
+                                              _point_rng(cfg.seed, i))
+        rows.append((count, dominant))
     points, hidden = np.array(rows).T
-    points[quiet] = replay_quiet_runs(cfg, outcomes)
+    own, own_hidden, outcome = loop_trace(ch, cfg, n_points, block=False)
+    assert np.array_equal(points, own)
+    assert np.array_equal(hidden, own_hidden)
+    quiet = outcome >= 0
+    points[quiet] = replay_quiet_runs(cfg, outcome[quiet].tolist())
     return points, hidden
 
 
@@ -300,8 +335,7 @@ def _point_chain(ch, cfg, n_points, monkeypatch):
     ("exact", {"pi_pulse_error": 1e-4, "t1n_up": 5.0, "t1n_down": 20.0}),
 ], ids=["magnus", "exact-kicks-asymmetric-t1"])
 def test_trace_matches_the_per_point_chain(field_691, readout_spin,
-                                           readout_seq, monkeypatch, mode,
-                                           overrides):
+                                           readout_seq, mode, overrides):
     """``simulate_trace`` carries the locked-basis state from point to point
     and moves one Philox to each point's counter.  That is the same trace,
     draw for draw, as chaining ``simulate_point`` over density matrices from
@@ -313,7 +347,7 @@ def test_trace_matches_the_per_point_chain(field_691, readout_spin,
         cfg = ReadoutConfig(seed=seed, **overrides)
         trace = simulate_trace(readout_spin, field_691, readout_seq, cfg,
                                300, mode)
-        points, hidden = _point_chain(ch, cfg, 300, monkeypatch)
+        points, hidden = _point_chain(ch, cfg, 300)
         assert np.array_equal(trace.points, points)
         assert np.array_equal(trace.hidden_states, hidden)
         assert len(set(hidden.tolist())) == 2  # the chain flips
@@ -352,7 +386,7 @@ def test_plain_int_reset_is_the_point_rng(seed):
 
 
 def test_first_point_unravels_as_simulate_point(field_691, readout_spin,
-                                                readout_seq, monkeypatch):
+                                                readout_seq):
     """Point 0 starts fully mixed; ``simulate_trace`` unravels it with the
     raw-word test ``raw < 2**63``, which is ``simulate_point``'s
     ``random() < 1/2`` on the same word.  Over many seeds both locked
@@ -364,7 +398,7 @@ def test_first_point_unravels_as_simulate_point(field_691, readout_spin,
         cfg = ReadoutConfig(seed=seed)
         trace = simulate_trace(readout_spin, field_691, readout_seq, cfg, 1,
                                "magnus")
-        (count,), (dominant,) = _point_chain(ch, cfg, 1, monkeypatch)
+        (count,), (dominant,) = _point_chain(ch, cfg, 1)
         assert (trace.points[0], trace.hidden_states[0]) == (count, dominant)
         starts.add(dominant)
     assert starts == {1, -1}

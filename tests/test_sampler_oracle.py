@@ -107,7 +107,8 @@ def loop_trace(channel, config, n_points, first=None, block=True):
     """(points, hidden states, outcome o of each quiet point, -1 elsewhere)
     of ``simulate_trace``, one event loop per point and the quiet points'
     photon runs replayed from the block stream.  ``block=False`` keeps each
-    quiet point's own draws: the layout before the block stream."""
+    quiet point's own draws: the layout before the block stream, which
+    chained ``simulate_point`` calls draw."""
     flips = _t1_flip_probs(config)
     rng = _point_rng(config.seed, 0)
     bitgen, start = rng.bit_generator, rng.bit_generator.state
