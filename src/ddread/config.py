@@ -253,9 +253,15 @@ def parse_config(doc: dict) -> RunConfig:
     n_list = scan_sec.get("n_list", [1])
     if not isinstance(n_list, list) or not n_list:
         raise ConfigError(f"scan.n_list: expected a non-empty list, got {n_list!r}")
-    for name, n in [("n_max", scan_sec.get("n_max", 1))] + [
+    n_max = scan_sec.get("n_max", 1)
+    for name, n in [("n_max", n_max)] + [
             (f"n_list[{i}]", n) for i, n in enumerate(n_list)]:
         _integer(n, f"scan.{name}", 1)
+    # scan_n's arange takes its length from n_max in float64, where these
+    # round to 2**63: it would scan nothing
+    if n_max >= 2**63 - 512:
+        raise ConfigError(f"scan.n_max: expected an integer in [1, 2**63 - 512), "
+                          f"got {n_max!r}")
     scan = dict(scan_sec)
 
     mode = doc.get("propagator_mode", "exact")

@@ -10,12 +10,12 @@ Long photon traces are produced by chaining many 40,000-cycle points.  Each
 point draws its unravel word and its clocks from its own counter-based
 substream: one Philox bit generator serves the whole trace and has its
 counter set to the point's block before the point, which gives the same
-substreams as a fresh generator per point.  A point with an event draws its
-photons there too.  A quiet point (it starts on a fixed point and no clock
-fires in it) feeds nothing back into the chain, so its photon run is drawn
-after the loop, with every other quiet point's, from one block stream per
-trace (Philox key [seed, 1]).  The hidden trajectory therefore does not
-depend on the photon draws, and traces are reproducible bit for bit.
+substreams as a fresh generator per point.  The chain records only each
+point's number of bright (outcome 0) cycles and its dominant state; after
+the loop every point's photon count is drawn from its tally, all points at
+once, from one block stream per trace (Philox key [seed, 1]).  The hidden
+trajectory therefore does not depend on the photon model or its
+calibration, and traces are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -163,6 +163,10 @@ def entanglement_vs_n(
     return ns, entropies, phases
 
 
+# numpy's largest Poisson mean: int64 max less ten of its square roots
+_POISSON_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
+
+
 @dataclass(frozen=True)
 class ReadoutConfig:
     """Calibration constants of the single-shot readout engine.
@@ -190,8 +194,13 @@ class ReadoutConfig:
     def __post_init__(self):
         if self.cycles_per_point < 1:
             raise ValueError("cycles_per_point must be >= 1")
-        if self.photon_rate_bright < 0 or self.photon_rate_dark < 0:
+        rates = (self.photon_rate_bright, self.photon_rate_dark)
+        if min(rates) < 0:
             raise ValueError("photon rates must be non-negative")
+        # a point's photon mean is at most its larger rate times its cycles
+        if max(rates) * self.cycles_per_point > _POISSON_MAX:
+            raise ValueError("photon rate times cycles_per_point must not "
+                             f"exceed numpy's Poisson limit {_POISSON_MAX:.4g}")
         for p in (self.electron_init_error, self.pi_pulse_error):
             if not (0.0 <= p <= 1.0):
                 raise ValueError("error probabilities must lie in [0, 1]")
@@ -261,18 +270,20 @@ def simulate_point(rho: np.ndarray, channel: MeasurementChannel,
     from the Kraus pair and collapses the nucleus, then Poisson photons of
     the outcome class (misassigned with probability electron_init_error),
     the optional depolarizing kick and a T1 flip.  ``rho`` is unravelled
-    into a locked-basis pure state with one uniform draw, and the point is
-    sampled by ``_simulate_point_aggregate``.  Returns (photon_count,
-    rho_after, dominant_state), the dominant locked state +1 (up) / -1
-    (down) by occupation time."""
+    into a locked-basis pure state with one uniform draw, the point is
+    sampled by ``_simulate_point_aggregate``, and its photon count is drawn
+    from its bright-cycle tally by ``_photon_counts``, all on ``rng``.
+    Returns (photon_count, rho_after, dominant_state), the dominant locked
+    state +1 (up) / -1 (down) by occupation time."""
     basis = channel.locked_frame[0]
     evals, evecs = np.linalg.eigh(basis.conj().T @ rho @ basis)
     if evals[1] - evals[0] < _NEGLIGIBLE:  # rho ∝ 1: any basis unravels it
         evecs = np.eye(2)
     psi = evecs[:, 0 if rng.random() < evals[0] / evals.sum() else 1].tolist()
-    count, psi, dominant = _simulate_point_aggregate(
+    bright, psi, dominant = _simulate_point_aggregate(
         psi, channel, config, rng, _t1_flip_probs(config),
         _start_table(channel, config))
+    count = int(_photon_counts(rng, config, np.array([bright]))[0])
     psi_lab = basis @ np.array(psi)
     return count, np.outer(psi_lab, psi_lab.conj()), dominant
 
@@ -382,44 +393,38 @@ def _simulate_point_cycles(rho, channel, config, rng):
     return photons, np.outer(psi_lab, psi_lab.conj()), dominant
 
 
-def _photon_runs(rng, config, outcomes):
-    """Photon counts of quiet points, one per entry of the int array
-    ``outcomes``: all cycles of a point give outcome o, and a binomial number
-    of them are misassigned to the other class.  Drawn as arrays, in this
-    order: every point's misassigned cycles (none when electron_init_error is
-    0), every point's photons of its own class, then of the other class (a
-    Poisson mean of 0 draws nothing)."""
+def _photon_counts(rng, config, bright):
+    """Photon counts of points with ``bright`` (an int array) bright
+    (outcome 0) cycles each.  A binomial number of each class's cycles is
+    misassigned to the other class, and a point's photons are one Poisson
+    draw with the summed mean of its cycles: sums of binomials and of
+    Poissons are binomial and Poisson, so this is the per-cycle model in
+    distribution.  Drawn as arrays, in this order: every point's
+    misassigned bright cycles, then every point's misassigned dark cycles,
+    then every count."""
     n, eie = config.cycles_per_point, config.electron_init_error
-    rates = np.array([config.photon_rate_bright, config.photon_rate_dark])
-    wrong = rng.binomial(n, eie, size=len(outcomes)) if eie > 0 else 0
-    return (rng.poisson(rates[outcomes] * (n - wrong))
-            + rng.poisson(rates[1 - outcomes] * wrong))
+    wrong_bright = rng.binomial(bright, eie)
+    wrong_dark = rng.binomial(n - bright, eie)
+    lit = bright - wrong_bright + wrong_dark  # cycles counted in the bright class
+    return rng.poisson(config.photon_rate_bright * lit
+                       + config.photon_rate_dark * (n - lit))
 
 
 def _simulate_point_aggregate(psi, channel, config, rng, flips, table):
     """``simulate_point`` from the locked-basis pure state ``psi`` (a list)
     with the per-cycle T1 flip probabilities ``flips`` and the channel's
-    ``_start_table``; returns the photon count, ``psi`` after the point and
-    the dominant state.  Sampled exactly, event by event: at a fixed point
-    v_o of K_o outcome o repeats with a constant probability, so the quiet
-    cycles before an event take one geometric draw per live clock of v_o's
-    entry (Dalibard, Castin & Molmer, PRL 68, 580 (1992); Gillespie, J.
-    Phys. Chem. 81, 2340 (1977)).  Event and transient cycles are stepped as
-    in ``_simulate_point_cycles``; photons are drawn per run."""
+    ``_start_table``, without its photons: returns the number of bright
+    (outcome 0) cycles, ``psi`` after the point and the dominant state.
+    Sampled exactly, event by event: at a fixed point v_o of K_o outcome o
+    repeats with a constant probability, so the quiet cycles before an
+    event take one geometric draw per live clock of v_o's entry (Dalibard,
+    Castin & Molmer, PRL 68, 580 (1992); Gillespie, J. Phys. Chem. 81, 2340
+    (1977)).  Event and transient cycles are stepped as in
+    ``_simulate_point_cycles``."""
     kraus = channel.locked_frame[1]
     f_up, f_down = flips  # T1 flip probabilities per cycle
-    eie, pie, rates = (config.electron_init_error, config.pi_pulse_error,
-                       (config.photon_rate_bright, config.photon_rate_dark))
-    remaining, photons, up_cycles, run, run_len = config.cycles_per_point, 0, 0, 0, 0
-
-    def emit(outcome, n):  # n cycles of ``outcome``; a new outcome ends the run
-        nonlocal photons, run, run_len
-        if outcome != run and run_len:
-            wrong = int(rng.binomial(run_len, eie)) if eie > 0 else 0
-            photons += int(rng.poisson(rates[run] * (run_len - wrong)))
-            photons += int(rng.poisson(rates[1 - run] * wrong)) if wrong else 0
-        run, run_len = outcome, (run_len if outcome == run else 0) + n
-
+    pie = config.pi_pulse_error
+    remaining, bright, up_cycles = config.cycles_per_point, 0, 0
     while remaining:
         o = _fixed_index(psi, table)
         flip = None  # None: drawn in this cycle
@@ -428,13 +433,12 @@ def _simulate_point_aggregate(psi, channel, config, rng, flips, table):
             kick = rng.random() < pie
         else:  # quiet cycles at v_o up to the first event cycle
             _, psi, dominant, slots, probs = table[o]
-            emit(o, 0)
             clocks = [remaining + 1] * 3  # a clock that is not live
             for k, p in zip(slots, probs):
                 clocks[k] = rng.geometric(p)
             t_other, t_kick, t_flip = clocks
             t = min(t_other, t_kick, t_flip, remaining + 1)
-            emit(o, t - 1)
+            bright += (t - 1) * (o == 0)
             up_cycles += (t - 1) * (dominant > 0)
             remaining -= t - 1
             if not remaining:
@@ -443,7 +447,7 @@ def _simulate_point_aggregate(psi, channel, config, rng, flips, table):
             flip = None if kick or outcome != o else True
         if outcome != o:
             psi = _collapse(kraus[outcome], psi)[1]
-        emit(outcome, 1)
+        bright += outcome == 0
         if kick:
             psi = ((1 + 0j, 0j), (0j, 1 + 0j))[rng.random() >= 0.5]
         p_up = abs(psi[0]) ** 2
@@ -451,8 +455,7 @@ def _simulate_point_aggregate(psi, channel, config, rng, flips, table):
         if flip or flip is None and rng.random() < f_down + p_up * (f_up - f_down):
             psi = psi[::-1]
         remaining -= 1
-    emit(None, 0)
-    return photons, psi, 1 if 2 * up_cycles >= config.cycles_per_point else -1
+    return bright, psi, 1 if 2 * up_cycles >= config.cycles_per_point else -1
 
 
 def simulate_trace(
@@ -483,7 +486,7 @@ def simulate_trace(
     counter, random_raw = start["state"]["counter"], bitgen.random_raw
     table, flips = _start_table(channel, config), _t1_flip_probs(config)
     n, geometric = config.cycles_per_point, rng.geometric
-    counts, states, o = [], [], None  # o: the fixed point psi is on, if known
+    tallies, states, o = [], [], None  # o: the fixed point psi is on, if known
     for i in range(n_points):
         counter[2] = i
         bitgen.state = start
@@ -498,30 +501,27 @@ def simulate_trace(
             o = _fixed_index(psi, table)
         if o is not None:
             # On v_o: the live clocks.  If all land beyond the point, it is
-            # one quiet run of outcome o, counted ~o (< 0) until the block
-            # draws it, and the next point starts on v_o again.  Otherwise
-            # the stream goes back to before the clocks, and the event loop
-            # draws them again.
+            # n cycles of outcome o, and the next point starts on v_o again.
+            # Otherwise the stream goes back to before the clocks, and the
+            # event loop draws them again.
             _, psi, dominant, _, probs = table[o]
             for p in probs:
                 if geometric(p) <= n:
                     break
             else:
-                counts.append(~o)
+                tallies.append(0 if o else n)
                 states.append(dominant)
                 continue
             bitgen.state = start
             random_raw()
-        count, psi, dominant = _simulate_point_aggregate(
+        bright, psi, dominant = _simulate_point_aggregate(
             psi, channel, config, rng, flips, table)
-        counts.append(count)
+        tallies.append(bright)
         states.append(dominant)
         o = None
-    points = np.array(counts, dtype=np.int64)
-    quiet = points < 0  # ~o for a quiet run of outcome o
     block = np.random.Generator(np.random.Philox(
         key=[config.seed & 0xFFFFFFFFFFFFFFFF, 1]))
-    points[quiet] = _photon_runs(block, config, ~points[quiet])
+    points = _photon_counts(block, config, np.array(tallies, dtype=np.int64))
     return PhotonTrace(points=points,
                        hidden_states=np.array(states, dtype=np.int8),
                        config=config)

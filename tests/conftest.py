@@ -48,21 +48,21 @@ def is_unitary(u, tol=1e-12):
     return dev < tol and abs(abs(np.linalg.det(u)) - 1.0) < tol
 
 
-def replay_quiet_runs(config, outcomes):
-    """Photon counts of a trace's quiet points, whose locked outcomes are
-    ``outcomes`` in point order, drawn one call at a time in the layout of
-    ``simulate_trace``'s block stream, Philox keyed by [seed, 1]: every
-    point's misassigned cycles, then every point's photons of its own class,
-    then of the other class (none drawn for no misassigned cycle)."""
-    rng = np.random.Generator(
-        np.random.Philox(key=[config.seed & (2**64 - 1), 1]))
+def replay_photons(config, tallies, rng=None):
+    """Photon counts of points with ``tallies`` bright (outcome 0) cycles
+    each, drawn one scalar call at a time in the layout of
+    ``_photon_counts``: every point's misassigned bright cycles, then its
+    misassigned dark cycles, then its count.  ``rng`` defaults to
+    ``simulate_trace``'s block stream, Philox keyed by [seed, 1]."""
+    if rng is None:
+        rng = np.random.Generator(
+            np.random.Philox(key=[config.seed & (2**64 - 1), 1]))
     n, eie = config.cycles_per_point, config.electron_init_error
-    rates = (config.photon_rate_bright, config.photon_rate_dark)
-    wrong = [int(rng.binomial(n, eie)) if eie > 0 else 0 for _ in outcomes]
-    own = [int(rng.poisson(rates[o] * (n - w)))
-           for o, w in zip(outcomes, wrong)]
-    return [c + (int(rng.poisson(rates[1 - o] * w)) if w else 0)
-            for c, o, w in zip(own, outcomes, wrong)]
+    wrong_bright = [int(rng.binomial(b, eie)) for b in tallies]
+    wrong_dark = [int(rng.binomial(n - b, eie)) for b in tallies]
+    lit = [b - wb + wd for b, wb, wd in zip(tallies, wrong_bright, wrong_dark)]
+    return [int(rng.poisson(config.photon_rate_bright * k
+                            + config.photon_rate_dark * (n - k))) for k in lit]
 
 
 def frame_a_par_for(omega, a_perp, fieldcfg, consts=DEFAULT_CONSTANTS):

@@ -325,6 +325,8 @@ _BAD_SCAN_LINES = [
     ("  n_list: [2, 0]", "scan.n_list[1]"), ("  n_list: [2, 4.0]", "scan.n_list[1]"),
     ("  n_list: [.nan]", "scan.n_list[0]"), ("  n_list: [true]", "scan.n_list[0]"),
     (f"  n_list: [{2**70}]", "scan.n_list[0]"), (f"  n_max: {2**63}", "scan.n_max"),
+    # numpy's arange would give an empty n scan: its length rounds to 2**63
+    (f"  n_max: {2**63 - 1}", "scan.n_max"), (f"  n_max: {2**63 - 512}", "scan.n_max"),
 ]
 
 
@@ -349,6 +351,33 @@ def test_good_scan_keys_parse():
     cfg = parse_config({**BASE, "scan": {"mode": "n", "n_max": 24,
                                          "n_list": [1, 2, 12]}})
     assert cfg.scan == {"mode": "n", "n_max": 24, "n_list": [1, 2, 12]}
+    big = parse_config({**BASE, "scan": {"n_max": 2**63 - 513}})
+    assert big.scan["n_max"] == 2**63 - 513
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 745. GiB for an array",
+     "error: Unable to allocate 745. GiB for an array"),
+    ("", "error: MemoryError"),
+], ids=["numpy", "bare"])
+def test_cli_out_of_memory_exits_3_before_any_output(tmp_path, capsys,
+                                                     monkeypatch, message, line):
+    """A scan that numpy cannot allocate (``n_max: 100000000000`` asks for
+    745 GiB) is a runtime error: exit 3 with one ``error:`` line, named by
+    its type if it has no message, and no output directory."""
+    import ddread.cli as cli
+
+    def out_of_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "scan_n", out_of_memory)
+    text = Path(DEMO).read_text().replace("  mode: tau",
+                                          "  mode: n\n  n_max: 100000000000")
+    out = tmp_path / "out"
+    assert main(["--config", write_text(tmp_path, text), "--out", str(out),
+                 "scan"]) == 3
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("old, new, name", [
@@ -407,8 +436,12 @@ def test_cli_spins_not_a_list_exits_2_before_any_output(tmp_path, capsys, value)
      "spins[0]: |a_vec|^2 is beyond float's range"),
     (_DEMO_SPINS, "spins:\n  - a_vec_khz: [0, 0, 1.0e+300]\n",
      "spins[0]: |a_vec|^2 is beyond float's range"),
+    ("photon_rate_bright: 0.063", "photon_rate_bright: 1.0e+300",
+     "readout: photon rate times cycles_per_point must not exceed numpy's "
+     "Poisson limit"),
 ], ids=["gamma_n-negative", "gamma_n-zero", "a_vec-1e306", "a_perp-1e300",
-        "field-1e305", "gamma_n-1e300", "a_vec-x-1e300", "a_vec-z-1e300"])
+        "field-1e305", "gamma_n-1e300", "a_vec-x-1e300", "a_vec-z-1e300",
+        "photon-rate-1e300"])
 def test_cli_bad_physics_value_exits_2_before_any_output(tmp_path, capsys, old,
                                                         new, message):
     """A constant or hyperfine value that the physics refuses is a config
@@ -689,11 +722,11 @@ EXACT_KICKS = {"propagator_mode": "exact",
 
 @pytest.mark.parametrize("args, sha256, overrides", [
     (["ssr", "--points", "5000"],
-     "b7bd255cf1486725ebab8b70d044c4e82e88204a027008e14211d16d8be91766", {}),
+     "adbcc2758908faeda66f78871c2c8f685bde95406ecd238123164077edcb6347", {}),
     (["--seed", "5", "ssr", "--points", "20000"],
-     "06d5fc4107bc5b9600c944a99a5c691df8ac6d9415c1388745be86e9711159c3", {}),
+     "0b539ada4b29b5edf2b965def57f9fba01b7778e3f772aadff7d31d87cb15f43", {}),
     (["ssr", "--points", "300"],
-     "117593eaf10ae16629d7c7eb8dab484d6b6629500e74c0fc4399dfed66aa561d", EXACT_KICKS),
+     "7058d40e3b4c82d38e20274627e4b32b8de727c1fb8da67d5c537f4dfe4e430e", EXACT_KICKS),
 ], ids=["5000-seed-7", "20000-seed-5", "300-exact-kicks-asymmetric-t1"])
 def test_cli_ssr_trace_bytes(tmp_path, args, sha256, overrides):
     """The demo config's traces, byte for byte: the sampler's stream layout,
@@ -740,9 +773,9 @@ def test_cli_analyze_bytes(tmp_path):
                for name in ("fidelity_report.json", "histograms.csv")}
     assert digests == {
         "fidelity_report.json":
-            "e92bfe72d9a323be0138c89708c7af43498b7d23fd8c1c53ee49b119a5b316d4",
+            "788a66f34b36bc89511d4993806e0b5b33d81ada21308ccc4d68fcf939a7baec",
         "histograms.csv":
-            "05dd18ea428cd6fc9ba872075e564052f0bd30ddd78c4e8f6cf7fc946fba1962",
+            "a21ee03f61bab9bed63f99e84246307019ae23224304caabb85c606b02e2ec19",
     }
 
 

@@ -20,7 +20,7 @@ from ddread.measurement import (
 from ddread.sequence import CpmgSequence
 from ddread.spincore import HyperfineSpin, spin_from_frame_components
 
-from conftest import TWO_PI_KHZ, replay_quiet_runs
+from conftest import TWO_PI_KHZ, replay_photons
 from test_sampler_oracle import loop_trace
 
 
@@ -175,6 +175,22 @@ def test_readout_config_validation():
     for seed in (-1, 2**63, 2**64 + 7):  # a seed is a Philox key word in int64
         with pytest.raises(ValueError, match="seed"):
             ReadoutConfig(seed=seed)
+    # a point's photon mean is at most its larger rate times its cycles,
+    # which must lie within numpy's Poisson range
+    from ddread.measurement import _POISSON_MAX
+
+    above = np.nextafter(_POISSON_MAX, np.inf)
+    rng = np.random.default_rng(0)
+    assert rng.poisson(_POISSON_MAX) > 0
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(above)
+    ReadoutConfig(photon_rate_bright=_POISSON_MAX, cycles_per_point=1)
+    ReadoutConfig(photon_rate_dark=_POISSON_MAX / 8, cycles_per_point=8)
+    for kwargs in ({"photon_rate_bright": above, "cycles_per_point": 1},
+                   {"photon_rate_dark": 1.0e15, "cycles_per_point": 10**4},
+                   {"photon_rate_bright": 1.0e300}):
+        with pytest.raises(ValueError, match="Poisson limit"):
+            ReadoutConfig(**kwargs)
     cfg = ReadoutConfig()
     assert cfg.cycles_per_point == 40000
     assert cfg.point_duration == pytest.approx(0.189)
@@ -311,9 +327,10 @@ def _point_chain(ch, cfg, n_points):
     """(points, hidden states) of chaining ``simulate_point`` over density
     matrices from the fully mixed state, with a fresh ``_point_rng(seed, i)``
     per point.  The chain is checked, draw for draw, against the event
-    loop's trace with each quiet point's own draws (``loop_trace`` with
-    ``block=False``); its quiet points then take their photon runs from the
-    trace's block stream, replayed."""
+    loop's trace with each point's photons drawn from its tally on its own
+    substream (``loop_trace`` with ``layout="point"``); its points then take
+    their photons from the trace's block stream, replayed from the same
+    tallies."""
     from ddread.measurement import _point_rng
 
     rho, rows = np.eye(2, dtype=complex) / 2.0, []
@@ -322,12 +339,10 @@ def _point_chain(ch, cfg, n_points):
                                               _point_rng(cfg.seed, i))
         rows.append((count, dominant))
     points, hidden = np.array(rows).T
-    own, own_hidden, outcome = loop_trace(ch, cfg, n_points, block=False)
+    own, own_hidden, _, tallies = loop_trace(ch, cfg, n_points, layout="point")
     assert np.array_equal(points, own)
     assert np.array_equal(hidden, own_hidden)
-    quiet = outcome >= 0
-    points[quiet] = replay_quiet_runs(cfg, outcome[quiet].tolist())
-    return points, hidden
+    return np.array(replay_photons(cfg, tallies.tolist())), hidden
 
 
 @pytest.mark.parametrize("mode, overrides", [
@@ -340,7 +355,8 @@ def test_trace_matches_the_per_point_chain(field_691, readout_spin,
     and moves one Philox to each point's counter.  That is the same trace,
     draw for draw, as chaining ``simulate_point`` over density matrices from
     the fully mixed state with a fresh ``_point_rng(seed, i)`` per point,
-    but for the quiet points' photon runs, which come from the block stream.
+    but for the photon counts, which the trace draws from the same tallies
+    in its block stream.
     The exact case runs transients, kicks and unequal T1 flips."""
     ch = measurement_channel(readout_spin, field_691, readout_seq, mode)
     for seed in (3, 77, 2**40 + 5):
@@ -351,6 +367,28 @@ def test_trace_matches_the_per_point_chain(field_691, readout_spin,
         assert np.array_equal(trace.points, points)
         assert np.array_equal(trace.hidden_states, hidden)
         assert len(set(hidden.tolist())) == 2  # the chain flips
+
+
+@pytest.mark.parametrize("mode, overrides, n_points", [
+    ("magnus", {}, 2000),
+    ("exact", {"pi_pulse_error": 1e-4, "t1n_up": 5.0, "t1n_down": 20.0}, 300),
+], ids=["magnus", "exact-kicks-asymmetric-t1"])
+def test_hidden_trajectory_does_not_depend_on_the_photon_model(
+        field_691, readout_spin, readout_seq, mode, overrides, n_points):
+    """The chain draws no photons, so a trace's hidden states stay the same,
+    state for state, when the photon rates or the misassignment
+    probability change; only the counts move."""
+    base = ReadoutConfig(seed=7, **overrides)
+    traces = [simulate_trace(readout_spin, field_691, readout_seq,
+                             replace(base, **photons), n_points, mode)
+              for photons in ({}, {"photon_rate_bright": 0.07},
+                              {"photon_rate_dark": 0.03},
+                              {"electron_init_error": 0.0},
+                              {"electron_init_error": 0.3})]
+    assert len(set(traces[0].hidden_states.tolist())) == 2  # the chain flips
+    for trace in traces[1:]:
+        assert np.array_equal(trace.hidden_states, traces[0].hidden_states)
+        assert not np.array_equal(trace.points, traces[0].points)
 
 
 def _state_lists(state):
@@ -391,7 +429,7 @@ def test_first_point_unravels_as_simulate_point(field_691, readout_spin,
     raw-word test ``raw < 2**63``, which is ``simulate_point``'s
     ``random() < 1/2`` on the same word.  Over many seeds both locked
     states are drawn, and each 1-point trace is ``simulate_point``'s, with
-    a quiet point's photon run from the block stream."""
+    its photon count from the block stream."""
     ch = measurement_channel(readout_spin, field_691, readout_seq, "magnus")
     starts = set()
     for seed in range(200):

@@ -3,22 +3,24 @@
 The engine and trace loop below are the reference: they enter the event loop
 for every point, find the start's fixed point with the ``abs`` test and draw
 its clocks there.  The sampler draws a point's live clocks from its start
-table before any event loop set-up and leaves the photon run of a point
-whose clocks all land beyond it to the trace's block stream; any other point
-resets its substream and enters the event loop, which draws the same clocks
-again.  The reference finds those quiet points itself and replays the block
-stream's draws for them.  The draws and their order are the same, so the
-traces must be equal, not close.
+table before any event loop set-up and counts a point whose clocks all land
+beyond it as all of one outcome; any other point resets its substream and
+enters the event loop, which draws the same clocks again.  Both record each
+point's bright-cycle tally, and the reference replays the block stream's
+photon draws from its tallies.  The draws and their order are the same, so
+the traces must be equal, not close.
 
-The block stream changed the bytes of every projective trace, so the last
-test checks, across seeds, that it did not change their distribution: the
-reference without the replay is the layout before the block stream.
+Drawing every count from its tally changed the bytes of every trace, and,
+as the photons no longer share a point's substream with its clocks, its
+hidden trajectory too.  The last test checks, across seeds, that it did not
+change their distribution: the reference can still draw each run's photons
+inside its point, the layout before the tallies.
 """
 
 import numpy as np
 import pytest
 
-from conftest import replay_quiet_runs
+from conftest import replay_photons
 from ddread.analysis import (
     ThresholdPolicy,
     conditional_histograms,
@@ -41,21 +43,24 @@ from ddread.sequence import CpmgSequence
 # ------------------------------------------------------------ event loop
 
 
-def loop_point(psi, channel, config, rng, flips, first=None):
-    """The event loop for the whole point: (count, psi, dominant state,
-    outcome o of a quiet point or None).  ``first`` collects, for a point
-    that starts on a fixed point, the clocks drawn there (other outcome,
-    kick, flip; None for one not drawn)."""
+def loop_point(psi, channel, config, rng, flips, first=None, runs=False):
+    """The event loop for the whole point: (bright cycles, psi, dominant
+    state, outcome o of a quiet point or None).  ``first`` collects, for a
+    point that starts on a fixed point, the clocks drawn there (other
+    outcome, kick, flip; None for one not drawn).  With ``runs`` the point's
+    photons take the place of its bright cycles, drawn from ``rng`` as each
+    run of one outcome ends: the layout before the tallies."""
     _, kraus, fixed = channel.locked_frame
     f_up, f_down = flips  # T1 flip probabilities per cycle
     eie, pie, rates = (config.electron_init_error, config.pi_pulse_error,
                        (config.photon_rate_bright, config.photon_rate_dark))
-    remaining, photons, up_cycles, run, run_len = config.cycles_per_point, 0, 0, 0, 0
-    quiet = None
+    remaining, bright, up_cycles = config.cycles_per_point, 0, 0
+    photons, run, run_len, quiet = 0, 0, 0, None
 
     def emit(outcome, n):  # n cycles of ``outcome``; a new outcome ends the run
-        nonlocal photons, run, run_len
-        if outcome != run and run_len:
+        nonlocal bright, photons, run, run_len
+        bright += n * (outcome == 0)
+        if runs and outcome != run and run_len:
             wrong = int(rng.binomial(run_len, eie)) if eie > 0 else 0
             photons += int(rng.poisson(rates[run] * (run_len - wrong)))
             photons += int(rng.poisson(rates[1 - run] * wrong)) if wrong else 0
@@ -100,43 +105,49 @@ def loop_point(psi, channel, config, rng, flips, first=None):
         remaining -= 1
     emit(None, 0)
     dominant = 1 if 2 * up_cycles >= config.cycles_per_point else -1
-    return photons, psi, dominant, quiet
+    return photons if runs else bright, psi, dominant, quiet
 
 
-def loop_trace(channel, config, n_points, first=None, block=True):
-    """(points, hidden states, outcome o of each quiet point, -1 elsewhere)
-    of ``simulate_trace``, one event loop per point and the quiet points'
-    photon runs replayed from the block stream.  ``block=False`` keeps each
-    quiet point's own draws: the layout before the block stream, which
-    chained ``simulate_point`` calls draw."""
+def loop_trace(channel, config, n_points, first=None, layout="block"):
+    """(points, hidden states, outcome o of each quiet point or -1, bright
+    tallies) of ``simulate_trace``, one event loop per point and every
+    point's photons replayed from its tally in the block stream.
+    ``layout="point"`` draws each point's photons from its tally on its own
+    substream after the point, as chained ``simulate_point`` calls do;
+    ``layout="runs"`` draws them per run inside the point, the layout before
+    the tallies (no tallies are returned)."""
     flips = _t1_flip_probs(config)
     rng = _point_rng(config.seed, 0)
     bitgen, start = rng.bit_generator, rng.bit_generator.state
     counter = start["state"]["counter"]
-    points = np.empty(n_points, dtype=np.int64)
+    values = np.empty(n_points, dtype=np.int64)  # tallies, or runs' photons
     hidden = np.empty(n_points, dtype=np.int8)
     outcome = np.full(n_points, -1)
+    points = []
     for i in range(n_points):
         counter[2] = i
         bitgen.state = start
         u = rng.random()
         if not i:
             psi = [1.0, 0.0] if u < 0.5 else [0.0, 1.0]
-        points[i], psi, hidden[i], o = loop_point(
-            psi, channel, config, rng, flips, first)
+        values[i], psi, hidden[i], o = loop_point(
+            psi, channel, config, rng, flips, first, runs=layout == "runs")
+        if layout == "point":
+            points += replay_photons(config, [values[i]], rng)
         if o is not None:
             outcome[i] = o
-    if block:
-        quiet = outcome >= 0
-        points[quiet] = replay_quiet_runs(config, outcome[quiet].tolist())
-    return points, hidden, outcome
+    if layout == "runs":
+        return values, hidden, outcome, None
+    if layout == "block":
+        points = replay_photons(config, values.tolist())
+    return np.array(points, dtype=np.int64), hidden, outcome, values
 
 
 # ------------------------------------------------------------ equality
 
 # T1n of a few point durations or less: a flip clock fires in most points, and
-# the misassignment and kick settings switch the binomial draw and the kick
-# clock on and off.
+# the misassignment and kick settings switch the block's binomial draws and
+# the kick clock on and off.
 GRID = [(eie, pie) for eie in (0.0, 0.1) for pie in (0.0, 1e-3)]
 # A weak working point (q = 0.25 per cycle) with frequent kicks and the
 # default T1s: the other-outcome and the kick clock each fire in a point's
@@ -171,7 +182,8 @@ def test_trace_matches_the_event_loop(field_691, readout_spin, readout_seq,
         channel = measurement_channel(readout_spin, field_691, seq, mode)
         first.append([])
         trace = simulate_trace(readout_spin, field_691, seq, config, 200, mode)
-        points, hidden, outcome = loop_trace(channel, config, 200, first[-1])
+        points, hidden, outcome, _ = loop_trace(channel, config, 200,
+                                                first[-1])
         assert np.array_equal(trace.points, points)
         assert np.array_equal(trace.hidden_states, hidden)
         quiet.append((outcome >= 0, hidden))
@@ -215,29 +227,28 @@ KS_P_MIN, Z_MAX = 1e-3, 4.0
 def test_block_layout_keeps_the_distribution(field_691, readout_spin,
                                              readout_seq):
     """Criterion 5 and 6's trace (demo working point, 5,000 points) over 20
-    seeds, drawn with the block stream and with each quiet point's own draws
-    (the layout before it).  The hidden states are the same trace for trace.
-    The quiet points' counts, pooled per locked state, agree in distribution
-    (two-sample KS), mean and spread.  The ``detect_jumps`` dwell mean and
-    the fidelity of each seed move by less than their paired spread across
-    seeds allows."""
+    seeds, drawn with every count from its tally in the block stream and
+    with each run's photons drawn inside its point (the layout before the
+    tallies).  The photons no longer share a point's substream with its
+    clocks, so the hidden trajectories differ trace for trace.  The counts,
+    pooled per hidden state, agree in distribution (two-sample KS), mean and
+    spread.  The ``detect_jumps`` dwell mean and the fidelity of each seed
+    move by less than their paired spread across seeds allows."""
     from scipy.stats import ks_2samp
 
     channel = measurement_channel(readout_spin, field_691, readout_seq,
                                   "magnus")
     policy = ThresholdPolicy()
-    quiet = {0: ([], []), 1: ([], [])}  # outcome -> (block, own) counts
-    shifts = []  # per seed: (dwell mean, fidelity) with block minus own
+    counts = {1: ([], []), -1: ([], [])}  # hidden state -> (tally, run) counts
+    shifts = []  # per seed: (dwell mean, fidelity) with tallies minus runs
     for seed in LAYOUT_SEEDS:
         config = ReadoutConfig(seed=seed)
         trace = simulate_trace(readout_spin, field_691, readout_seq, config,
                                5000, "magnus")
-        points, hidden, outcome = loop_trace(channel, config, 5000,
-                                             block=False)
-        assert np.array_equal(trace.hidden_states, hidden)
-        for o, (block, own) in quiet.items():
-            block.append(trace.points[outcome == o])
-            own.append(points[outcome == o])
+        points, hidden, _, _ = loop_trace(channel, config, 5000, layout="runs")
+        for state, (tally, run) in counts.items():
+            tally.append(trace.points[trace.hidden_states == state])
+            run.append(points[hidden == state])
         stats = []
         for t in (trace, PhotonTrace(points, hidden, config)):
             jumps = detect_jumps(t, policy)
@@ -246,8 +257,8 @@ def test_block_layout_keeps_the_distribution(field_691, readout_spin,
                 np.concatenate([jumps.dwells_up, jumps.dwells_down]).mean(),
                 min(report.fidelity_up, report.fidelity_down)))
         shifts.append(np.subtract(*stats))
-    for block, own in quiet.values():
-        a, b = np.concatenate(block), np.concatenate(own)
+    for tally, run in counts.values():
+        a, b = np.concatenate(tally), np.concatenate(run)
         assert ks_2samp(a, b).pvalue >= KS_P_MIN
         assert abs(a.mean() - b.mean()) <= Z_MAX * np.hypot(
             a.std() / np.sqrt(len(a)), b.std() / np.sqrt(len(b)))
