@@ -700,6 +700,4 @@ def report_json(payload: dict) -> str:
 
 def histograms_to_csv(hists: ConditionalHistograms, path) -> None:
     """Write (count, freq_up, freq_down) rows for each count that occurs."""
-    with open(path, "w") as fh:
-        fh.write("count,freq_up,freq_down\n")
-        _write_rows(fh, hists.count_table)
+    _write_rows(path, "count,freq_up,freq_down\n", "%d,%d,%d\n", hists.count_table)

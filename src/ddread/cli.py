@@ -2,7 +2,7 @@
 
 Every command reads one YAML config (``--config``), honors flag overrides
 (flags > file > defaults), and writes deterministic files into ``--out``;
-each output embeds the config hash and the seed so runs are attributable.
+each output but ``histograms.csv`` carries the config hash and the seed.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime/physics error,
 4 analysis completed but flagged low-statistics.
@@ -30,18 +30,15 @@ from .analysis import (
     report_payload,
 )
 from .coherence import CoherenceCurve, scan_2d, scan_n, scan_tau
-from .config import NS, TWO_PI_KHZ, ConfigError, RunConfig, load_config, snapshot_json
-from .measurement import read_trace_csv, simulate_trace, trace_to_csv
+from .config import (NS, TAU_KEYS, TWO_PI_KHZ, ConfigError, RunConfig,
+                     load_config, snapshot_json)
+from .measurement import _write_rows, read_trace_csv, simulate_trace, trace_to_csv
 from .spincore import DegenerateFrameError, FieldConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_LOW_STATS = 4
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _header(config: RunConfig) -> str:
@@ -64,20 +61,15 @@ def _unit_peak(values: np.ndarray, normalized: bool) -> np.ndarray:
 
 
 def _write_curve_csv(path, config, curve: CoherenceCurve, normalized: bool):
-    values = _unit_peak(curve.values, normalized)
-    with open(path, "w") as fh:
-        fh.write(_header(config))
-        mode = f"propagator_mode={curve.propagator_mode}"
-        if curve.axis == "tau":
-            fh.write(f"# axis=tau n_pulses={curve.n_pulses} {mode}\n")
-            fh.write("tau_ns,coherence\n")
-            for t, v in zip(curve.abscissa, values):
-                fh.write(f"{_fmt(t / NS)},{_fmt(v)}\n")
-        else:
-            fh.write(f"# axis=n tau_ns={_fmt(curve.tau / NS)} {mode}\n")
-            fh.write("n_pulses,coherence\n")
-            for n, v in zip(curve.abscissa, values):
-                fh.write(f"{int(n)},{_fmt(v)}\n")
+    mode = f"propagator_mode={curve.propagator_mode}"
+    if curve.axis == "tau":
+        meta = f"# axis=tau n_pulses={curve.n_pulses} {mode}\ntau_ns,coherence\n"
+        row, abscissa = "%.17g,%.17g\n", curve.abscissa / NS
+    else:
+        meta = f"# axis=n tau_ns={curve.tau / NS:.17g} {mode}\nn_pulses,coherence\n"
+        row, abscissa = "%d,%.17g\n", curve.abscissa
+    _write_rows(path, _header(config) + meta, row,
+                [abscissa, _unit_peak(curve.values, normalized)])
 
 
 def read_curve_csv(path) -> CoherenceCurve:
@@ -85,7 +77,8 @@ def read_curve_csv(path) -> CoherenceCurve:
 
     Files without a ``propagator_mode`` key were written before it existed
     and are read as "exact".  A data row that is not two numbers raises
-    ValueError naming its line.
+    ValueError naming its line; missing or bad metadata, or rows the curve
+    refuses, raise ValueError naming the file.
     """
     meta = {}
     xs, ys = [], []
@@ -110,33 +103,31 @@ def read_curve_csv(path) -> CoherenceCurve:
                 raise ValueError(
                     f"{path}, line {lineno}: malformed row {line!r}") from None
     axis = meta.get("axis")
-    mode = meta.get("propagator_mode", "exact")
+    if axis not in ("tau", "n"):
+        raise ValueError(f"{path}: missing or unknown axis metadata")
+    key = "n_pulses" if axis == "tau" else "tau_ns"
+    try:
+        fixed = (int if axis == "tau" else float)(meta[key])
+    except KeyError:
+        raise ValueError(f"{path}: missing {key} metadata") from None
+    except ValueError:
+        raise ValueError(f"{path}: bad {key} metadata {meta[key]!r}") from None
+    x, y, mode = np.asarray(xs), np.asarray(ys), meta.get("propagator_mode", "exact")
     try:
         if axis == "tau":
-            return CoherenceCurve(axis="tau", abscissa=np.asarray(xs) * NS,
-                                  values=np.asarray(ys),
-                                  n_pulses=int(meta["n_pulses"]),
-                                  propagator_mode=mode)
-        if axis == "n":
-            return CoherenceCurve(axis="n", abscissa=np.asarray(xs),
-                                  values=np.asarray(ys),
-                                  tau=float(meta["tau_ns"]) * NS,
-                                  propagator_mode=mode)
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing {exc.args[0]} metadata") from exc
-    raise ValueError(f"{path}: missing or unknown axis metadata")
-
-
-_TAU_KEYS = ("tau_start_ns", "tau_stop_ns", "tau_step_ns")
+            return CoherenceCurve("tau", x * NS, y, n_pulses=fixed, propagator_mode=mode)
+        return CoherenceCurve("n", x, y, tau=fixed * NS, propagator_mode=mode)
+    except ValueError as exc:  # the curve refuses its rows or its mode
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _scan_grid(config: RunConfig, command: str) -> list:
     """The values of the scan keys that ``command`` (scan in the configured
     mode, or map2d) reads; a ConfigError names the keys if one is missing."""
     if command == "map2d":
-        keys, what = _TAU_KEYS + ("n_list",), "map2d"
-    elif config.scan.get("mode", "tau") == "tau":
-        keys, what = _TAU_KEYS, "tau mode"
+        keys, what = TAU_KEYS + ("n_list",), "map2d"
+    elif config.scan["mode"] == "tau":
+        keys, what = TAU_KEYS, "tau mode"
     else:
         keys, what = ("n_max",), "n mode"
     values = [config.scan.get(k) for k in keys]
@@ -147,7 +138,7 @@ def _scan_grid(config: RunConfig, command: str) -> list:
 
 def cmd_scan(config: RunConfig, out_dir: Path, grid: list,
              normalized: bool) -> int:
-    mode = config.scan.get("mode", "tau")
+    mode = config.scan["mode"]
     if mode == "tau":
         lo, hi, step = grid
         curve = scan_tau(config.spins, config.field, config.sequence.n_pulses,
@@ -166,16 +157,13 @@ def cmd_map2d(config: RunConfig, out_dir: Path, grid: list,
               normalized: bool) -> int:
     lo, hi, step, n_list = grid
     cmap = scan_2d(config.spins, config.field, (lo * NS, hi * NS), step * NS,
-                   n_list, config.propagator_mode,
-                   config.constants)
-    values = _unit_peak(cmap.values, normalized)
+                   n_list, config.propagator_mode, config.constants)
     out = _output(out_dir, "map2d.csv")
-    with open(out, "w") as fh:
-        fh.write(_header(config))
-        fh.write("tau_ns,n_pulses,coherence\n")
-        for i, t in enumerate(cmap.tau_grid):
-            for j, n in enumerate(cmap.n_grid):
-                fh.write(f"{_fmt(t / NS)},{int(n)},{_fmt(values[i, j])}\n")
+    n_taus, n_ns = cmap.values.shape  # row i * n_ns + j is values[i, j]
+    _write_rows(out, _header(config) + "tau_ns,n_pulses,coherence\n",
+                "%.17g,%d,%.17g\n",
+                [np.repeat(cmap.tau_grid / NS, n_ns), np.tile(cmap.n_grid, n_taus),
+                 _unit_peak(cmap.values, normalized).ravel()])
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -53,6 +53,9 @@ class CoherenceCurve:
             raise ValueError("coherence values must lie in [-1, 1]")
         if self.propagator_mode not in ("exact", "magnus"):
             raise ValueError("propagator_mode must be 'exact' or 'magnus'")
+        n = np.asarray(self.abscissa)  # the fit reads N as int64
+        if self.axis == "n" and not np.all((1 <= n) & (n < 2**63) & (n % 1 == 0)):
+            raise ValueError("pulse numbers must be integers in [1, 2**63)")
 
 
 @dataclass(frozen=True)
@@ -116,6 +119,20 @@ def _coherence_rows(a_vecs, fieldcfg, n_pulses, taus, propagator_mode, consts):
     return w[0] * w[1] + x[0] * x[1] + y[0] * y[1] + z[0] * z[1]
 
 
+def check_tau_range(tau_range: tuple, step: float) -> None:
+    """Raise ValueError unless 0 < start < stop and step > 0 (seconds)."""
+    lo, hi = tau_range
+    if not (0 < lo < hi) or step <= 0:
+        raise ValueError("tau_range must be positive increasing and step > 0")
+
+
+def tau_axis(tau_range: tuple, step: float) -> np.ndarray:
+    """The half-intervals start, start + step, ... of a scan, up to stop
+    within half a step; ``check_tau_range`` refuses a bad range."""
+    check_tau_range(tau_range, step)
+    return np.arange(tau_range[0], tau_range[1] + step / 2.0, step)
+
+
 def scan_tau(
     spins: Sequence[HyperfineSpin],
     fieldcfg: FieldConfig,
@@ -126,12 +143,7 @@ def scan_tau(
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> CoherenceCurve:
     """Coherence vs pulse half-interval at fixed N."""
-    lo, hi = tau_range
-    if not (0 < lo < hi) or step <= 0:
-        raise ValueError("tau_range must be positive increasing and step > 0")
-    taus = np.arange(lo, hi + step / 2.0, step)
-    if len(taus) == 0:
-        raise ValueError("empty tau range")
+    taus = tau_axis(tau_range, step)
     values = _bath_curve_tau(spins, fieldcfg, n_pulses, taus, propagator_mode, consts)
     return CoherenceCurve(axis="tau", abscissa=taus, values=np.clip(values, -1, 1),
                           n_pulses=int(n_pulses), propagator_mode=propagator_mode)
@@ -167,10 +179,7 @@ def scan_2d(
     """Coherence on the (tau, N) grid of the 2D CPMG signal."""
     if len(n_list) == 0:
         raise ValueError("empty pulse-number list")
-    lo, hi = tau_range
-    if not (0 < lo < hi) or step <= 0:
-        raise ValueError("tau_range must be positive increasing and step > 0")
-    taus = np.arange(lo, hi + step / 2.0, step)
+    taus = tau_axis(tau_range, step)
     n_grid = np.asarray(n_list, dtype=int)
     values = _bath_curve_tau(spins, fieldcfg, n_grid[None, :], taus[:, None],
                              propagator_mode, consts)

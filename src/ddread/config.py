@@ -21,6 +21,7 @@ import numpy as np
 import yaml
 
 from .analysis import ThresholdPolicy
+from .coherence import check_tau_range
 from .measurement import ReadoutConfig
 from .sequence import CpmgSequence
 from .spincore import (
@@ -154,8 +155,8 @@ class RunConfig:
 
 
 _SPIN_KEYS = {"a_par_khz", "a_perp_khz", "a_vec_khz"}
-_SCAN_KEYS = {"mode", "tau_start_ns", "tau_stop_ns", "tau_step_ns",
-              "n_max", "n_list"}
+TAU_KEYS = ("tau_start_ns", "tau_stop_ns", "tau_step_ns")
+_SCAN_KEYS = {"mode", *TAU_KEYS, "n_max", "n_list"}
 
 # The sections that map one to one onto a dataclass: per YAML key, the field
 # it sets and the reader that gives the field's value.
@@ -245,11 +246,13 @@ def parse_config(doc: dict) -> RunConfig:
 
     scan_sec = doc.get("scan", {})
     _require_keys(scan_sec, _SCAN_KEYS, set(), "scan")
-    for key in ("tau_start_ns", "tau_stop_ns", "tau_step_ns"):
-        if key in scan_sec:  # the scan commands read them
-            _real(scan_sec[key], f"scan.{key}")
-    if scan_sec.get("mode", "tau") not in ("tau", "n"):
-        raise ConfigError(f"scan.mode: expected 'tau' or 'n', got {scan_sec['mode']!r}")
+    # the scan commands read these in seconds; the grid is built there
+    taus = [_ns(scan_sec[key], f"scan.{key}") for key in TAU_KEYS if key in scan_sec]
+    if len(taus) == len(TAU_KEYS):
+        _build(check_tau_range, "scan", tau_range=taus[:2], step=taus[2])
+    scan = {"mode": "tau", **scan_sec}
+    if scan["mode"] not in ("tau", "n"):
+        raise ConfigError(f"scan.mode: expected 'tau' or 'n', got {scan['mode']!r}")
     n_list = scan_sec.get("n_list", [1])
     if not isinstance(n_list, list) or not n_list:
         raise ConfigError(f"scan.n_list: expected a non-empty list, got {n_list!r}")
@@ -262,7 +265,6 @@ def parse_config(doc: dict) -> RunConfig:
     if n_max >= 2**63 - 512:
         raise ConfigError(f"scan.n_max: expected an integer in [1, 2**63 - 512), "
                           f"got {n_max!r}")
-    scan = dict(scan_sec)
 
     mode = doc.get("propagator_mode", "exact")
     if mode not in ("exact", "magnus"):

@@ -527,7 +527,7 @@ def simulate_trace(
                        config=config)
 
 
-# Rows per block of the CSV writers: bounds their memory.
+# Rows per block of the CSV writer: bounds its memory.
 _CSV_BLOCK = 4096
 # Bytes per read of the trace reader: its temporaries stay within a few
 # blocks plus the longest row.
@@ -540,29 +540,30 @@ _INT64_MAX = np.uint64(2**63 - 1)
 def trace_to_csv(trace: PhotonTrace, path, config_hash: str = "") -> None:
     """Write (point_index, photon_count, hidden_state) rows, without the
     last column when the trace has no hidden states."""
-    columns = [trace.points]
-    header = "point_index,photon_count"
+    columns = [np.arange(len(trace.points)), trace.points]
+    head = "point_index,photon_count"
     if trace.hidden_states is not None:
         columns.append(trace.hidden_states)
-        header += ",hidden_state"
+        head += ",hidden_state"
+    if config_hash:
+        head = f"# config_sha256={config_hash} seed={trace.seed}\n{head}"
+    _write_rows(path, head + "\n", ",".join(["%d"] * len(columns)) + "\n", columns)
+
+
+def _write_rows(path, head: str, row: str, columns) -> None:
+    """Write every CSV of the package: the text ``head``, then the
+    equal-length array ``columns`` as lines of the %-format ``row``, one
+    format per block of ``_CSV_BLOCK`` rows.  Each column's values go in as
+    its own Python type, so an int64 prints exactly beside a float column."""
+    n, width = len(columns[0]), len(columns)
     with open(path, "w") as fh:
-        if config_hash:
-            fh.write(f"# config_sha256={config_hash} seed={trace.seed}\n")
-        fh.write(header + "\n")
-        _write_rows(fh, columns, numbered=True)
-
-
-def _write_rows(fh, columns, numbered: bool = False) -> None:
-    """Write the equal-length int ``columns`` as comma-separated rows, each
-    led by its row number when ``numbered``: one format per block of
-    ``_CSV_BLOCK`` rows, column values interleaved."""
-    n = len(columns[0])
-    row = ",".join(["%d"] * (len(columns) + numbered)) + "\n"
-    for start in range(0, n, _CSV_BLOCK):
-        stop = min(start + _CSV_BLOCK, n)
-        index = [np.arange(start, stop)] if numbered else []
-        block = np.column_stack(index + [col[start:stop] for col in columns])
-        fh.write(row * (stop - start) % tuple(block.ravel().tolist()))
+        fh.write(head)
+        for start in range(0, n, _CSV_BLOCK):
+            stop = min(start + _CSV_BLOCK, n)
+            values = [None] * (width * (stop - start))
+            for i, col in enumerate(columns):
+                values[i::width] = col[start:stop].tolist()
+            fh.write(row * (stop - start) % tuple(values))
 
 
 def read_trace_csv(path, readout: ReadoutConfig) -> PhotonTrace:

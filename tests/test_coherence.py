@@ -258,6 +258,10 @@ def test_curve_invariants_and_errors(field_305, scan_spin):
     with pytest.raises(ValueError):
         CoherenceCurve(axis="bogus", abscissa=np.array([1.0]),
                        values=np.array([0.5]))
+    for n in (2.5, 0.0, np.nan, 2.0**63):  # the fit reads N as int64
+        with pytest.raises(ValueError, match="pulse numbers"):
+            CoherenceCurve(axis="n", abscissa=np.array([1.0, n]),
+                           values=np.array([0.5, 0.5]), tau=300e-9)
 
 
 def test_curve_rejects_unknown_propagator_mode():

@@ -347,6 +347,27 @@ def test_cli_bad_scan_key_exits_2_before_any_output(tmp_path, capsys, line, name
     assert not (tmp_path / "config_snapshot.json").exists()
 
 
+@pytest.mark.parametrize("command", ["scan", "map2d"])
+@pytest.mark.parametrize("key, value", [
+    ("tau_start_ns", "400.0"), ("tau_start_ns", "300.0"),  # start >= stop
+    ("tau_step_ns", "0.0"), ("tau_step_ns", "-1.0"),
+    ("tau_step_ns", "1.0e-320"),  # 0 s once scaled to seconds
+    ("tau_start_ns", "-5.0"), ("tau_start_ns", "0"),
+], ids=lambda v: str(v))
+def test_cli_bad_tau_range_exits_2_before_any_output(tmp_path, capsys, command,
+                                                     key, value):
+    """The demo config (tau 200 to 300 ns in 1 ns steps) with one tau key
+    made bad fails at parse, as a config error, and leaves no directory."""
+    text = Path(DEMO).read_text()
+    old = next(ln for ln in text.splitlines() if ln.startswith(f"  {key}:"))
+    out = tmp_path / "out"
+    assert main(["--config", write_text(tmp_path, text.replace(
+        old, f"  {key}: {value}")), "--out", str(out), command]) == 2
+    assert capsys.readouterr().err == ("config error: scan: tau_range must be "
+                                       "positive increasing and step > 0\n")
+    assert not out.exists()
+
+
 def test_good_scan_keys_parse():
     cfg = parse_config({**BASE, "scan": {"mode": "n", "n_max": 24,
                                          "n_list": [1, 2, 12]}})
@@ -574,6 +595,19 @@ def test_cli_map2d(tmp_path):
     assert lines[1] == "tau_ns,n_pulses,coherence"
     n_taus = len(np.arange(400.0, 560.0 + 2.0, 4.0))
     assert len(lines) == 2 + 2 * n_taus
+
+
+def test_cli_map2d_keeps_each_column_type(tmp_path):
+    """The pulse-number column is written from ints: a float column would
+    print 2**53 + 1 as 2**53."""
+    doc = {**BASE, "scan": {"tau_start_ns": 400.0, "tau_stop_ns": 404.0,
+                            "tau_step_ns": 4.0, "n_list": [12, 2**53 + 1]}}
+    assert main(["--config", write_config(tmp_path, doc), "--out",
+                 str(tmp_path), "map2d"]) == 0
+    rows = (tmp_path / "map2d.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[:2] for row in rows] == [
+        ["400", "12"], ["400", "9007199254740993"],
+        ["404", "12"], ["404", "9007199254740993"]]
 
 
 def test_cli_curve_csv_roundtrip(tmp_path):
@@ -816,16 +850,24 @@ def test_cli_fit_roundtrip(tmp_path):
     assert not fit["degenerate"]
 
 
-@pytest.mark.parametrize("axis_line", [
-    "# axis=tau n_pulses=12 propagator_mode=magnsu",  # unknown mode
-    "# axis=tau propagator_mode=exact",  # no pulse number
-])
-def test_cli_fit_bad_curve_metadata_exits_2(tmp_path, axis_line):
-    """A curve file with bad metadata is bad input (exit 2), not a crash."""
+_BAD_CURVE_METADATA = [
+    ("# axis=tau n_pulses=12 propagator_mode=magnsu", "propagator_mode must be"),
+    ("# axis=tau propagator_mode=exact", "missing n_pulses metadata"),
+    ("# axis=tau n_pulses=abc", "bad n_pulses metadata 'abc'"),
+    ("# axis=n tau_ns=1e", "bad tau_ns metadata '1e'"),
+]
+
+
+@pytest.mark.parametrize("axis_line, error", _BAD_CURVE_METADATA,
+                         ids=[line for line, _ in _BAD_CURVE_METADATA])
+def test_cli_fit_bad_curve_metadata_exits_2(tmp_path, capsys, axis_line, error):
+    """A curve file with bad metadata is bad input (exit 2), not a crash,
+    and the error names the file."""
     curve = tmp_path / "scan_tau.csv"
     curve.write_text(axis_line + "\ntau_ns,coherence\n200,0.5\n210,0.4\n")
     out = tmp_path / "out"
     assert main(["--config", DEMO, "--out", str(out), "fit", str(curve)]) == 2
+    assert f"config error: fit: {curve}: {error}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -838,6 +880,20 @@ def test_cli_fit_malformed_curve_row_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["--config", DEMO, "--out", str(out), "fit", str(curve)]) == 2
     assert f"{curve}, line 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row", ["2.5,0.95", "0,0.95", "-3,0.95", "1e300,0.95"])
+def test_cli_fit_non_integer_pulse_number_exits_2(tmp_path, capsys, row):
+    """An N-scan row whose pulse number is not an integer >= 1 is bad input
+    (exit 2), not a fit at the truncated N."""
+    curve = tmp_path / "scan_n.csv"
+    curve.write_text("# axis=n tau_ns=525.2 propagator_mode=magnus\n"
+                     f"n_pulses,coherence\n1,0.9\n{row}\n3,0.8\n")
+    out = tmp_path / "out"
+    assert main(["--config", DEMO, "--out", str(out), "fit", str(curve)]) == 2
+    assert (f"config error: fit: {curve}: pulse numbers must be integers"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
