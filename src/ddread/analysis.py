@@ -37,7 +37,7 @@ _FIT_BLOCK_CELLS = 1 << 12
 
 #: Span (rad/s) of ``fit_hyperfine``'s coarse grid on each of a_par and
 #: a_perp, 10 kHz to 1 MHz; the refinements are bounded to a tenth of its
-#: low end and twice its high end.
+#: low end and twice its high end, and a_perp below 2 gamma_n B.
 _FIT_GRID = (2.0 * np.pi * 10e3, 2.0 * np.pi * 1e6)
 
 
@@ -324,268 +324,101 @@ def _fit_model_values(params, cells, fieldcfg, consts, propagator_mode="exact"):
     return values, valid
 
 
-#: Local refinements of ``fit_hyperfine``: tolerances on the relative change
-#: of the cost and of the parameters, and (scipy's defaults for two
-#: parameters) on the gradient scaled by the distance to the bound it points
-#: at, and the cap on evaluations per start.
+#: Local refinements of ``fit_hyperfine``: the tolerance on the relative
+#: change of the cost and of the parameters, and the cap on evaluations per
+#: start.
 _FTOL = _XTOL = 1e-12
-_GTOL = 1e-8
 _MAX_NFEV = 200
 _EPS = np.finfo(float).eps
 
-# The solver below is scipy's bounded trust-region reflective solver
-# (``scipy.optimize``'s "trf" method with its exact trust-region solver)
-# with the starts on a leading axis.  Each row takes the same arithmetic in
-# the same order, reductions included: row-wise dot and matrix-vector
-# products go through ``@`` on stacked arrays, which makes one BLAS call per
-# row as ``np.dot`` does, and the SVD is LAPACK's per matrix.  On decoupled
-# data the finite-difference Jacobian is rounding noise at the 1e-4 level,
-# so any other rounding sends a start to another point of the flat valley.
-
-
-def _matvec(mats, vecs):
-    """(L, r, c) matrices times (L, c) vectors."""
-    return (mats @ vecs[:, :, None])[:, :, 0]
-
-
-def _pow(a, e):
-    """``a ** e`` per element with the C library's ``pow``, as numpy computes
-    it for a scalar (array powers round some values differently)."""
-    return np.array([x ** e for x in a.tolist()])
-
-
-def _scaling(x, g, lb, ub):
-    """Coleman-Li scaling v: the distance to the bound each gradient
-    component points at (1 where it is zero), and dv/dx."""
-    v = np.where(g < 0.0, ub - x, np.where(g > 0.0, x - lb, 1.0))
-    return v, np.where(g < 0.0, -1.0, np.where(g > 0.0, 1.0, 0.0))
-
-
-def _secular(alpha, suf, s, delta):
-    """|p(α)| - delta and its derivative in α, p(α) the regularised step."""
-    denom = s ** 2 + alpha[:, None]
-    p_norm = _row_norm(suf / denom)
-    return p_norm - delta, -np.sum(suf ** 2 / denom ** 3, axis=1) / p_norm
-
-
-def _trust_region_steps(uf, s, v, delta, alpha, m):
-    """Each row's step p minimising |f + J p| subject to |p| <= ``delta``,
-    from the SVD J = U diag(``s``) Vᵀ of its augmented Jacobian (``v`` = V)
-    and ``uf`` = Uᵀ f: the Gauss-Newton step where J has full rank and the
-    step fits, else up to 10 Newton steps from ``alpha`` on the secular
-    equation |p(α)| = delta for the Levenberg-Marquardt parameter α (Moré &
-    Sorensen, SIAM J. Sci. Stat. Comput. 4, 553 (1983)).  Returns the steps
-    and each row's α, 0 for a Gauss-Newton step."""
-    full_rank = s[:, -1] > _EPS * m * s[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        steps = -_matvec(v, uf / s)
-    fits = full_rank & (_row_norm(steps) <= delta)
-    alpha = np.where(fits, 0.0, alpha)
-    i = np.flatnonzero(~fits)
-    if not len(i):
-        return steps, alpha
-    suf, s, v, delta, full_rank = s[i] * uf[i], s[i], v[i], delta[i], full_rank[i]
-    up = _row_norm(suf) / delta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi, dphi = _secular(np.zeros_like(delta), suf, s, delta)
-    lo = np.where(full_rank, -phi / dphi, 0.0)
-    al = alpha[i]
-    reset = ~full_rank & (al == 0.0)
-    al[reset] = np.maximum(0.001 * up[reset], _pow(lo[reset] * up[reset], 0.5))
-    active = np.ones(len(i), dtype=bool)
-    for _ in range(10):
-        out = active & ((al < lo) | (al > up))
-        al[out] = np.maximum(0.001 * up[out], _pow(lo[out] * up[out], 0.5))
-        phi, dphi = _secular(al, suf, s, delta)
-        up = np.where(active & (phi < 0.0), al, up)
-        ratio = phi / dphi
-        lo = np.where(active, np.maximum(lo, al - ratio), lo)
-        al = np.where(active, al - (phi + delta) * ratio / delta, al)
-        active &= ~(np.abs(phi) < 0.01 * delta)
-        if not active.any():
-            break
-    p = -_matvec(v, suf / (s ** 2 + al[:, None]))
-    steps[i] = p * (delta / _row_norm(p))[:, None]
-    alpha[i] = al
-    return steps, alpha
-
-
-def _to_bound(x, s, lb, ub):
-    """Each row's largest multiple of ``s`` that keeps x within [lb, ub],
-    and the components that reach a bound there."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        steps = np.where(s != 0.0, np.maximum((lb - x) / s, (ub - x) / s), np.inf)
-    least = np.min(steps, axis=1)
-    return least, (steps == least[:, None]) & (s != 0.0)
-
-
-def _model_value(jh, gh, diag, s):
-    """The quadratic model ½ sᵀ(JᵀJ + diag) s + gᵀs of each row."""
-    js = _matvec(jh, s)
-    return 0.5 * (_row_dot(js, js) + _row_dot(s * diag, s)) + _row_dot(s, gh)
-
-
-def _line_model(jh, gh, diag, s, s0):
-    """(a, b, c) of the quadratic model a t² + b t + c along s0 + t s."""
-    v, u = _matvec(jh, s), _matvec(jh, s0)
-    a = _row_dot(v, v)
-    a += _row_dot(s * diag, s)
-    a *= 0.5
-    b = _row_dot(gh, s)
-    b += _row_dot(u, v)
-    c = 0.5 * _row_dot(u, u) + _row_dot(gh, s0)
-    b += _row_dot(s0 * diag, s)
-    c += 0.5 * _row_dot(s0 * diag, s0)
-    return a, b, c
-
-
-def _line_minimum(a, b, lo, hi, c):
-    """Each row's minimising t of a t² + b t + c on [lo, hi], and the value."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ext = -0.5 * b / a
-    t = np.stack([lo, hi, ext], axis=1)
-    y = t * (a[:, None] * t + b[:, None]) + c[:, None]
-    y[:, 2] = np.where((a != 0.0) & (lo < ext) & (ext < hi), y[:, 2], np.inf)
-    k = np.argmin(y, axis=1)
-    rows = np.arange(len(a))
-    return t[rows, k], y[rows, k]
-
-
-def _select_steps(x, jh, diag, gh, p, ph, d, delta, lb, ub, theta):
-    """The steps, scaled steps and predicted reductions of each row: the
-    trust-region step where it stays within the bounds, else the best of it
-    cut back to a fraction ``theta`` of the way to the bound, its reflection
-    there and the scaled anti-gradient step (Branch, Coleman & Li, SIAM J.
-    Sci. Comput. 21, 1 (1999))."""
-    step, step_h = p.copy(), ph.copy()
-    value = _model_value(jh, gh, diag, ph)
-    o = np.flatnonzero(~np.all((x + p >= lb) & (x + p <= ub), axis=1))
-    if not len(o):
-        return step, step_h, -value
-    x, jh, diag, gh, p, ph, d, delta, theta = (
-        x[o], jh[o], diag[o], gh[o], p[o], ph[o], d[o], delta[o], theta[o])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p_stride, hits = _to_bound(x, p, lb, ub)
-        rh = np.where(hits, -ph, ph)
-        p, ph = p * p_stride[:, None], ph * p_stride[:, None]
-        # the reflected direction's stride to the trust-region boundary
-        qa, qb = _row_dot(rh, rh), _row_dot(ph, rh)
-        qc = _row_dot(ph, ph) - _pow(delta, 2)
-        q = -(qb + np.copysign(np.sqrt(qb * qb - qa * qc), qb))
-        to_tr = np.maximum(q / qa, qc / q)
-        to_bound, _ = _to_bound(x + p, d * rh, lb, ub)
-        r_stride = np.minimum(to_bound, to_tr)
-        pos = r_stride > 0
-        r_lo = np.where(pos, (1 - theta) * p_stride / r_stride, 0.0)
-        r_hi = np.where(pos, np.where(r_stride == to_bound, theta * to_bound, to_tr), -1.0)
-        ok = r_lo <= r_hi
-        a, b, c = _line_model(jh, gh, diag, rh, ph)
-        t, r_value = _line_minimum(a, b, np.where(ok, r_lo, 0.0),
-                                   np.where(ok, r_hi, 0.0), c)
-        r_value[~ok] = np.inf
-        rh = rh * t[:, None] + ph
-        p, ph = p * theta[:, None], ph * theta[:, None]
-        p_value = _model_value(jh, gh, diag, ph)
-        agh = -gh
-        ag = d * agh
-        to_tr = delta / _row_norm(agh)
-        to_bound, _ = _to_bound(x, ag, lb, ub)
-        a, b, _ = _line_model(jh, gh, diag, agh, np.zeros_like(agh))
-        t, ag_value = _line_minimum(a, b, np.zeros_like(a),
-                                    np.where(to_bound < to_tr, theta * to_bound, to_tr),
-                                    np.zeros_like(a))
-    agh, ag = agh * t[:, None], ag * t[:, None]
-    use_p = (p_value < r_value) & (p_value < ag_value)
-    use_r = ~use_p & (r_value < p_value) & (r_value < ag_value)
-    step[o] = np.where(use_p[:, None], p, np.where(use_r[:, None], rh * d, ag))
-    step_h[o] = np.where(use_p[:, None], ph, np.where(use_r[:, None], rh, agh))
-    value[o] = np.where(use_p, p_value, np.where(use_r, r_value, ag_value))
-    return step, step_h, -value
-
 
 def _refine(starts, residuals, lb, ub):
-    """Bounded trust-region least squares of ``residuals``, which maps (P, 2)
-    parameter points to (P, M) finite rows, from every start at once;
-    returns the final (S, 2) parameters and (S, M) residuals.
+    """Bounded damped Gauss-Newton least squares of ``residuals``, which maps
+    (P, 2) parameter points to (P, M) finite rows, from every start at once;
+    returns the final (S, 2) parameters and (S, M) residuals.  ``lb`` and
+    ``ub`` bound both parameters or each its own.
 
     Each iteration evaluates every live start's trial point and its two
-    forward-difference points (scipy's 2-point steps) in one call, so an
-    accepted step comes with its Jacobian.  The region is scaled by the root
-    of the distance to the bound each gradient component points at, with
-    the gradient's magnitude on the diagonal of the model (Coleman & Li,
-    SIAM J. Optim. 6, 418 (1996)); iterates stay strictly inside
-    [``lb``, ``ub``].  A step that lowers the cost is taken; the radius
-    shrinks to a quarter of a step that gains under a quarter of its
-    predicted reduction and doubles after a boundary step that gains over
-    three quarters of it.  Every operation acts on each start's own
-    entries, so a start's path does not depend on the others."""
+    forward-difference points in one call, so an accepted step comes with
+    its Jacobian J.  The step solves (JᵀJ + λ diag JᵀJ) p = -Jᵀf
+    (Marquardt, SIAM J. Appl. Math. 11, 431 (1963)) in the free components.
+    A component is held where its column of J is zero, where the iterate is
+    on a bound and the gradient points out of the box, or, until a step is
+    taken, where a step that was not taken moved it less than its
+    difference step: its gradient is not resolved at that scale (next to
+    a square-root edge of the model, say).  Trial points are clipped
+    strictly inside [``lb``, ``ub``].  A step that lowers the cost is
+    taken; λ starts at 1e-2, grows fourfold after a step that gains under a
+    quarter of the reduction the linear model predicts and shrinks
+    threefold after one that gains over three quarters of it.  A start
+    stops when no component is free, when a step that gains over a quarter
+    of its prediction gains under ``_FTOL`` of the cost, when a step moves
+    it by under ``_XTOL`` of its norm, or after ``_MAX_NFEV`` evaluations.
+    Every operation acts on each start's own entries, so a start's path
+    does not depend on the others."""
     x = np.array(starts, dtype=float)
+    low, high = np.nextafter(lb, ub), np.nextafter(ub, lb)
+
+    def difference_steps(points):
+        return np.sqrt(_EPS) * np.maximum(1.0, np.abs(points))
 
     def evaluate(points):
-        # (L, 2) points -> residuals (L, M) and Jacobians transposed (L, 2, M)
-        h = np.sqrt(_EPS) * np.maximum(1.0, np.abs(points))
+        # (L, 2) points -> residuals (L, M), gradients Jᵀf (L, 2), JᵀJ (L, 2, 2)
+        h = difference_steps(points)
         h = np.where(points + h > ub, -h, h)
         shifted = points[:, None, :] + h[:, None, :] * np.eye(2)
         rows = residuals(np.concatenate([points[:, None], shifted], axis=1)
                          .reshape(-1, 2)).reshape(len(points), 3, -1)
         dx = shifted[:, [0, 1], [0, 1]] - points
-        return rows[:, 0], (rows[:, 1:] - rows[:, :1]) / dx[:, :, None]
+        jt = (rows[:, 1:] - rows[:, :1]) / dx[:, :, None]
+        jtj = np.stack([_row_dot(jt, jt[:, :1]), _row_dot(jt, jt[:, 1:])], axis=2)
+        return rows[:, 0], _row_dot(jt, rows[:, :1]), jtj
 
-    f, jt = evaluate(x)
-    m = f.shape[1]
+    f, g, jtj = evaluate(x)
     cost = 0.5 * _row_dot(f, f)
-    g = _matvec(jt, f)
-    delta = _row_norm(x / _scaling(x, g, lb, ub)[0] ** 0.5)
-    delta[delta == 0.0] = 1.0
-    alpha, nfev = np.zeros(len(x)), np.ones(len(x))
+    lam, nfev = np.full(len(x), 1e-2), np.ones(len(x))
     live = np.ones(len(x), dtype=bool)
+    unresolved = np.zeros(x.shape, dtype=bool)
     while True:
-        v, dv = _scaling(x, g, lb, ub)
-        g_norm = np.max(np.abs(g * v), axis=1)
-        live &= ~(g_norm < _GTOL) & (nfev < _MAX_NFEV)
+        diag = jtj[:, [0, 1], [0, 1]]
+        free = (diag > 0.0) & ~unresolved & ~(((x <= low) & (g > 0.0))
+                                              | ((x >= high) & (g < 0.0)))
+        live &= free.any(axis=1) & (nfev < _MAX_NFEV)
         k = np.flatnonzero(live)
         if not len(k):
             return x, f
-        d = v[k] ** 0.5
-        diag = g[k] * dv[k]
-        # the Jacobian in the scaled variables over the rows of diag ** 0.5
-        aug = np.zeros((len(k), m + 2, 2))
-        aug[:, :m] = jt[k].transpose(0, 2, 1) * d[:, None, :]
-        aug[:, m, 0], aug[:, m + 1, 1] = diag[:, 0] ** 0.5, diag[:, 1] ** 0.5
-        u, s, vt = np.linalg.svd(aug, full_matrices=False)
-        f_aug = np.zeros((len(k), m + 2))
-        f_aug[:, :m] = f[k]
-        uf = _matvec(np.ascontiguousarray(u.transpose(0, 2, 1)), f_aug)
-        ph, alpha[k] = _trust_region_steps(
-            uf, s, np.ascontiguousarray(vt.transpose(0, 2, 1)), delta[k], alpha[k], m)
-        step, step_h, predicted = _select_steps(
-            x[k], aug[:, :m], diag, d * g[k], d * ph, ph, d, delta[k], lb, ub,
-            np.maximum(0.995, 1 - g_norm[k]))
-        x_new = x[k] + step
-        x_new = np.where(x_new <= lb, np.nextafter(lb, ub), x_new)
-        x_new = np.where(x_new >= ub, np.nextafter(ub, lb), x_new)
-        f_new, jt_new = evaluate(x_new)
+        # the damped normal equations by Cramer's rule; a held component's
+        # row and column are the identity's and its gradient is 0
+        m00, m11 = np.where(free[k], diag[k] * (1.0 + lam[k, None]), 1.0).T
+        m01 = np.where(free[k].all(axis=1), jtj[k, 0, 1], 0.0)
+        r0, r1 = np.where(free[k], -g[k], 0.0).T
+        det = m00 * m11 - m01 * m01
+        # a singular system (J of rank one, λ below rounding) takes no step
+        p = np.divide(np.stack([m11 * r0 - m01 * r1, m00 * r1 - m01 * r0], axis=1),
+                      det[:, None], out=np.zeros((len(k), 2)), where=det[:, None] > 0.0)
+        x_new = np.clip(x[k] + p, low, high)
+        step = x_new - x[k]
+        s0, s1 = step.T
+        predicted = -(g[k, 0] * s0 + g[k, 1] * s1 + 0.5 * (
+            jtj[k, 0, 0] * s0 * s0 + 2.0 * jtj[k, 0, 1] * s0 * s1
+            + jtj[k, 1, 1] * s1 * s1))
+        f_new, g_new, jtj_new = evaluate(x_new)
         nfev[k] += 1
-        s_norm = _row_norm(step_h)
         cost_new = 0.5 * _row_dot(f_new, f_new)
         actual = cost[k] - cost_new
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(predicted > 0.0, actual / predicted,
-                             ((predicted == 0.0) & (actual == 0.0)).astype(float))
-        radius = np.where(ratio < 0.25, 0.25 * s_norm,
-                          np.where((ratio > 0.75) & (s_norm > 0.95 * delta[k]),
-                                   delta[k] * 2.0, delta[k]))
+        ratio = np.divide(actual, predicted, out=np.zeros(len(k)),
+                          where=predicted > 0.0)
+        lam[k] *= np.where(ratio < 0.25, 4.0, np.where(ratio > 0.75, 1.0 / 3.0, 1.0))
         stop = (((actual < _FTOL * cost[k]) & (ratio > 0.25))
-                | (_row_norm(step) < _XTOL * (_XTOL + _row_norm(x[k]))))
-        go = k[~stop]
-        alpha[go] *= delta[go] / radius[~stop]
-        delta[go] = radius[~stop]
+                | (np.hypot(s0, s1) < _XTOL * (_XTOL + _row_norm(x[k]))))
         live[k[stop]] = False
         better = actual > 0.0
+        unresolved[k] = ~better[:, None] & (
+            unresolved[k] | (np.abs(step) < difference_steps(x[k])))
         kb = k[better]
-        x[kb], f[kb], jt[kb], cost[kb] = (x_new[better], f_new[better],
-                                          jt_new[better], cost_new[better])
-        g[kb] = _matvec(jt[kb], f[kb])
+        x[kb], f[kb], g[kb], jtj[kb], cost[kb] = (x_new[better], f_new[better],
+                                                  g_new[better], jtj_new[better],
+                                                  cost_new[better])
 
 
 def fit_hyperfine(
@@ -600,13 +433,14 @@ def fit_hyperfine(
     one batched forward-model call, seeds local refinements from the best
     handful of starts (least squares on the forward model that produced the
     curves, their common ``propagator_mode``; curves of different modes are
-    refused).  One bounded trust-region solver refines all starts together,
-    one batched forward-model call per iteration (``_refine``), taking the
-    path of scipy's bounded "trf" least-squares solver from each start.
-    Ties in the final residual break toward the lexicographically smallest
-    (a_par, a_perp).  A fit whose residual is insensitive to a_par
-    (decoupled data) is flagged degenerate instead of reporting a spurious
-    parallel coupling.  Non-finite curve values or abscissae are refused.
+    refused).  One bounded damped Gauss-Newton solver refines all starts
+    together, one batched forward-model call per iteration (``_refine``), in
+    a box whose a_perp side ends at 2 gamma_n B, beyond which a_perp
+    realises no frame.  Ties in the final residual break toward the
+    lexicographically smallest (a_par, a_perp).  A fit whose residual is
+    insensitive to a_par (decoupled data) is flagged degenerate instead of
+    reporting a spurious parallel coupling.  Non-finite curve values or
+    abscissae are refused.
     """
     curves = list(curves)
     if not curves:
@@ -644,7 +478,9 @@ def fit_hyperfine(
         (float(np.linalg.norm(r)), ap, at)
         for r, (ap, at) in zip(residuals(points), points))
     starts = [(ap, at) for _, ap, at in coarse[:5]]
-    x, f = _refine(starts, residuals, lo / 10.0, hi * 2.0)
+    wall = 2.0 * consts.gamma_n * fieldcfg.b_magnitude
+    x, f = _refine(starts, residuals, lo / 10.0,
+                   np.array([hi * 2.0, min(hi * 2.0, wall)]))
     res_norm, a_par, a_perp = min(
         (float(np.linalg.norm(r)), float(ap), float(at)) for r, (ap, at) in zip(f, x))
     # Identifiability: if the fitted model is flat (decoupled-spin data) the

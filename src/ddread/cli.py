@@ -76,9 +76,11 @@ def read_curve_csv(path) -> CoherenceCurve:
     """Load a curve written by ``scan`` (metadata comes from the # axis line).
 
     Files without a ``propagator_mode`` key were written before it existed
-    and are read as "exact".  A data row that is not two numbers raises
-    ValueError naming its line; missing or bad metadata, or rows the curve
-    refuses, raise ValueError naming the file.
+    and are read as "exact".  A line that starts with a letter before the
+    first data row is a column-name row; any other row that is not two
+    numbers raises ValueError naming its line; missing or bad metadata, or
+    rows the curve refuses (such as ``nan``), raise ValueError naming the
+    file.
     """
     meta = {}
     xs, ys = [], []
@@ -93,15 +95,15 @@ def read_curve_csv(path) -> CoherenceCurve:
                         k, v = tok.split("=", 1)
                         meta[k] = v
                 continue
-            if line[0].isalpha():
-                continue  # header row
             try:
-                a, b = line.split(",")
-                xs.append(float(a))
-                ys.append(float(b))
+                a, b = map(float, line.split(","))
             except ValueError:
+                if line[0].isalpha() and not xs:
+                    continue  # column-name row
                 raise ValueError(
                     f"{path}, line {lineno}: malformed row {line!r}") from None
+            xs.append(a)
+            ys.append(b)
     axis = meta.get("axis")
     if axis not in ("tau", "n"):
         raise ValueError(f"{path}: missing or unknown axis metadata")

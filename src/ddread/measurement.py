@@ -572,10 +572,11 @@ def read_trace_csv(path, readout: ReadoutConfig) -> PhotonTrace:
 
     The trace carries ``readout`` with the seed of the file's ``seed=``
     comment when there is one.  Rows are taken in file order; the
-    point_index column is not read.  A row whose width differs from the
-    first row's, whose count is not an int64 >= 0 or whose hidden state is
-    not +1 or -1, or a seed outside [0, 2**63), raises ValueError naming
-    its line.
+    point_index column is not read.  Lines that start with a letter are
+    column-name rows before the first row and malformed after it.  A row
+    whose width differs from the first row's, whose count is not an int64
+    >= 0 or whose hidden state is not +1 or -1, or a seed outside
+    [0, 2**63), raises ValueError naming its line.
     """
     seed, counts, hidden = (_read_trace_array(path, readout.seed)
                             or _read_trace_lines(path, readout.seed))
@@ -707,12 +708,14 @@ def _read_trace_lines(path, seed: int):
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if not line or line[0].isalpha():
-                continue  # blank or column-name row
+            if not line or (width is None and line[0].isalpha()):
+                continue  # blank, or a column-name row before the first row
             try:
                 if line[0] == "#":
                     seed = _comment_seed(line, seed)
                     continue
+                if line[0].isalpha():  # a column-name row among the rows
+                    raise ValueError
                 row = line.split(",")
                 if len(row) != width:
                     width = width or len(row)

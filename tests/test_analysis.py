@@ -378,7 +378,9 @@ def test_fit_refinement_errors_release_the_others(field_305, scan_spin,
                                                   monkeypatch, failing_start, when):
     """An error of the forward model at one start's point, its first or its
     fourth trial point, is raised in the caller with its own type; the other
-    starts stop with it."""
+    starts stop with it, and no call follows the failing one.  A clipped
+    trial point can repeat an earlier one, which would fail sooner, so the
+    fourth trial point is checked to appear first in the fourth request."""
     import ddread.analysis as analysis
 
     class RefinementError(Exception):
@@ -404,7 +406,9 @@ def test_fit_refinement_errors_release_the_others(field_305, scan_spin,
     monkeypatch.setattr(analysis, "_refine", recording)
     fit_hyperfine([curve], field_305, n_grid=4)
     assert len(seen["starts"]) == 5 and len(seen["trials"]) >= 4
-    failing = seen["trials"][0 if when == "at its start" else 3]
+    request = 0 if when == "at its start" else 3
+    failing = seen["trials"][request]
+    assert failing not in seen["trials"][:request]
     monkeypatch.setattr(analysis, "_refine", refine)
     original = analysis._fit_model_values
     calls = []
@@ -421,6 +425,34 @@ def test_fit_refinement_errors_release_the_others(field_305, scan_spin,
     assert type(outcome.get("error")) is RefinementError
     # no call after the failing one
     assert len(calls) == (2 if when == "at its start" else 5)
+
+
+def test_refinement_keeps_a_start_without_a_frame(field_305, scan_spin):
+    """A start with a_perp beyond 2 gamma_n B realises no frame: every row
+    is invalid, its Jacobian is zero, and it comes back unchanged without a
+    singular solve, while a valid start beside it converges to the truth."""
+    import ddread.analysis as analysis
+    from ddread.analysis import _fit_cells, _fit_model_values
+    from ddread.spincore import DEFAULT_CONSTANTS
+
+    curve = scan_tau([scan_spin], field_305, 12, (420e-9, 580e-9), 8e-9)
+    cells = _fit_cells([curve])
+
+    def residuals(points):
+        model, valid = _fit_model_values(points, cells, field_305, DEFAULT_CONSTANTS)
+        model -= curve.values
+        model[~valid] = 1e3
+        return model
+
+    frame = effective_frame(scan_spin, field_305)
+    wall = 2.0 * DEFAULT_CONSTANTS.gamma_n * field_305.b_magnitude
+    lb, ub = 2.0 * np.pi * 1e3, np.array([2.0 * np.pi * 2e6, wall])
+    starts = np.array([[frame.a_par, 1.5 * wall],
+                       [1.05 * frame.a_par, 1.1 * frame.a_perp]])
+    x, f = analysis._refine(starts, residuals, lb, ub)
+    assert np.array_equal(x[0], starts[0]) and np.all(f[0] == 1e3)
+    assert x[1] == pytest.approx([frame.a_par, frame.a_perp], rel=1e-9)
+    assert np.linalg.norm(f[1]) < 1e-9
 
 
 @pytest.mark.parametrize("n_grid", [1, 3, 8, 20])

@@ -791,7 +791,7 @@ def test_cli_spectroscopy_bytes(tmp_path):
         "map2d.csv":
             "3c76deef4f22520db2b7448d1b89844c0bb99bcd5d61e1abb9c4437e316a9e02",
         "hyperfine_fit.json":
-            "6a0d80db48a22bd379c7b732c3ad1fe5f7ea1256f559a2b02c9b17a42fad9143",
+            "6e9bca4bc48ec8934c384260c9cec142ee5953f12b42091a8d21b67478f1ad1a",
     }
 
 
@@ -815,7 +815,8 @@ def test_cli_analyze_bytes(tmp_path):
 
 @pytest.mark.parametrize("row", ["3,2400,1,0", "3,24x0,1", "3,2400", "3,,1",
                                  "3,2400,0", "3,2400,300", "3,-5,1",
-                                 "3,99999999999999999999,1", "3,abc"])
+                                 "3,99999999999999999999,1", "3,abc",
+                                 "x3,2400,1", "abc"])
 def test_cli_analyze_malformed_row_exits_2(tmp_path, capsys, row):
     """A malformed trace row is bad input (exit 2), reported with its line,
     before the output directory is made."""
@@ -897,7 +898,8 @@ def test_cli_fit_non_integer_pulse_number_exits_2(tmp_path, capsys, row):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("row", ["210,nan", "-inf,0.4", "1e400,0.4"])
+@pytest.mark.parametrize("row", ["210,nan", "-inf,0.4", "1e400,0.4", "nan,0.4",
+                                 "inf,0.4"])
 def test_cli_fit_non_finite_curve_row_exits_2(tmp_path, capsys, row):
     """A curve with a non-finite value or abscissa is bad input (exit 2), not
     a fit with a NaN residual, and no output directory."""
