@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 runtime/physics error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -190,8 +191,11 @@ def cmd_analyze(config: RunConfig, out_dir: Path, trace_path) -> int:
         trace = read_trace_csv(trace_path, config.readout)
     except ValueError as exc:  # a malformed trace file is bad input
         raise ConfigError(f"analyze: {exc}") from exc
-    hists = conditional_histograms(trace, config.thresholds)
-    report = fidelity_vs_threshold(hists)
+    try:
+        hists = conditional_histograms(trace, config.thresholds)
+        report = fidelity_vs_threshold(hists)
+    except ValueError as exc:  # so is a trace that pairs no point of a class
+        raise ConfigError(f"analyze: {trace_path}: {exc}") from exc
     histograms_to_csv(hists, _output(out_dir, "histograms.csv"))
     jumps = detect_jumps(trace, config.thresholds)
     extra = {}
@@ -242,7 +246,10 @@ def cmd_fit(config: RunConfig, out_dir: Path, curve_paths) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process; argparse keeps no
+    state between parses, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="ddread",
         description="CPMG coherence scans and single-shot nuclear-spin readout",

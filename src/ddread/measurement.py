@@ -572,11 +572,12 @@ def read_trace_csv(path, readout: ReadoutConfig) -> PhotonTrace:
 
     The trace carries ``readout`` with the seed of the file's ``seed=``
     comment when there is one.  Rows are taken in file order; the
-    point_index column is not read.  Lines that start with a letter are
-    column-name rows before the first row and malformed after it.  A row
-    whose width differs from the first row's, whose count is not an int64
-    >= 0 or whose hidden state is not +1 or -1, or a seed outside
-    [0, 2**63), raises ValueError naming its line.
+    point_index column is checked but its values are not used.  Lines that
+    start with a letter are column-name rows before the first row and
+    malformed after it.  A row whose width differs from the first row's,
+    whose index or count is not an int64 >= 0 or whose hidden state is not
+    +1 or -1, or a seed outside [0, 2**63), raises ValueError naming its
+    line.
     """
     seed, counts, hidden = (_read_trace_array(path, readout.seed)
                             or _read_trace_lines(path, readout.seed))
@@ -632,61 +633,77 @@ def _parse_rows(block: bytes, width: int):
     """(counts as int64, states as int8, empty for 2 columns) of the rows
     in ``block``, which ends with LF: each row ``index,count[,state]`` of
     ASCII digits with state 1 or -1, LF or CRLF ended, blank rows skipped.
-    None if a row is anything else."""
+    None if a row is anything else.
+
+    Passes over the block's bytes: an LF index, a CR count and the charset
+    test.  Each row's fields are then read from its line end: the state
+    ``1`` or ``-1`` and its comma, then the count, by a right-to-left digit
+    scan that stops at the row's first comma; the index before it must be
+    1 to 18 digits (a longer one goes to the line parser).  A CR may stand
+    only before an LF, and the bytes below "0" but LF and CR must be just
+    the commas and minuses that these reads found, so each row has one
+    layout.  A scan stops at its first non-digit: at the latest the LF
+    before its row or, for the block's first row, b[-1], the block's final
+    LF, so it reads no byte before its row.
+    """
     b = np.frombuffer(block, dtype=np.uint8)
     ends = np.flatnonzero(b == ord("\n"))
-    cr = np.flatnonzero(b == ord("\r"))
-    commas = np.flatnonzero(b == ord(","))
-    minus = np.count_nonzero(b == ord("-"))
-    # every byte a digit or one of these four: none above "9", and all
-    # below "0" counted here
-    if b.max() > ord("9") or (np.count_nonzero(b < ord("0"))
-                              != len(ends) + len(cr) + len(commas) + minus):
+    n_cr = np.count_nonzero(b == ord("\r"))
+    if b.max() > ord("9"):
         return None
-    if not (b[cr + 1] == ord("\n")).all():  # a lone CR ends a line in text mode
-        return None
+    # the bytes below "0" but LF and CR: each row's commas and its state's
+    # minus, which the rows must account for
+    marks = np.count_nonzero(b < ord("0")) - len(ends) - n_cr
     starts = np.concatenate(([0], ends[:-1] + 1))
-    # a CRLF row ends at its CR (a row at 0 reads b[-1], the final LF)
-    ends -= b[ends - 1] == ord("\r")
+    if n_cr:
+        # a CRLF row ends at its CR (a row at 0 reads b[-1], the final LF);
+        # any other CR ends a line in text mode
+        crlf = b[ends - 1] == ord("\r")
+        if np.count_nonzero(crlf) != n_cr:
+            return None
+        ends -= crlf
     full = ends > starts
     if not full.all():  # blank rows
         starts, ends = starts[full], ends[full]
-    if len(commas) != (width - 1) * len(starts):
-        return None
-    commas = commas.reshape(-1, width - 1)
-    # each row's fields lie between its own commas: the index (digits) from
-    # its start, the count and the state up to its end
-    count_end = commas[:, 1] if width == 3 else ends
-    count_len = count_end - commas[:, 0] - 1
-    if not ((commas[:, 0] >= starts).all() and (count_len >= 1).all()
-            and (count_len <= 19).all()):
-        return None
     if width == 3:
-        # a state is "1" or "-1", and no other field holds a minus
-        negative = b[count_end + 1] == ord("-")
-        if not ((ends - count_end == 2 + negative).all()
-                and (b[ends - 1] == ord("1")).all()
-                and minus == np.count_nonzero(negative)):
+        # a state is "1" or "-1" after its comma
+        negative = b[ends - 2] == ord("-")
+        count_end = ends - 2 - negative
+        if not ((b[ends - 1] == ord("1")).all()
+                and (b[count_end] == ord(",")).all()):
             return None
+        marks -= np.count_nonzero(negative)
         states = 1 - 2 * negative.view(np.int8)
-    elif minus:
-        return None
     else:
-        states = np.empty(0, dtype=np.int8)
-    # the count's digits summed right-aligned; 19 digits fit in uint64
+        count_end, states = ends, np.empty(0, dtype=np.int8)
+    if marks != (width - 1) * len(starts):
+        return None
+    # the count's digits summed right-aligned; a row's scan stops at its
+    # first non-digit, which stays its place
     total = np.zeros(len(starts), dtype=np.uint64)
-    place, shortest = count_end - 1, count_len.min(initial=19)
-    for j in range(int(count_len.max(initial=0))):
-        digit = b[place] - np.uint8(ord("0"))
-        if j >= shortest:
-            # a shorter count's place j is a byte of another field (or,
-            # wrapped, of the block's end): zeroed
-            digit[count_len <= j] = 0
+    place = count_end - 1
+    for power in _POW10:
+        digit = b[place] - np.uint8(ord("0"))  # a non-digit wraps above 9
+        if digit.max(initial=0) <= 9:
+            place -= 1
+        elif power == 1:  # an empty count
+            return None
+        elif digit.min() <= 9:
+            more = digit <= 9
+            digit *= more
+            place -= more
+        else:
+            break
         # uint64 named: numpy 1.x would keep a uint8 digit's type for a
         # small place value and wrap
-        total += np.multiply(digit, _POW10[j], dtype=np.uint64)
-        place -= 1
-    if (total > _INT64_MAX).any():
+        total += np.multiply(digit, power, dtype=np.uint64)
+    else:  # a count of 19 digits may pass int64
+        if (total > _INT64_MAX).any():
+            return None
+    # every count stopped at the index's comma, after 1 to 18 index digits
+    index_len = place - starts
+    if not ((b[place] == ord(",")).all() and (index_len >= 1).all()
+            and (index_len <= 18).all()):
         return None
     return total.view(np.int64), states
 
@@ -721,8 +738,8 @@ def _read_trace_lines(path, seed: int):
                     width = width or len(row)
                     if len(row) != width or width not in (2, 3):
                         raise ValueError
-                count = int(row[1])
-                if count < 0:
+                index, count = int(row[0]), int(row[1])
+                if not (0 <= index < 2**63 and count >= 0):
                     raise ValueError
                 counts.append(count)  # OverflowError beyond int64
                 if width == 3:

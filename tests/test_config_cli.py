@@ -816,7 +816,9 @@ def test_cli_analyze_bytes(tmp_path):
 @pytest.mark.parametrize("row", ["3,2400,1,0", "3,24x0,1", "3,2400", "3,,1",
                                  "3,2400,0", "3,2400,300", "3,-5,1",
                                  "3,99999999999999999999,1", "3,abc",
-                                 "x3,2400,1", "abc"])
+                                 "x3,2400,1", "abc", "3x,2400,1",
+                                 "?,2350,-1", ",12,1", "-3,2400,1",
+                                 f"{2**63},2400,1"])
 def test_cli_analyze_malformed_row_exits_2(tmp_path, capsys, row):
     """A malformed trace row is bad input (exit 2), reported with its line,
     before the output directory is made."""
@@ -828,6 +830,46 @@ def test_cli_analyze_malformed_row_exits_2(tmp_path, capsys, row):
                  "analyze", "--trace", str(trace)]) == 2
     assert "line 5" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("", "no trace rows"),
+    ("0,2400,1\n", "trace must contain at least 2 points"),
+    ("0,2600,1\n1,2600,1\n2,2600,-1\n",
+     "both conditional histograms must be nonempty"),
+], ids=["no-rows", "one-row", "no-down-preparation"])
+def test_cli_analyze_unpairable_trace_exits_2(tmp_path, capsys, rows, message):
+    """A trace that yields no pair of one class is bad input (exit 2): the
+    error names the trace, and no output directory is made."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text("point_index,photon_count,hidden_state\n" + rows)
+    out = tmp_path / "out"
+    assert main(["--config", DEMO, "--out", str(out),
+                 "analyze", "--trace", str(trace)]) == 2
+    assert f"config error: analyze: {trace}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_parser_is_built_once(tmp_path, capsys):
+    """``main`` reuses one argument parser: every call parses afresh, with
+    the same help, usage errors and exit codes."""
+    from ddread.cli import build_parser
+
+    assert build_parser() is build_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: ddread" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", DEMO, "analyze"])
+        assert exc.value.code == 2
+        assert "--trace" in capsys.readouterr().err
+        # a flag of one call does not carry into the next
+        assert main(["--config", DEMO, "--normalized", "--out", str(tmp_path),
+                     "ssr", "--points", "1"]) == 2
+        assert main(["--config", DEMO, "--out", str(tmp_path),
+                     "ssr", "--points", "1"]) == 0
 
 
 def test_cli_fit_roundtrip(tmp_path):

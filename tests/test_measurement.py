@@ -571,17 +571,31 @@ _TRACE_FILES = {
     "count-2**63": (_HEADER + _BODY.format(row=f"3,{2**63},1"), False),
     "count-2**63-1": (_HEADER + _BODY.format(row=f"3,{2**63 - 1},1"), True),
     "index-not-a-number": (_HEADER + _BODY.format(row="?,12,1"), False),
-    "index-empty": (_HEADER + _BODY.format(row=",12,1"), True),
+    "index-empty": (_HEADER + _BODY.format(row=",12,1"), False),
+    "index-letter": (_HEADER + _BODY.format(row="3x,2400,1"), False),
+    "index-question-mark": (_HEADER + _BODY.format(row="?,2350,-1"), False),
+    "index-2**63": (_HEADER + _BODY.format(row=f"{2**63},12,1"), False),
+    # 19 digits: the line parser reads it
+    "index-2**63-1": (_HEADER + _BODY.format(row=f"{2**63 - 1},12,1"), False),
+    "index-18-digits": (_HEADER + _BODY.format(row=f"{10**18 - 1},12,1"), True),
     "index-negative": (_HEADER + _BODY.format(row="-3,12,1"), False),
     "count-leading-zeros": (_HEADER + _BODY.format(row="3,0012,1"), True),
     "count-20-digits": (_HEADER + _BODY.format(row=f"3,0{2**63 - 1},1"), False),
     "count-minus-zero": (_HEADER + _BODY.format(row="3,-0,1"), False),
     "state-two-minus": (_HEADER + _BODY.format(row="3,12,--1"), False),
+    "state-only-two-minus": (_HEADER + _BODY.format(row="--1"), False),
+    "state-only": (_HEADER + _BODY.format(row="1"), False),
+    "state-only-comma": (_HEADER + _BODY.format(row=",1"), False),
+    "state-only-negative": (_HEADER + _BODY.format(row="-1"), False),
+    "one-comma-in-3col": (_HEADER + _BODY.format(row="3,1"), False),
+    "one-comma-negative-in-3col": (_HEADER + _BODY.format(row="3,-1"), False),
+    "crlf-negative": ("0,7,-1\r\n1,12,-1\r\n\r\n2,0,-1\r\n", True),
     "commas-shifted": ("0,2400\n1,23,00\n2\n", False),
     "2col-count-negative": ("0,2400\n1,-5\n", False),
     "lone-cr": ("0,2400\r1,2300\n", False),
     "lone-cr-in-comment": ("# c\r0,2400,1\n1,2300,-1\n", False),
     "lone-cr-in-header": ("point_index,photon_count\r0,2400\n1,2300\n", False),
+    "lone-cr-in-index": (_HEADER + _BODY.format(row="3\r3,2450,1"), False),
     "cr-before-crlf": ("0,2400\r\r\n1,2300\n", False),
     "no-final-newline": (_HEADER + "0,2400,1\n1,2300,-1", True),
     "final-cr": (_HEADER + "0,2400,1\n1,2300,-1\r", True),
@@ -600,8 +614,7 @@ def _parsed(read, path, seed):
     return seed, counts.tolist(), None if hidden is None else hidden.tolist()
 
 
-@pytest.mark.parametrize("name", list(_TRACE_FILES))
-def test_trace_reader_fast_path_matches_the_line_parser(tmp_path, name):
+def _check_trace_file(tmp_path, name):
     """The array reader gives the line parser's result or hands the file to
     it, so ``read_trace_csv`` returns the same trace or raises the same
     line-naming error as the line parser alone."""
@@ -628,6 +641,35 @@ def test_trace_reader_fast_path_matches_the_line_parser(tmp_path, name):
         assert trace.points.dtype == np.int64
         assert hidden is None or hidden.dtype == np.int8
         assert trace.config == replace(readout, seed=trace.seed)
+
+
+@pytest.mark.parametrize("name", list(_TRACE_FILES))
+def test_trace_reader_fast_path_matches_the_line_parser(tmp_path, name):
+    _check_trace_file(tmp_path, name)
+
+
+@pytest.mark.parametrize("name", list(_TRACE_FILES))
+def test_trace_reader_fast_path_matches_the_line_parser_in_7_byte_reads(
+        tmp_path, monkeypatch, name):
+    """``_check_trace_file`` over 7-byte reads: each row's block holds it
+    whole, though a row of 19 or 20 count digits spans several reads."""
+    import ddread.measurement as m
+
+    monkeypatch.setattr(m, "_READ_BLOCK", 7)
+    _check_trace_file(tmp_path, name)
+
+
+@pytest.mark.parametrize("width, row", [
+    (3, b"1"), (3, b",1"), (3, b"-1"), (3, b"--1"), (3, b"3,1"), (3, b"3,-1"),
+    (3, b",12,1"), (2, b"1"), (2, b",1"), (2, b"-1")])
+def test_row_parser_hands_over_a_short_first_row(width, row):
+    """A block whose first row is too short for its fields goes to the line
+    parser (which refuses the row): the row's reads from its line end stop
+    at b[-1], the block's final LF, and read nothing before the block."""
+    import ddread.measurement as m
+
+    for rest in (b"", b"0,2400,1\n1,12,-1\n" if width == 3 else b"0,2400\n"):
+        assert m._parse_rows(row + b"\n" + rest, width) is None
 
 
 def test_photon_trace_validation():
