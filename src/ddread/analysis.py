@@ -59,10 +59,10 @@ class ThresholdPolicy:
         if self.init_high < self.init_low:
             raise ValueError("init_high must be >= init_low")
 
-    def classify(self, counts: np.ndarray) -> np.ndarray:
-        """Declared state of each count: +1 up, -1 down, 0 undeclared (int8)."""
-        return ((counts > self.init_high).astype(np.int8)
-                - (counts < self.init_low).astype(np.int8))
+    def declared(self, counts: np.ndarray) -> tuple:
+        """Masks of the counts that declare up and of those that declare
+        down; the two never overlap."""
+        return counts > self.init_high, counts < self.init_low
 
 
 @dataclass(frozen=True)
@@ -142,13 +142,13 @@ def conditional_histograms(
         raise ValueError("trace must contain at least 2 points")
     # The walk takes every other point of each run of qualifying points,
     # starting with the run's first; the last point has no successor.
-    labels = policy.classify(counts[:-1])
-    qualifying = np.flatnonzero(labels)
+    up, down = policy.declared(counts[:-1])
+    qualifying = np.flatnonzero(up | down)
     k = np.arange(len(qualifying))
     run_first = np.where(np.diff(qualifying, prepend=-2) != 1, k, 0)
-    prep = qualifying[(k - np.maximum.accumulate(run_first)) % 2 == 0]
-    prep_up = prep[labels[prep] > 0]
-    prep_down = prep[labels[prep] < 0]
+    prep = qualifying[((k - np.maximum.accumulate(run_first)) & 1) == 0]
+    prep_is_up = up[prep]
+    prep_up, prep_down = prep[prep_is_up], prep[~prep_is_up]
     hidden = trace.hidden_states
     low = min(len(prep_up), len(prep_down)) < LOW_STATISTICS_PAIRS
     return ConditionalHistograms(
@@ -223,25 +223,28 @@ def detect_jumps(trace: PhotonTrace, policy: ThresholdPolicy) -> JumpRecord:
     counts = trace.points
     if len(counts) == 0:
         raise ValueError("trace must be nonempty")
-    labels = policy.classify(counts)
-    declared = np.flatnonzero(labels)
-    # a run starts at each declaring point whose label differs from the last
-    starts = declared[np.diff(labels[declared], prepend=0) != 0]
-    run_states = labels[starts]
-    spans = np.diff(starts, prepend=0, append=len(labels))
-    # forward-fill: undeclared up to the first run, then each run's label
-    states = np.repeat(np.append(np.int8(0), run_states), spans)
+    up, down = policy.declared(counts)
+    declared = np.flatnonzero(up | down)
+    declares_up = up[declared]
+    # a run starts at each declaring point whose class differs from the last
+    first = np.ones(len(declared), dtype=bool)
+    first[1:] = declares_up[1:] != declares_up[:-1]
+    starts = declared[first]
+    run_up = declares_up[first]
+    spans = np.diff(starts, prepend=0, append=len(counts))
+    # forward-fill: undeclared up to the first run, then each run's state
+    states = np.repeat(np.append(np.int8(0), np.where(run_up, np.int8(1), np.int8(-1))),
+                       spans)
     lengths = spans[1:]
     # the first and last runs touch the trace boundary
     interior = np.zeros(len(starts), dtype=bool)
     interior[1:-1] = True
-    up = run_states == 1
     return JumpRecord(
         states=states,
-        dwells_up=lengths[interior & up],
-        dwells_down=lengths[interior & ~up],
-        dwells_up_censored=lengths[~interior & up],
-        dwells_down_censored=lengths[~interior & ~up],
+        dwells_up=lengths[interior & run_up],
+        dwells_down=lengths[interior & ~run_up],
+        dwells_up_censored=lengths[~interior & run_up],
+        dwells_down_censored=lengths[~interior & ~run_up],
         jump_indices=starts[1:],
     )
 

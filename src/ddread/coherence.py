@@ -3,7 +3,7 @@
 The observable is the signed coherence L = Re Tr(rho_n U_plus^dag U_minus),
 the overlap of the two conditional nuclear evolutions.  With the nuclear
 state rho_n = (1 + r.sigma)/2 and U_plus^dag U_minus = w - i v.sigma it is w
-for every r, so one quaternion dot product gives it and no state enters.
+for every r, so the branches' Cayley-Klein pairs give it and no state enters.
 For a bath of mutually non-interacting spins the signal is the product of
 the single-spin factors.
 """
@@ -22,7 +22,7 @@ from .spincore import (
     FieldConfig,
     HyperfineSpin,
     PhysicalConstants,
-    cpmg_quaternions,
+    cpmg_cayley_klein,
 )
 
 
@@ -110,13 +110,14 @@ def _coherence_rows(a_vecs, fieldcfg, n_pulses, taus, propagator_mode, consts):
     """Single-spin coherence for each row of a (P, 3) stack of hyperfine
     vectors: shape (P,) + the broadcast grid.
 
-    0.5 Re Tr(U_plus^dag U_minus) of two SU(2) matrices is the dot product
-    w_plus w_minus + v_plus . v_minus of their quaternions, which does not
-    depend on the axes the vector parts are written in; no matrix is built.
+    0.5 Re Tr(U_plus^dag U_minus) of two SU(2) matrices is Re(conj(alpha_plus)
+    alpha_minus + conj(beta_plus) beta_minus) of their Cayley-Klein pairs,
+    which does not depend on the axes the pairs are written in; no matrix is
+    built.
     """
-    (w, x, y, z), _ = cpmg_quaternions(a_vecs, fieldcfg, n_pulses, taus,
-                                       propagator_mode, consts)
-    return w[0] * w[1] + x[0] * x[1] + y[0] * y[1] + z[0] * z[1]
+    (alpha, beta), _ = cpmg_cayley_klein(a_vecs, fieldcfg, n_pulses, taus,
+                                         propagator_mode, consts)
+    return (alpha[0].conj() * alpha[1] + beta[0].conj() * beta[1]).real
 
 
 def check_tau_range(tau_range: tuple, step: float) -> None:

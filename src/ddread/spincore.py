@@ -296,7 +296,7 @@ def _branch_index(branch: str) -> int:
     return 0 if branch == "plus" else 1
 
 
-def cpmg_quaternions(
+def cpmg_cayley_klein(
     spin: HyperfineSpin | np.ndarray,
     fieldcfg: FieldConfig,
     n_pulses,
@@ -304,19 +304,19 @@ def cpmg_quaternions(
     propagator_mode: str = "exact",
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ):
-    """The kernel's first stage: both branches' CPMG-N propagators as unit
-    quaternions on the broadcast grid of ``n_pulses`` x ``taus``.
+    """The kernel's first stage: both branches' CPMG-N propagators as
+    Cayley-Klein pairs on the broadcast grid of ``n_pulses`` x ``taus``.
 
     ``spin`` is a ``HyperfineSpin`` or a (P, 3) stack of hyperfine vectors.
-    Returns ``(q, axes)``.  ``q`` is a quaternion (w, x, y, z) of arrays that
-    stands for w 1 - i (x, y, z).sigma; each array has a leading branch axis
-    (plus, minus), then the spin axis of a stack, then the broadcast grid.
-    The vector part's coordinate a is along the lab vector ``axes[..., a,
-    :]``: the identity in exact mode, the frame axes (n_perp, n_cross,
-    n_par) in magnus mode.  Each branch is one cycle tau-pi-2tau-pi-tau
-    raised to N // 2 in SU(2) closed form, then one half-cycle for odd N
-    (Taminiau et al., PRL 109, 137602 (2012)), so the cost does not grow
-    with N.  The one reader of ``propagator_mode``.
+    Returns ``(pair, frame)``.  ``pair`` is (alpha, beta), two complex arrays
+    that stand for U = [[alpha, beta], [-conj(beta), conj(alpha)]]; each has a
+    leading branch axis (plus, minus), then the spin axis of a stack, then the
+    broadcast grid.  In exact mode ``frame`` is None: the pair is in lab
+    axes.  In magnus mode it is the ``EffectiveFrame`` in whose axes
+    (n_perp, n_cross, n_par) the pair is written.  Each branch is one cycle
+    tau-pi-2tau-pi-tau raised to N // 2 in SU(2) closed form, then one
+    half-cycle for odd N (Taminiau et al., PRL 109, 137602 (2012)), so the
+    cost does not grow with N.  The one reader of ``propagator_mode``.
     """
     if propagator_mode == "exact":
         return _propagators_exact_batch(spin, fieldcfg, n_pulses, taus, consts)
@@ -337,12 +337,12 @@ def conditional_propagators(
 ):
     """(U_plus, U_minus) of CPMG-N on the broadcast grid of ``n_pulses`` x ``taus``.
 
-    The kernel's second stage: the 2 x 2 matrices of ``cpmg_quaternions``.
+    The kernel's second stage: the 2 x 2 matrices of ``cpmg_cayley_klein``.
     Both arrays have the broadcast shape + (2, 2), behind a leading axis of
     length P for a (P, 3) stack of hyperfine vectors.
     """
-    u = _su2_matrices(*cpmg_quaternions(spin, fieldcfg, n_pulses, taus,
-                                        propagator_mode, consts))
+    u = _su2_matrices(*cpmg_cayley_klein(spin, fieldcfg, n_pulses, taus,
+                                         propagator_mode, consts))
     return u[0], u[1]
 
 
@@ -358,8 +358,9 @@ def conditional_propagator_exact(
     The 'plus' branch sees (A + gamma_n B).I during the first interval; each
     ideal pi-flip swaps the two interval Hamiltonians.
     """
-    q, axes = _propagators_exact_batch(spin, fieldcfg, seq.n_pulses, seq.tau, consts)
-    return _su2_matrices(q, axes)[_branch_index(branch)]
+    u = _su2_matrices(*_propagators_exact_batch(spin, fieldcfg, seq.n_pulses,
+                                                seq.tau, consts))
+    return u[_branch_index(branch)]
 
 
 def _propagators_exact_batch(
@@ -369,28 +370,37 @@ def _propagators_exact_batch(
     taus,
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ):
-    """Exact ``cpmg_quaternions`` for broadcast arrays of pulse numbers and
+    """Exact ``cpmg_cayley_klein`` for broadcast arrays of pulse numbers and
     taus, for one spin or a (P, 3) stack of hyperfine vectors.
 
     With a = exp(-i h_plus.I tau) and b = exp(-i h_minus.I tau) built in
     closed form, the 'plus' branch runs a, b b, a a, ..., so its half-cycle
     is H_plus = b a and its cycle a b b a = H_minus H_plus; the 'minus'
-    branch swaps a and b.
+    branch swaps a and b.  h_minus = gamma_n B lies along z, so b is the
+    diagonal pair (exp(-i gamma_n B tau / 2), 0), and the half-cycles are
+    H_plus = (alpha_b alpha_a, alpha_b beta_a) and H_minus = (alpha_a
+    alpha_b, beta_a conj(alpha_b)).
     """
     a_vec = _hyperfine_vectors(spin)
     taus = np.asarray(taus, dtype=float)
     grid_ndim = len(np.broadcast_shapes(np.shape(n_pulses), taus.shape))
-    b_vec = np.array([0.0, 0.0, consts.gamma_n * fieldcfg.b_magnitude])
-    # (a, b) on the branch axis, so that one product gives both branches
-    ab = _rotor(np.stack(np.broadcast_arrays(a_vec + b_vec, b_vec)), taus, grid_ndim)
-    halves = _quaternion_product(_swap_branches(ab), ab)
-    cycles = _quaternion_product(_swap_branches(halves), halves)
-    return _cpmg_from_cycles(cycles, halves, n_pulses), np.eye(3)
+    b = consts.gamma_n * fieldcfg.b_magnitude
+    # a on a branch axis of length one, which the halves fill, and b with
+    # as many axes: numpy rounds a complex product whose one-element result
+    # gains axes by broadcasting in another loop, so a stack's row would
+    # part from its spin alone in the last bit
+    alpha_a, beta_a = _rotor((a_vec + [0.0, 0.0, b])[None], taus, grid_ndim)
+    half_b = _spin_axis(np.full((1,) * a_vec.ndim, b / 2.0), grid_ndim) * taus
+    alpha_b = np.cos(half_b) - 1j * np.sin(half_b)
+    halves = (np.concatenate([alpha_b * alpha_a, alpha_a * alpha_b]),
+              np.concatenate([alpha_b * beta_a, beta_a * alpha_b.conj()]))
+    cycles = _pair_product(_swap_branches(halves), halves)
+    return _cpmg_from_cycles(cycles, halves, n_pulses), None
 
 
-def _swap_branches(q: tuple) -> tuple:
-    """``q`` with the two entries of its leading branch axis swapped (views)."""
-    return tuple(c[::-1] for c in q)
+def _swap_branches(pair: tuple) -> tuple:
+    """``pair`` with the two entries of its leading branch axis swapped (views)."""
+    return tuple(c[::-1] for c in pair)
 
 
 def _spin_axis(values, grid_ndim: int, item_ndim: int = 0) -> np.ndarray:
@@ -403,119 +413,125 @@ def _spin_axis(values, grid_ndim: int, item_ndim: int = 0) -> np.ndarray:
 
 
 def _rotor(h_vec: np.ndarray, taus: np.ndarray, grid_ndim: int) -> tuple:
-    """exp(-i h.I tau) as unit quaternions, one per vector of the (..., 3)
-    ``h_vec`` and tau."""
+    """exp(-i h.I tau) as Cayley-Klein pairs, one per vector of the (..., 3)
+    ``h_vec`` and tau: (cos t - i n_z sin t, -(n_y + i n_x) sin t) with the
+    half angle t = |h| tau / 2 and the unit axis n."""
     mag = _row_norm(h_vec)
-    axis = _spin_axis(h_vec / np.where(mag > 0.0, mag, 1.0)[..., None], grid_ndim, 1)
-    mag = _spin_axis(mag, grid_ndim)
-    half_angle = mag * taus / 2.0
+    n = h_vec / np.where(mag > 0.0, mag, 1.0)[..., None]
+    half_angle = _spin_axis(mag / 2.0, grid_ndim) * taus
     s = np.sin(half_angle)
-    return (np.cos(half_angle),
-            s * axis[..., 0], s * axis[..., 1], s * axis[..., 2])
+    return (np.cos(half_angle) + _spin_axis(-1j * n[..., 2], grid_ndim) * s,
+            _spin_axis(-(n[..., 1] + 1j * n[..., 0]), grid_ndim) * s)
 
 
-def _cycle_quaternions(omega, a_perp, edges: tuple) -> tuple:
-    """First-order propagators of one toggling block, on a leading branch
-    axis (plus, minus).
+def _magnus_blocks(omega, a_perp, taus) -> tuple:
+    """First-order propagators of the plus branch over one cycle
+    tau-pi-2tau-pi-tau and one half-cycle tau-pi-tau: two Cayley-Klein pairs
+    in the frame.  The minus branch is each with beta negated.
 
-    ``edges`` are the block's boundary times after its start at t = 0 (arrays
-    of equal shape, which broadcast against ``omega`` and ``a_perp``); the
-    branch sign s(t) starts at +/-1 and flips at each interior edge.  The
-    block propagator is W exp(-/+ i M): W = exp(-i omega I_par t) is the
-    exact precession over the block and M = (a_perp / 2)(Re g I_perp - Im g
-    I_cross) with the filter phase g = int s(t) exp(i omega t) dt.  A
-    quaternion (w, x, y, z) stands for w 1 - i (x, y, z).sigma with
-    the vector part in (n_perp, n_cross, n_par) coordinates.  The branches
-    share w and z, which carry no branch axis.
+    A block of length T is W exp(-i M): W = exp(-i omega I_par T) is the
+    exact precession over the block, and M = (a_perp / 2)(Re g I_perp - Im g
+    I_cross) with the filter phase g = int s(t) exp(i omega t) dt of the
+    branch sign s(t), which starts at +1 and flips at each pulse.  Every
+    phase is a power of e = exp(i omega tau): the half-cycle's g is
+    -(e - 1)**2 / (i omega), the cycle's g is the half-cycle's times
+    (1 - e**2), and W is the pair (conj(e**(T / 2 tau)), 0).
     """
-    g = 0j
-    sign = 1.0
-    prev = 1.0 + 0j  # exp(i omega t) at the block start
-    for t in edges:
-        cur = np.exp(1.0j * omega * t)
-        g = g + sign * (cur - prev)
-        prev = cur
-        sign = -sign
-    g = g / (1.0j * omega)
-    mx = a_perp / 2.0 * g.real
-    my = -a_perp / 2.0 * g.imag
-    angle = np.hypot(mx, my)
-    c = np.cos(angle / 2.0)
-    s = np.sin(angle / 2.0) / np.where(angle > 0.0, angle, 1.0)
-    mx, my = s * mx, s * my
-    px, py = np.stack([mx, -mx]), np.stack([my, -my])
-    half = omega * edges[-1] / 2.0
-    cw, sw = np.cos(half), np.sin(half)
-    # Hamilton product (cw, 0, 0, sw) * (c, +/-mx, +/-my, 0)
-    return (cw * c, cw * px - sw * py, cw * py + sw * px, sw * c)
+    e = np.exp(1j * omega * taus)
+    e2 = e * e
+    d = e - 1.0
+    m_half = (0.5j * a_perp / omega) * (d * d)
+    return (_magnus_block(m_half * (1.0 - e2), e2.conj()),
+            _magnus_block(m_half, e.conj()))
 
 
-def _quaternion_power(q: tuple, k) -> tuple:
-    """q**k for unit quaternions: (cos k a, sin k a m) with q = (cos a, sin a m).
+def _magnus_block(m, w) -> tuple:
+    """The pair of W exp(-i M) for the precession W = (w, 0) and M = Re m
+    I_perp - Im m I_cross, m = (a_perp / 2) g: exp(-i M) is the pair
+    (cos(|m| / 2), -i sin(|m| / 2) m / |m|)."""
+    angle = np.abs(m)
+    half = angle / 2.0
+    s = np.sin(half) / np.where(angle > 0.0, angle, 1.0)
+    return np.cos(half) * w, (-1j * s) * m * w
 
-    When the vector part vanishes (q = +/-1) the axis m is undefined and the
+
+def _pair_power(pair: tuple, k) -> tuple:
+    """U**k for SU(2) pairs: with U = cos a - i sin a m.sigma, whose vector
+    part sin a m is (-Im beta, -Re beta, -Im alpha), U**k = cos k a - i sin
+    k a m.sigma.
+
+    When the vector part vanishes (U = +/-1) the axis m is undefined and the
     power is (+/-1)**k with no vector part.
     """
-    w, x, y, z = q
-    norm_v = np.sqrt(x * x + y * y + z * z)
-    alpha = np.arctan2(norm_v, w)
-    f = np.sin(k * alpha) / np.where(norm_v > 0.0, norm_v, 1.0)
-    return (np.cos(k * alpha), f * x, f * y, f * z)
+    alpha, beta = pair
+    norm_v = np.sqrt(alpha.imag * alpha.imag + (beta * beta.conj()).real)
+    ka = k * np.arctan2(norm_v, alpha.real)
+    f = np.sin(ka) / np.where(norm_v > 0.0, norm_v, 1.0)
+    return np.cos(ka) + 1j * (f * alpha.imag), f * beta
 
 
-def _quaternion_product(p: tuple, q: tuple) -> tuple:
-    """Hamilton product p q, the quaternion of the matrix product P Q."""
-    pw, px, py, pz = p
-    qw, qx, qy, qz = q
-    return (
-        pw * qw - px * qx - py * qy - pz * qz,
-        pw * qx + qw * px + py * qz - pz * qy,
-        pw * qy + qw * py + pz * qx - px * qz,
-        pw * qz + qw * pz + px * qy - py * qx,
-    )
+def _pair_product(p: tuple, q: tuple) -> tuple:
+    """The Cayley-Klein pair of the matrix product P Q."""
+    pa, pb = p
+    qa, qb = q
+    return pa * qa - pb * qb.conj(), pa * qb + pb * qa.conj()
 
 
 def _cpmg_from_cycles(cycles: tuple, halves: tuple, n_pulses) -> tuple:
-    """CPMG-N from the cycle and half-cycle quaternions of both branches:
-    cycle**(N // 2), then the half-cycle for odd N."""
+    """CPMG-N from the cycle and half-cycle pairs: cycle**(N // 2), then the
+    half-cycle for odd N."""
     n_pulses = np.asarray(n_pulses)
     if np.any(n_pulses < 1):
         raise ValueError("pulse numbers must be >= 1")
     k, odd = np.divmod(n_pulses, 2)
     odd = odd == 1
-    even = _quaternion_power(cycles, k)
+    even = _pair_power(cycles, k)
     return tuple(np.where(odd, h, e)
-                 for h, e in zip(_quaternion_product(halves, even), even))
+                 for h, e in zip(_pair_product(halves, even), even))
 
 
-def _su2_matrices(q: tuple, axes) -> np.ndarray:
-    """The 2 x 2 matrices w 1 - i v.sigma of quaternions whose vector
-    coordinate a is along ``axes[..., a, :]``, shape q's broadcast + (2, 2)."""
-    w, x, y, z = q
-    vx, vy, vz = (x * axes[..., 0, i] + y * axes[..., 1, i] + z * axes[..., 2, i]
-                  for i in range(3))
-    u = np.empty(np.broadcast_shapes(w.shape, vx.shape) + (2, 2), dtype=complex)
-    u[..., 0, 0] = w - 1.0j * vz
-    u[..., 0, 1] = -vy - 1.0j * vx
-    u[..., 1, 0] = vy - 1.0j * vx
-    u[..., 1, 1] = w + 1.0j * vz
+def _su2_matrices(pair: tuple, frame: EffectiveFrame | None = None) -> np.ndarray:
+    """The 2 x 2 matrices [[alpha, beta], [-conj(beta), conj(alpha)]] of
+    Cayley-Klein pairs, shape the pair's broadcast + (2, 2).  A pair written
+    in the axes (n_perp, n_cross, n_par) of ``frame`` has its vector part
+    (x, y, z) = (-Im beta, -Re beta, -Im alpha) of U = Re alpha - i (x, y,
+    z).sigma rotated to lab axes first."""
+    alpha, beta = pair
+    if frame is not None:
+        # per spin, with a unit axis for each grid axis behind the pair's
+        # branch and spin axes
+        axes = np.stack([frame.n_perp, frame.n_cross, frame.n_par], axis=-2)
+        axes = _spin_axis(axes, alpha.ndim - 1 - np.ndim(frame.omega), 2)
+        x, y, z = -beta.imag, -beta.real, -alpha.imag
+        vx, vy, vz = (x * axes[..., 0, i] + y * axes[..., 1, i] + z * axes[..., 2, i]
+                      for i in range(3))
+        alpha, beta = alpha.real - 1j * vz, -vy - 1j * vx
+    u = np.empty(np.broadcast_shapes(alpha.shape, beta.shape) + (2, 2), dtype=complex)
+    u[..., 0, 0] = alpha
+    u[..., 0, 1] = beta
+    u[..., 1, 0] = -beta.conj()
+    u[..., 1, 1] = alpha.conj()
     return u
 
 
 def _propagators_magnus_batch(frame: EffectiveFrame, n_pulses, taus):
-    """First-order ``cpmg_quaternions`` for broadcast arrays of pulse numbers
+    """First-order ``cpmg_cayley_klein`` for broadcast arrays of pulse numbers
     and taus, for one frame or the frame of a stack of spins; see
-    ``conditional_propagator_magnus``."""
+    ``conditional_propagator_magnus``.  The plus branch is built alone: the
+    minus branch's blocks are its blocks with beta negated, which every
+    product and power keeps, so its propagator is the plus one with beta
+    negated, to the bit.  The plus branch keeps a branch axis of length one,
+    so that one spin at one (N, tau) runs in numpy's array loops, like a
+    grid, and not in its scalar arithmetic, whose complex products round
+    differently."""
     if np.any(frame.omega < DEGENERATE_OMEGA):
         raise DegenerateFrameError("Magnus propagator needs omega > 0")
     taus = np.asarray(taus, dtype=float)
     grid_ndim = len(np.broadcast_shapes(np.shape(n_pulses), taus.shape))
-    omega, a_perp = (_spin_axis(v, grid_ndim) for v in (frame.omega, frame.a_perp))
-    cycles = _cycle_quaternions(omega, a_perp, (taus, 3.0 * taus, 4.0 * taus))
-    halves = _cycle_quaternions(omega, a_perp, (taus, 2.0 * taus))
-    axes = np.stack([frame.n_perp, frame.n_cross, frame.n_par], axis=-2)
-    return (_cpmg_from_cycles(cycles, halves, n_pulses),
-            _spin_axis(axes, grid_ndim, 2))
+    omega, a_perp = (_spin_axis(v, grid_ndim)[None]
+                     for v in (frame.omega, frame.a_perp))
+    alpha, beta = _cpmg_from_cycles(*_magnus_blocks(omega, a_perp, taus), n_pulses)
+    return (np.concatenate([alpha, alpha]), np.concatenate([beta, -beta])), frame
 
 
 def conditional_propagator_magnus(
@@ -533,7 +549,7 @@ def conditional_propagator_magnus(
     filter sum.  Keeping that phase (rather than the modulus alone) is what
     makes the truncation error second order in the coupling.  The free
     precession between cycles stays exact: the sequence is V**(N // 2), taken
-    with the SU(2) closed form V**k = cos(k alpha) 1 - i sin(k alpha) m.sigma,
+    with the SU(2) closed form V**k = cos(k a) 1 - i sin(k a) m.sigma,
     followed for odd N by one half-cycle tau-pi-tau built the same way.
     Averaging the whole sequence at once instead lets the accumulated
     conditional angle (up to ~3 rad) and the detuning of omega from the pulse
@@ -554,5 +570,5 @@ def conditional_propagator_magnus(
     and the coherence error of this model stays below B (acceptance
     criterion 2 checks it case by case).
     """
-    q, axes = _propagators_magnus_batch(frame, seq.n_pulses, seq.tau)
-    return _su2_matrices(q, axes)[_branch_index(branch)]
+    u = _su2_matrices(*_propagators_magnus_batch(frame, seq.n_pulses, seq.tau))
+    return u[_branch_index(branch)]

@@ -486,9 +486,9 @@ def test_fit_coarse_grid_is_one_model_call(field_305, scan_spin, monkeypatch,
 
 def test_criterion_7_fit_makes_few_model_calls(field_305, monkeypatch):
     """The batched refinements bound the fit of criterion 7's curves,
-    noiseless and with its 1% noise, to 40 forward-model calls (37 and 32;
-    the refinements run one after another with ``least_squares`` made 185
-    and 203)."""
+    noiseless and with its 1% noise, to 40 forward-model calls (they make 28
+    and 29; the refinements run one after another with ``least_squares``
+    make 194 and 193)."""
     import ddread.analysis as analysis
     from ddread.coherence import CoherenceCurve
 

@@ -234,6 +234,12 @@ def test_array_analysis_matches_walks(trace, policy):
     ([2600, 2100] * 60, True),                    # alternating +-1
     ([2600, 2400, 2100, 2400] * 40, True),
     ([2600, 2600, 2100, 2400, 2100, 2450] * 50, False),  # no hidden states
+    ([2300, 2520, 2600, 2300, 2100, 2520, 2520, 2300, 2100], True),  # ties at
+    ([2520, 2100, 2300, 2600, 2520, 2300] * 20, False),  # ... both thresholds
+    ([2600, 2100, 2100, 2600, 2600, 2100], True),  # class changes inside a run
+    ([2100, 2600, 2600, 2100, 2100, 2100, 2600] * 10, False),
+    ([2600, 2400, 2400, 2100], True),             # a qualifying last point
+    ([2100, 2400, 2600, 2600, 2400, 2100], True),
 ])
 def test_array_analysis_matches_walks_edge_cases(counts, hidden):
     assert_matches_walks(make_trace(counts, hidden), ThresholdPolicy())

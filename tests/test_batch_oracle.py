@@ -10,10 +10,12 @@ unchanged, so the results must be equal, not close.
 
 The one-stage kernel built each branch's 2 x 2 matrices in a loop over the
 branches and took the coherence as 0.5 Re Tr(U_plus^dag U_minus).  The
-two-stage kernel computes both branches' quaternions on one branch axis and
-builds matrices only for their callers, so the matrices, and the channel and
-entanglement curve made from them, must be equal; the coherence, now the
-quaternions' dot product, rounds differently and is bounded in ulps.
+two-stage kernel computes both branches' Cayley-Klein pairs on one branch
+axis (in magnus mode the plus branch alone, the minus branch being it with
+beta negated) and builds matrices only for their callers, so the matrices,
+and the channel and entanglement curve made from them, must be equal; the
+coherence, now Re(conj(alpha_plus) alpha_minus + conj(beta_plus)
+beta_minus) of the pairs, rounds differently and is bounded in ulps.
 
 The serial fit refines the starts of ``fit_hyperfine`` one after another
 with ``scipy.optimize.least_squares``.  It is the oracle for the minimum
@@ -51,12 +53,13 @@ from ddread.spincore import (
     FieldConfig,
     HyperfineSpin,
     _hyperfine_vectors,
-    _quaternion_power,
-    _quaternion_product,
+    _pair_power,
+    _pair_product,
     _rotor,
     _spin_axis,
+    _su2_matrices,
     conditional_propagators,
-    cpmg_quaternions,
+    cpmg_cayley_klein,
     effective_frame,
     spin_from_frame_components,
 )
@@ -73,10 +76,10 @@ def loop_bath_curve(spins, fieldcfg, n_pulses, taus, propagator_mode, consts):
     """Bath coherence at rho = I/2: one kernel call per spin."""
     total = np.ones(np.broadcast_shapes(np.shape(n_pulses), np.shape(taus)))
     for spin in spins:
-        (w, x, y, z), _ = cpmg_quaternions(
+        (alpha, beta), _ = cpmg_cayley_klein(
             spin, fieldcfg, n_pulses, taus, propagator_mode, consts
         )
-        total *= w[0] * w[1] + x[0] * x[1] + y[0] * y[1] + z[0] * z[1]
+        total *= (alpha[0].conj() * alpha[1] + beta[0].conj() * beta[1]).real
     return total
 
 
@@ -156,72 +159,62 @@ def serial_fit_hyperfine(curves, fieldcfg, n_grid=20,
 # ------------------------------------------------- one-stage matrix kernel
 
 
-def _one_stage_cycle_quaternions(omega, a_perp, edges):
-    """First-order propagators of one toggling block: a (plus, minus) pair
-    of quaternions."""
-    g = 0j
-    sign = 1.0
-    prev = 1.0 + 0j
-    for t in edges:
-        cur = np.exp(1.0j * omega * t)
-        g = g + sign * (cur - prev)
-        prev = cur
-        sign = -sign
-    g = g / (1.0j * omega)
-    mx = a_perp / 2.0 * g.real
-    my = -a_perp / 2.0 * g.imag
-    angle = np.hypot(mx, my)
-    c = np.cos(angle / 2.0)
-    s = np.sin(angle / 2.0) / np.where(angle > 0.0, angle, 1.0)
-    mx, my = s * mx, s * my
-    half = omega * edges[-1] / 2.0
-    cw, sw = np.cos(half), np.sin(half)
-    return tuple(
-        (cw * c, cw * px - sw * py, cw * py + sw * px, sw * c)
-        for px, py in ((mx, my), (-mx, -my))
-    )
+def _one_stage_magnus_blocks(omega, a_perp, taus, sign):
+    """First-order cycle and half-cycle pairs of one branch, ``sign`` +1
+    (plus) or -1 (minus), each built with its own conditional rotation."""
+    e = np.exp(1j * omega * taus)
+    e2 = e * e
+    d = e - 1.0
+    m_half = (0.5j * a_perp / omega) * (d * d)
+    blocks = []
+    for m, w in ((m_half * (1.0 - e2), e2.conj()), (m_half, e.conj())):
+        angle = np.abs(m)
+        half = angle / 2.0
+        s = np.sin(half) / np.where(angle > 0.0, angle, 1.0)
+        blocks.append((np.cos(half) * w, (sign * -1j * s) * m * w))
+    return blocks
 
 
-def _one_stage_pair(cycles, halves, n_pulses, axes):
+def _one_stage_pair(cycles, halves, n_pulses, frame):
     """(U_plus, U_minus): cycle**(N // 2), then the half-cycle for odd N,
     and each branch's matrices, one branch after the other."""
     n_pulses = np.asarray(n_pulses)
     k, odd = np.divmod(n_pulses, 2)
     pair = []
     for cycle, half in zip(cycles, halves):
-        even = _quaternion_power(cycle, k)
-        w, x, y, z = (np.where(odd == 1, h, e)
-                      for h, e in zip(_quaternion_product(half, even), even))
-        vx, vy, vz = (x * axes[..., 0, i] + y * axes[..., 1, i] + z * axes[..., 2, i]
-                      for i in range(3))
-        u = np.empty(w.shape + (2, 2), dtype=complex)
-        u[..., 0, 0] = w - 1.0j * vz
-        u[..., 0, 1] = -vy - 1.0j * vx
-        u[..., 1, 0] = vy - 1.0j * vx
-        u[..., 1, 1] = w + 1.0j * vz
-        pair.append(u)
+        even = _pair_power(cycle, k)
+        branch = tuple(np.where(odd == 1, h, e)
+                       for h, e in zip(_pair_product(half, even), even))
+        pair.append(_su2_matrices(branch, frame)[0])
     return tuple(pair)
 
 
 def one_stage_propagators(spin, fieldcfg, n_pulses, taus, propagator_mode="exact",
                           consts=DEFAULT_CONSTANTS):
-    """``conditional_propagators`` as one stage, each branch on its own."""
+    """``conditional_propagators`` as one stage, each branch on its own.
+
+    Each branch keeps a leading axis of length one, and the field-only
+    rotation b as many axes as a, as in the kernel: numpy rounds a complex
+    product differently in its scalar arithmetic, and where broadcasting adds
+    axes to a one-element result.  b is built by the general rotor, so the
+    kernel's diagonal b is checked against it."""
     taus = np.asarray(taus, dtype=float)
     grid_ndim = len(np.broadcast_shapes(np.shape(n_pulses), taus.shape))
     if propagator_mode == "exact":
         b_vec = np.array([0.0, 0.0, consts.gamma_n * fieldcfg.b_magnitude])
-        a = _rotor(_hyperfine_vectors(spin) + b_vec, taus, grid_ndim)
-        b = _rotor(b_vec, taus, grid_ndim)
-        half_plus, half_minus = _quaternion_product(b, a), _quaternion_product(a, b)
-        cycles = (_quaternion_product(half_minus, half_plus),
-                  _quaternion_product(half_plus, half_minus))
-        return _one_stage_pair(cycles, (half_plus, half_minus), n_pulses, np.eye(3))
+        a_vec = _hyperfine_vectors(spin)
+        a = _rotor((a_vec + b_vec)[None], taus, grid_ndim)
+        b = _rotor(b_vec.reshape((1,) * a_vec.ndim + (3,)), taus, grid_ndim)
+        half_plus, half_minus = _pair_product(b, a), _pair_product(a, b)
+        cycles = (_pair_product(half_minus, half_plus),
+                  _pair_product(half_plus, half_minus))
+        return _one_stage_pair(cycles, (half_plus, half_minus), n_pulses, None)
     frame = effective_frame(spin, fieldcfg, consts)
-    omega, a_perp = (_spin_axis(v, grid_ndim) for v in (frame.omega, frame.a_perp))
-    cycles = _one_stage_cycle_quaternions(omega, a_perp, (taus, 3.0 * taus, 4.0 * taus))
-    halves = _one_stage_cycle_quaternions(omega, a_perp, (taus, 2.0 * taus))
-    axes = np.stack([frame.n_perp, frame.n_cross, frame.n_par], axis=-2)
-    return _one_stage_pair(cycles, halves, n_pulses, _spin_axis(axes, grid_ndim, 2))
+    omega, a_perp = (_spin_axis(v, grid_ndim)[None]
+                     for v in (frame.omega, frame.a_perp))
+    cycles, halves = zip(*(_one_stage_magnus_blocks(omega, a_perp, taus, sign)
+                           for sign in (1.0, -1.0)))
+    return _one_stage_pair(cycles, halves, n_pulses, frame)
 
 
 def matrix_coherence_rows(a_vecs, fieldcfg, n_pulses, taus, propagator_mode, consts):
@@ -238,16 +231,17 @@ def random_spins(rng, field, n):
     return vecs[np.linalg.norm(h_par, axis=1) > 2.0 * np.pi * 1e3][:n]
 
 
-# rounding of 0.5 Re Tr(U_plus^dag U_minus) against the quaternion dot
-# product: each sums products of numbers at most 1 in size, so in exact mode
-# they part by at most 2 ulp of 1; in magnus mode the matrices' vector parts
-# are first rotated from frame to lab axes, about 1 ulp more per coordinate
-# and branch, so at most 6 ulp
+# rounding of 0.5 Re Tr(U_plus^dag U_minus) against Re(conj(alpha_plus)
+# alpha_minus + conj(beta_plus) beta_minus) of the Cayley-Klein pairs: each
+# sums products of numbers at most 1 in size, so in exact mode they part by
+# at most 2 ulp of 1; in magnus mode the matrices' vector parts are first
+# rotated from frame to lab axes, about 1 ulp more per coordinate and
+# branch, so at most 6 ulp
 COHERENCE_ULPS = {"exact": 2, "magnus": 6}
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_quaternion_coherence_matches_the_matrix_trace(mode):
+def test_cayley_klein_coherence_matches_the_matrix_trace(mode):
     rng = np.random.default_rng(91)
     worst = 0.0
     for _ in range(20):

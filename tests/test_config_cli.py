@@ -787,11 +787,11 @@ def test_cli_spectroscopy_bytes(tmp_path):
                for name in ("scan_tau.csv", "map2d.csv", "hyperfine_fit.json")}
     assert digests == {
         "scan_tau.csv":
-            "152756cb4e178b533c7f47f3ead8ff1e9e93d5a3b0da92b36c3e8011c8a5bd81",
+            "7d9c3085194c6249ccf68e5c1ff3a4f5b4a707e5fb2c962aec9f7d21be3b0e25",
         "map2d.csv":
-            "3c76deef4f22520db2b7448d1b89844c0bb99bcd5d61e1abb9c4437e316a9e02",
+            "9d933267ecaf2e40d34798e39cf2bb5a6995b44f4bffea12fc3ee35b18f32a7e",
         "hyperfine_fit.json":
-            "6e9bca4bc48ec8934c384260c9cec142ee5953f12b42091a8d21b67478f1ad1a",
+            "ad1b1c345e310e4290d8275ec298a891e02e1a7616aa6b3984b7e77b56600caf",
     }
 
 

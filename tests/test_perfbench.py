@@ -47,6 +47,8 @@ def test_traced_spectroscopy_run_is_correct():
 def test_readout_run_is_correct():
     """The readout workload's checks pass: the shape of its ssr traces, and
     the fidelity and dwell time that ``analyze`` reports on the ssr trace and
-    on the 300,000-point telegraph trace against their ground truth."""
-    result, stdout = _run("--workload", "readout", "--seconds", "0.1")
+    on the 300,000-point telegraph trace against their ground truth.  The run
+    is traced, so the readout path's traced wrappers run, not only resolve."""
+    result, stdout = _run("--workload", "readout", "--seconds", "0.1",
+                          "--trace", "1")
     assert result["correct"] is True, stdout
