@@ -442,8 +442,8 @@ def fit_hyperfine(
     realises no frame.  Ties in the final residual break toward the
     lexicographically smallest (a_par, a_perp).  A fit whose residual is
     insensitive to a_par (decoupled data) is flagged degenerate instead of
-    reporting a spurious parallel coupling.  Non-finite curve values or
-    abscissae are refused.
+    reporting a spurious parallel coupling.  Every curve's values, abscissa
+    and tau are finite: ``CoherenceCurve`` refuses them otherwise.
     """
     curves = list(curves)
     if not curves:
@@ -461,8 +461,6 @@ def fit_hyperfine(
     propagator_mode = modes[0]
     data = np.concatenate([c.values for c in curves])
     cells = _fit_cells(curves)
-    if not (np.all(np.isfinite(data)) and np.all(np.isfinite(cells[1]))):
-        raise ValueError("curve values and abscissae must be finite")
 
     def residual_rows(model, valid):
         # in place; a point that realises no frame scores 1e3 in every cell

@@ -5,7 +5,10 @@ Every command reads one YAML config (``--config``), honors flag overrides
 each output but ``histograms.csv`` carries the config hash and the seed.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime/physics error,
-4 analysis completed but flagged low-statistics.
+4 analysis completed but flagged low-statistics.  Bad input exits 2 with
+one ``config error:`` line before ``--out`` is made: a config, trace or
+curve file that is missing, a directory, unreadable or malformed, and a
+curve whose values, abscissae or tau ``CoherenceCurve`` refuses.
 """
 
 from __future__ import annotations
@@ -80,8 +83,8 @@ def read_curve_csv(path) -> CoherenceCurve:
     and are read as "exact".  A line that starts with a letter before the
     first data row is a column-name row; any other row that is not two
     numbers raises ValueError naming its line; missing or bad metadata, or
-    rows the curve refuses (such as ``nan``), raise ValueError naming the
-    file.
+    rows that ``CoherenceCurve`` refuses (such as ``nan``, or a ``nan``
+    tau), raise ValueError naming the file.
     """
     meta = {}
     xs, ys = [], []
@@ -189,7 +192,7 @@ def cmd_ssr(config: RunConfig, out_dir: Path, n_points: int) -> int:
 def cmd_analyze(config: RunConfig, out_dir: Path, trace_path) -> int:
     try:
         trace = read_trace_csv(trace_path, config.readout)
-    except ValueError as exc:  # a malformed trace file is bad input
+    except (OSError, ValueError) as exc:  # unreadable or malformed: bad input
         raise ConfigError(f"analyze: {exc}") from exc
     try:
         hists = conditional_histograms(trace, config.thresholds)
@@ -224,12 +227,12 @@ def cmd_analyze(config: RunConfig, out_dir: Path, trace_path) -> int:
 
 
 def cmd_fit(config: RunConfig, out_dir: Path, curve_paths) -> int:
-    # bad curve metadata, e.g. an unknown or mixed propagator mode, is bad
-    # input, not a failed run
+    # an unreadable curve file or bad curve metadata, e.g. an unknown or
+    # mixed propagator mode, is bad input, not a failed run
     try:
         curves = [read_curve_csv(p) for p in curve_paths]
         fit = fit_hyperfine(curves, config.field, consts=config.constants)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"fit: {exc}") from exc
     payload = {
         "a_par_khz": fit.a_par / TWO_PI_KHZ,
@@ -288,11 +291,7 @@ def main(argv=None) -> int:
         elif args.normalized:
             raise ConfigError(f"--normalized applies to scan and map2d, "
                               f"not {args.command}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    out_dir = Path(args.out)
-    try:
+        out_dir = Path(args.out)
         if args.command == "scan":
             return cmd_scan(config, out_dir, grid, args.normalized)
         if args.command == "map2d":

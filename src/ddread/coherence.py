@@ -19,11 +19,19 @@ import numpy as np
 from .sequence import CpmgSequence
 from .spincore import (
     DEFAULT_CONSTANTS,
+    PROPAGATOR_MODES,
     FieldConfig,
     HyperfineSpin,
     PhysicalConstants,
     cpmg_cayley_klein,
 )
+
+
+def _check_values(values) -> None:
+    """Raise ValueError unless every coherence value lies in [-1, 1] (to
+    rounding); NaN does not."""
+    if not np.all(np.abs(values) <= 1.0 + 1e-9):
+        raise ValueError("coherence values must be finite and lie in [-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -34,7 +42,9 @@ class CoherenceCurve:
     fixed half-interval of an N-scan.  Either may be None for curves built
     outside the scan helpers; fitting requires them.  ``propagator_mode`` is
     the propagator model that produced the values ("exact" for measured
-    data), so that a fit can use the same forward model.
+    data), so that a fit can use the same forward model.  Values outside
+    [-1, 1] or NaN, a non-finite abscissa or tau, and pulse numbers that
+    are not integers in [1, 2**63) are refused.
     """
 
     axis: str
@@ -49,13 +59,17 @@ class CoherenceCurve:
             raise ValueError("axis must be 'tau' or 'n'")
         if len(self.abscissa) != len(self.values):
             raise ValueError("abscissa/values length mismatch")
-        if np.any(np.abs(self.values) > 1.0 + 1e-9):
-            raise ValueError("coherence values must lie in [-1, 1]")
-        if self.propagator_mode not in ("exact", "magnus"):
-            raise ValueError("propagator_mode must be 'exact' or 'magnus'")
-        n = np.asarray(self.abscissa)  # the fit reads N as int64
-        if self.axis == "n" and not np.all((1 <= n) & (n < 2**63) & (n % 1 == 0)):
+        _check_values(self.values)
+        if self.propagator_mode not in PROPAGATOR_MODES:
+            raise ValueError("propagator_mode must be "
+                             + " or ".join(map(repr, PROPAGATOR_MODES)))
+        x = np.asarray(self.abscissa)  # the fit reads N as int64
+        if self.axis == "n" and not np.all((1 <= x) & (x < 2**63)
+                                           & (np.trunc(x) == x)):
             raise ValueError("pulse numbers must be integers in [1, 2**63)")
+        if not (np.all(np.isfinite(x))
+                and (self.tau is None or np.isfinite(self.tau))):
+            raise ValueError("curve abscissae and tau must be finite")
 
 
 @dataclass(frozen=True)
@@ -69,8 +83,7 @@ class CoherenceMap2D:
     def __post_init__(self):
         if self.values.shape != (len(self.tau_grid), len(self.n_grid)):
             raise ValueError("values shape inconsistent with grids")
-        if np.any(np.abs(self.values) > 1.0 + 1e-9):
-            raise ValueError("coherence values must lie in [-1, 1]")
+        _check_values(self.values)
 
 
 def coherence_single(
@@ -134,6 +147,22 @@ def tau_axis(tau_range: tuple, step: float) -> np.ndarray:
     return np.arange(tau_range[0], tau_range[1] + step / 2.0, step)
 
 
+def check_n_max(n_max) -> None:
+    """Raise ValueError unless ``n_max`` is an integer in [1, 2**63 - 512)."""
+    # arange takes the length of 1..n_max from n_max in float64, where
+    # integers from 2**63 - 512 up round to 2**63: it would scan nothing
+    if (isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer))
+            or not 1 <= n_max < 2**63 - 512):
+        raise ValueError(f"expected an integer in [1, 2**63 - 512), got {n_max!r}")
+
+
+def n_axis(n_max) -> np.ndarray:
+    """The pulse numbers 1..n_max of an N scan; ``check_n_max`` refuses a
+    bad ``n_max``."""
+    check_n_max(n_max)
+    return np.arange(1, n_max + 1)
+
+
 def scan_tau(
     spins: Sequence[HyperfineSpin],
     fieldcfg: FieldConfig,
@@ -159,9 +188,7 @@ def scan_n(
     consts: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> CoherenceCurve:
     """Coherence vs pulse number at fixed tau, N = 1..n_max."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    ns = np.arange(1, n_max + 1)
+    ns = n_axis(n_max)
     values = _bath_curve_tau(spins, fieldcfg, ns, tau, propagator_mode, consts)
     return CoherenceCurve(axis="n", abscissa=ns.astype(float),
                           values=np.clip(values, -1, 1), tau=float(tau),
@@ -181,7 +208,7 @@ def scan_2d(
     if len(n_list) == 0:
         raise ValueError("empty pulse-number list")
     taus = tau_axis(tau_range, step)
-    n_grid = np.asarray(n_list, dtype=int)
+    n_grid = np.asarray(n_list)
     values = _bath_curve_tau(spins, fieldcfg, n_grid[None, :], taus[:, None],
                              propagator_mode, consts)
     return CoherenceMap2D(

@@ -21,10 +21,11 @@ import numpy as np
 import yaml
 
 from .analysis import ThresholdPolicy
-from .coherence import check_tau_range
+from .coherence import check_n_max, check_tau_range
 from .measurement import ReadoutConfig
 from .sequence import CpmgSequence
 from .spincore import (
+    PROPAGATOR_MODES,
     FieldConfig,
     HyperfineSpin,
     PhysicalConstants,
@@ -256,19 +257,14 @@ def parse_config(doc: dict) -> RunConfig:
     n_list = scan_sec.get("n_list", [1])
     if not isinstance(n_list, list) or not n_list:
         raise ConfigError(f"scan.n_list: expected a non-empty list, got {n_list!r}")
-    n_max = scan_sec.get("n_max", 1)
-    for name, n in [("n_max", n_max)] + [
-            (f"n_list[{i}]", n) for i, n in enumerate(n_list)]:
-        _integer(n, f"scan.{name}", 1)
-    # scan_n's arange takes its length from n_max in float64, where these
-    # round to 2**63: it would scan nothing
-    if n_max >= 2**63 - 512:
-        raise ConfigError(f"scan.n_max: expected an integer in [1, 2**63 - 512), "
-                          f"got {n_max!r}")
+    _build(check_n_max, "scan.n_max", n_max=scan_sec.get("n_max", 1))
+    for i, n in enumerate(n_list):
+        _integer(n, f"scan.n_list[{i}]", 1)
 
     mode = doc.get("propagator_mode", "exact")
-    if mode not in ("exact", "magnus"):
-        raise ConfigError("config.propagator_mode: expected 'exact' or 'magnus'")
+    if mode not in PROPAGATOR_MODES:
+        raise ConfigError("config.propagator_mode: expected "
+                          + " or ".join(map(repr, PROPAGATOR_MODES)))
 
     return RunConfig(
         field=fieldcfg, spins=spins, sequence=seq, readout=readout,
@@ -278,12 +274,16 @@ def parse_config(doc: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """Read and validate a YAML config file."""
+    """Read and validate a YAML config file; a file that cannot be read, as
+    well as one that does not parse or validate, raises ConfigError."""
     try:
         with open(path) as fh:
             doc = yaml.load(fh, Loader=_StrictLoader)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, non-UTF-8 text
+        raise ConfigError(f"cannot read config file {path}: "
+                          f"{getattr(exc, 'strerror', None) or exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     if doc is None:

@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .coherence import n_axis
 from .sequence import CpmgSequence
 from .spincore import (
     DEFAULT_CONSTANTS,
@@ -140,7 +141,7 @@ def entanglement_vs_n(
     propagator pair (entropy maxima sit at pi/2 mod pi).
     """
     frame = effective_frame(spin, fieldcfg, consts)
-    ns = np.arange(1, n_max + 1)
+    ns = n_axis(n_max)
     u_plus, u_minus = conditional_propagators(
         spin, fieldcfg, ns, tau, propagator_mode, consts
     )
@@ -192,10 +193,10 @@ class ReadoutConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.cycles_per_point < 1:
+        if not self.cycles_per_point >= 1:
             raise ValueError("cycles_per_point must be >= 1")
         rates = (self.photon_rate_bright, self.photon_rate_dark)
-        if min(rates) < 0:
+        if not all(rate >= 0 for rate in rates):
             raise ValueError("photon rates must be non-negative")
         # a point's photon mean is at most its larger rate times its cycles
         if max(rates) * self.cycles_per_point > _POISSON_MAX:
@@ -204,7 +205,7 @@ class ReadoutConfig:
         for p in (self.electron_init_error, self.pi_pulse_error):
             if not (0.0 <= p <= 1.0):
                 raise ValueError("error probabilities must lie in [0, 1]")
-        if self.t1n_up <= 0 or self.t1n_down <= 0 or self.point_duration <= 0:
+        if not (self.t1n_up > 0 and self.t1n_down > 0 and self.point_duration > 0):
             raise ValueError("lifetimes and durations must be positive")
         # numpy reads a Philox key word beyond int64 through float64, so
         # larger seeds would share streams

@@ -46,7 +46,7 @@ class PhysicalConstants:
     gamma_n: float = 6.73e7
 
     def __post_init__(self):
-        if self.gamma_n <= 0:
+        if not self.gamma_n > 0:
             raise ValueError("gyromagnetic ratio must be strictly positive")
 
 
@@ -60,7 +60,7 @@ class FieldConfig:
     b_magnitude: float
 
     def __post_init__(self):
-        if self.b_magnitude < 0:
+        if not self.b_magnitude >= 0:
             raise ValueError("field magnitude must be non-negative")
 
 
@@ -76,15 +76,7 @@ class HyperfineSpin:
     a_vec: np.ndarray
 
     def __post_init__(self):
-        vec = np.asarray(self.a_vec, dtype=float)
-        if vec.shape != (3,):
-            raise ValueError("a_vec must be a 3-vector")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("a_vec components must be finite")
-        # the frame squares A, so its square too must be a finite float
-        if math.isinf(sum(x * x for x in vec.tolist())):
-            raise ValueError("|a_vec|^2 is beyond float's range")
-        object.__setattr__(self, "a_vec", vec)
+        object.__setattr__(self, "a_vec", _hyperfine_vectors(self.a_vec, ndim=1))
 
 
 @dataclass(frozen=True)
@@ -111,15 +103,30 @@ class EffectiveFrame:
         return np.cross(self.n_par, self.n_perp)
 
 
-def _hyperfine_vectors(spin: HyperfineSpin | np.ndarray) -> np.ndarray:
-    """The (3,) vector of a ``HyperfineSpin``, or a checked (P, 3) stack."""
+def _hyperfine_vectors(spin: HyperfineSpin | np.ndarray, ndim: int = 2) -> np.ndarray:
+    """The (3,) vector of a ``HyperfineSpin``, checked when the spin was
+    made, or ``spin`` as floats, checked: a (P, 3) stack, or the (3,) vector
+    of a new spin where ``ndim`` is 1.
+
+    The one check of a hyperfine vector: its components are finite, and so
+    is |A|^2, as the frame squares A.
+    """
     if isinstance(spin, HyperfineSpin):
         return spin.a_vec
     vecs = np.asarray(spin, dtype=float)
-    if vecs.ndim != 2 or vecs.shape[1] != 3:
-        raise ValueError("a stack of hyperfine vectors must have shape (P, 3)")
-    if not np.all(np.isfinite(vecs)):
-        raise ValueError("a_vec components must be finite")
+    if vecs.ndim != ndim or vecs.shape[-1] != 3:
+        shape = "(3,)" if ndim == 1 else "(P, 3)"
+        raise ValueError(f"hyperfine vectors must have shape {shape}")
+    # one pass: the sum of all squares is finite only if every component
+    # and every |A|^2 is (np.vdot raises no floating-point warning); if it
+    # is not, the rows are tested one by one, as only their total may have
+    # overflowed
+    if not math.isfinite(np.vdot(vecs, vecs)):
+        if not np.all(np.isfinite(vecs)):
+            raise ValueError("a_vec components must be finite")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(_row_dot(vecs, vecs))):
+                raise ValueError("|a_vec|^2 is beyond float's range")
     return vecs
 
 
@@ -296,6 +303,10 @@ def _branch_index(branch: str) -> int:
     return 0 if branch == "plus" else 1
 
 
+#: The propagator models of ``cpmg_cayley_klein``.
+PROPAGATOR_MODES = ("exact", "magnus")
+
+
 def cpmg_cayley_klein(
     spin: HyperfineSpin | np.ndarray,
     fieldcfg: FieldConfig,
@@ -316,7 +327,8 @@ def cpmg_cayley_klein(
     (n_perp, n_cross, n_par) the pair is written.  Each branch is one cycle
     tau-pi-2tau-pi-tau raised to N // 2 in SU(2) closed form, then one
     half-cycle for odd N (Taminiau et al., PRL 109, 137602 (2012)), so the
-    cost does not grow with N.  The one reader of ``propagator_mode``.
+    cost does not grow with N.  The one reader of ``propagator_mode``, which
+    is one of ``PROPAGATOR_MODES``.
     """
     if propagator_mode == "exact":
         return _propagators_exact_batch(spin, fieldcfg, n_pulses, taus, consts)
@@ -479,10 +491,15 @@ def _pair_product(p: tuple, q: tuple) -> tuple:
 
 def _cpmg_from_cycles(cycles: tuple, halves: tuple, n_pulses) -> tuple:
     """CPMG-N from the cycle and half-cycle pairs: cycle**(N // 2), then the
-    half-cycle for odd N."""
+    half-cycle for odd N.  Every pulse number of the kernel is checked
+    here: a finite integer >= 1, which an integer array is but for the
+    bound."""
     n_pulses = np.asarray(n_pulses)
-    if np.any(n_pulses < 1):
-        raise ValueError("pulse numbers must be >= 1")
+    valid = n_pulses >= 1
+    if n_pulses.dtype.kind not in "iu":
+        valid &= (n_pulses < np.inf) & (np.trunc(n_pulses) == n_pulses)
+    if not np.all(valid):
+        raise ValueError("pulse numbers must be integers >= 1")
     k, odd = np.divmod(n_pulses, 2)
     odd = odd == 1
     even = _pair_power(cycles, k)

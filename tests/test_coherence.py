@@ -15,6 +15,7 @@ from ddread.coherence import (
     scan_n,
     scan_tau,
 )
+from ddread.measurement import entanglement_vs_n
 from ddread.sequence import CpmgSequence
 from ddread.spincore import (
     DEFAULT_CONSTANTS,
@@ -262,6 +263,30 @@ def test_curve_invariants_and_errors(field_305, scan_spin):
         with pytest.raises(ValueError, match="pulse numbers"):
             CoherenceCurve(axis="n", abscissa=np.array([1.0, n]),
                            values=np.array([0.5, 0.5]), tau=300e-9)
+
+
+# each entry point of a pulse number, called on (spin, field, N, mode)
+_N_ENTRIES = {
+    "scan_n": lambda s, f, n, m: scan_n([s], f, 300e-9, n, m),
+    "entanglement_vs_n": lambda s, f, n, m: entanglement_vs_n(s, f, 300e-9, n, m),
+    "scan_2d": lambda s, f, n, m: scan_2d([s], f, (300e-9, 310e-9), 5e-9, n, m),
+    "conditional_propagators":
+        lambda s, f, n, m: conditional_propagators(s, f, n, 300e-9, m),
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "magnus"])
+@pytest.mark.parametrize("entry, n", [
+    ("scan_n", 2.5), ("entanglement_vs_n", 0), ("entanglement_vs_n", 2.5),
+    ("scan_2d", [2.5, 3]), ("conditional_propagators", 2.5),
+], ids=str)
+def test_pulse_numbers_must_be_whole_and_positive(field_305, scan_spin, mode,
+                                                  entry, n):
+    """N = 0 or 2.5 is refused wherever it enters, not scanned as nothing
+    or as N = 2 (``n_max = 2.5`` scanned N = 1, 2, 3); ``scan_n`` with
+    ``n_max = 0`` is in ``test_curve_invariants_and_errors``."""
+    with pytest.raises(ValueError):
+        _N_ENTRIES[entry](scan_spin, field_305, n, mode)
 
 
 def test_curve_rejects_unknown_propagator_mode():

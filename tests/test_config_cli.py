@@ -954,6 +954,58 @@ def test_cli_fit_non_finite_curve_row_exits_2(tmp_path, capsys, row):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [
+    "# axis=tau n_pulses=12 propagator_mode=magnus\n200,0.5\n210,nan\n",
+    "# axis=tau n_pulses=12 propagator_mode=magnus\n200,0.5\nnan,0.4\n",
+    "# axis=n tau_ns=nan propagator_mode=magnus\n1,0.9\n2,0.8\n",
+    "# axis=n tau_ns=525.2 propagator_mode=magnus\n1,0.9\n2,nan\n",
+], ids=["tau-value", "tau-abscissa", "n-tau-metadata", "n-value"])
+def test_cli_fit_non_finite_curve_names_the_file(tmp_path, capsys, text):
+    """A curve that ``CoherenceCurve`` refuses for a NaN value, abscissa or
+    tau exits 2 with one error line that names the file."""
+    curve = tmp_path / "scan.csv"
+    curve.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--config", DEMO, "--out", str(out), "fit", str(curve)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: fit: {curve}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _unreadable(tmp_path, kind):
+    """A path of ``kind``: a missing file, a directory or non-UTF-8 text."""
+    path = tmp_path / f"{kind}.input"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "latin-1":
+        path.write_bytes("field_gauss: 691.0  # 691 Gau\xdf\n".encode("latin-1"))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, kind", [
+    ("config", "directory"), ("config", "latin-1"),
+    ("analyze", "missing"), ("analyze", "directory"),
+    ("fit", "missing"), ("fit", "directory"),
+])
+def test_cli_unreadable_input_exits_2_before_any_output(tmp_path, capsys,
+                                                        command, kind):
+    """An input file that cannot be read is bad input, like a malformed one:
+    exit 2 with one ``config error:`` line that names it, and no output
+    directory (a missing trace or curve exited 3, and a config directory
+    or non-UTF-8 config ended in a traceback)."""
+    path = _unreadable(tmp_path, kind)
+    out = tmp_path / "out"
+    args = {"config": ["--config", path, "--out", str(out), "scan"],
+            "analyze": ["--config", DEMO, "--out", str(out), "analyze",
+                        "--trace", path],
+            "fit": ["--config", DEMO, "--out", str(out), "fit", path]}[command]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert path in err
+    assert not out.exists()
+
+
 def test_cli_refuses_the_removed_readout_threshold(tmp_path):
     doc = dict(BASE, thresholds={"init_low": 2300, "init_high": 2520,
                                  "readout_threshold": 2400})

@@ -18,7 +18,12 @@ from ddread.measurement import (
     trace_to_csv,
 )
 from ddread.sequence import CpmgSequence
-from ddread.spincore import HyperfineSpin, spin_from_frame_components
+from ddread.spincore import (
+    FieldConfig,
+    HyperfineSpin,
+    PhysicalConstants,
+    spin_from_frame_components,
+)
 
 from conftest import TWO_PI_KHZ, replay_photons
 from test_sampler_oracle import loop_trace
@@ -195,6 +200,21 @@ def test_readout_config_validation():
     assert cfg.cycles_per_point == 40000
     assert cfg.point_duration == pytest.approx(0.189)
     assert cfg.cycle_time == pytest.approx(0.189 / 40000)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FieldConfig(np.nan),
+    lambda: PhysicalConstants(np.nan),
+    *(lambda key=key: ReadoutConfig(**{key: np.nan}) for key in (
+        "cycles_per_point", "photon_rate_bright", "photon_rate_dark",
+        "t1n_up", "t1n_down", "point_duration")),
+], ids=["field", "gamma_n", "cycles", "bright", "dark", "t1n_up", "t1n_down",
+        "point_duration"])
+def test_range_checks_refuse_nan(make):
+    """NaN fails every range check: two NaN T1s, say, would give a trace
+    with no jump and no warning."""
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_point_distribution_matches_poisson_mixture(field_691, readout_spin,

@@ -18,6 +18,7 @@ from ddread.spincore import (
     conditional_propagator_exact,
     conditional_propagator_magnus,
     conditional_propagators,
+    cpmg_cayley_klein,
     effective_frame,
     filter_function,
     spin_from_axial_components,
@@ -271,9 +272,31 @@ def test_kernel_rejects_bad_mode_and_pulse_number(field_305, scan_spin):
     with pytest.raises(ValueError):
         conditional_propagators(scan_spin, field_305, 4, 300e-9, "approximate")
     for mode in ("exact", "magnus"):
-        with pytest.raises(ValueError):
-            conditional_propagators(scan_spin, field_305, np.array([2, 0]),
-                                    300e-9, mode)
+        for n in (np.array([2, 0]), np.array([2, 2.5]), np.inf, np.nan):
+            with pytest.raises(ValueError, match="pulse numbers"):
+                conditional_propagators(scan_spin, field_305, n, 300e-9, mode)
+
+
+@pytest.mark.parametrize("row, message", [
+    ([1e200, 0.0, 0.0], "beyond float's range"),
+    ([1e154, 1e154, 1e154], "beyond float's range"),
+])
+def test_a_stack_is_checked_as_a_spin_is(field_305, scan_spin, row, message):
+    """A (P, 3) stack row that ``HyperfineSpin`` refuses is refused by the
+    frame and the kernel too, not turned into NaN coherence; rows whose
+    squares are each finite pass, though their sum over the stack is not."""
+    big = [1e154, 0.0, 0.0]
+    np.testing.assert_array_equal(
+        effective_frame(np.array([big, big]), field_305).a_par,
+        effective_frame(HyperfineSpin(big), field_305).a_par)
+    with pytest.raises(ValueError, match=message):
+        HyperfineSpin(np.array(row))
+    stack = np.array([scan_spin.a_vec, row])
+    with pytest.raises(ValueError, match=message):
+        effective_frame(stack, field_305)
+    for mode in ("exact", "magnus"):
+        with pytest.raises(ValueError, match=message):
+            cpmg_cayley_klein(stack, field_305, 4, 300e-9, mode)
 
 
 def test_decoupled_spin_pure_precession(field_305):
