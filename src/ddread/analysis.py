@@ -9,7 +9,7 @@ concurrently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
 from typing import Sequence
@@ -442,8 +442,10 @@ def fit_hyperfine(
     realises no frame.  Ties in the final residual break toward the
     lexicographically smallest (a_par, a_perp).  A fit whose residual is
     insensitive to a_par (decoupled data) is flagged degenerate instead of
-    reporting a spurious parallel coupling.  Every curve's values, abscissa
-    and tau are finite: ``CoherenceCurve`` refuses them otherwise.
+    reporting a spurious parallel coupling; noise hides that insensitivity
+    from the probe, so a noisy decoupled curve can pass unflagged (README).
+    Every curve's values, abscissa and tau are finite: ``CoherenceCurve``
+    refuses them otherwise.
     """
     curves = list(curves)
     if not curves:
@@ -504,17 +506,9 @@ def fit_hyperfine(
 
 def report_payload(report: FidelityReport) -> dict:
     """The fields of ``report`` as JSON-ready values."""
-    return {
-        "fidelity_up": report.fidelity_up,
-        "fidelity_down": report.fidelity_down,
-        "init_fidelity_up": report.init_fidelity_up,
-        "init_fidelity_down": report.init_fidelity_down,
-        "optimal_threshold": report.optimal_threshold,
-        "n_pairs_up": report.n_pairs_up,
-        "n_pairs_down": report.n_pairs_down,
-        "low_statistics": report.low_statistics,
-        "threshold_curve": report.threshold_curve.tolist(),
-    }
+    payload = {f.name: getattr(report, f.name) for f in fields(report)}
+    payload["threshold_curve"] = report.threshold_curve.tolist()
+    return payload
 
 
 def report_json(payload: dict) -> str:

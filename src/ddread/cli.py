@@ -36,7 +36,8 @@ from .analysis import (
 from .coherence import CoherenceCurve, scan_2d, scan_n, scan_tau
 from .config import (NS, TAU_KEYS, TWO_PI_KHZ, ConfigError, RunConfig,
                      load_config, snapshot_json)
-from .measurement import _write_rows, read_trace_csv, simulate_trace, trace_to_csv
+from .measurement import (_text_lines, _write_rows, read_trace_csv, simulate_trace,
+                          trace_to_csv)
 from .spincore import DegenerateFrameError, FieldConfig
 
 EXIT_OK = 0
@@ -82,32 +83,31 @@ def read_curve_csv(path) -> CoherenceCurve:
     Files without a ``propagator_mode`` key were written before it existed
     and are read as "exact".  A line that starts with a letter before the
     first data row is a column-name row; any other row that is not two
-    numbers raises ValueError naming its line; missing or bad metadata, or
-    rows that ``CoherenceCurve`` refuses (such as ``nan``, or a ``nan``
-    tau), raise ValueError naming the file.
+    numbers, or a line that is not UTF-8 text, raises ValueError naming its
+    line; missing or bad metadata, or rows that ``CoherenceCurve`` refuses
+    (such as ``nan``, or a ``nan`` tau), raise ValueError naming the file.
     """
     meta = {}
     xs, ys = [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if "=" in tok:
-                        k, v = tok.split("=", 1)
-                        meta[k] = v
-                continue
-            try:
-                a, b = map(float, line.split(","))
-            except ValueError:
-                if line[0].isalpha() and not xs:
-                    continue  # column-name row
-                raise ValueError(
-                    f"{path}, line {lineno}: malformed row {line!r}") from None
-            xs.append(a)
-            ys.append(b)
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            for tok in line[1:].split():
+                if "=" in tok:
+                    k, v = tok.split("=", 1)
+                    meta[k] = v
+            continue
+        try:
+            a, b = map(float, line.split(","))
+        except ValueError:
+            if line[0].isalpha() and not xs:
+                continue  # column-name row
+            raise ValueError(
+                f"{path}, line {lineno}: malformed row {line!r}") from None
+        xs.append(a)
+        ys.append(b)
     axis = meta.get("axis")
     if axis not in ("tau", "n"):
         raise ValueError(f"{path}: missing or unknown axis metadata")
@@ -142,8 +142,8 @@ def _scan_grid(config: RunConfig, command: str) -> list:
     return values
 
 
-def cmd_scan(config: RunConfig, out_dir: Path, grid: list,
-             normalized: bool) -> int:
+def cmd_scan(config: RunConfig, out_dir: Path, args) -> int:
+    grid = _scan_grid(config, "scan")
     mode = config.scan["mode"]
     if mode == "tau":
         lo, hi, step = grid
@@ -154,14 +154,13 @@ def cmd_scan(config: RunConfig, out_dir: Path, grid: list,
         curve = scan_n(config.spins, config.field, config.sequence.tau,
                        grid[0], config.propagator_mode, config.constants)
     out = _output(out_dir, f"scan_{mode}.csv")
-    _write_curve_csv(out, config, curve, normalized)
+    _write_curve_csv(out, config, curve, args.normalized)
     print(f"wrote {out}")
     return EXIT_OK
 
 
-def cmd_map2d(config: RunConfig, out_dir: Path, grid: list,
-              normalized: bool) -> int:
-    lo, hi, step, n_list = grid
+def cmd_map2d(config: RunConfig, out_dir: Path, args) -> int:
+    lo, hi, step, n_list = _scan_grid(config, "map2d")
     cmap = scan_2d(config.spins, config.field, (lo * NS, hi * NS), step * NS,
                    n_list, config.propagator_mode, config.constants)
     out = _output(out_dir, "map2d.csv")
@@ -169,16 +168,18 @@ def cmd_map2d(config: RunConfig, out_dir: Path, grid: list,
     _write_rows(out, _header(config) + "tau_ns,n_pulses,coherence\n",
                 "%.17g,%d,%.17g\n",
                 [np.repeat(cmap.tau_grid / NS, n_ns), np.tile(cmap.n_grid, n_taus),
-                 _unit_peak(cmap.values, normalized).ravel()])
+                 _unit_peak(cmap.values, args.normalized).ravel()])
     print(f"wrote {out}")
     return EXIT_OK
 
 
-def cmd_ssr(config: RunConfig, out_dir: Path, n_points: int) -> int:
+def cmd_ssr(config: RunConfig, out_dir: Path, args) -> int:
+    if args.points < 1:
+        raise ConfigError("--points must be >= 1")
     if len(config.spins) != 1:
         raise ConfigError("ssr: config must define exactly one target spin")
     trace = simulate_trace(config.spins[0], config.field, config.sequence,
-                           config.readout, n_points,
+                           config.readout, args.points,
                            config.propagator_mode, config.constants)
     out = _output(out_dir, "trace.csv")
     trace_to_csv(trace, out, config.content_hash())
@@ -189,16 +190,16 @@ def cmd_ssr(config: RunConfig, out_dir: Path, n_points: int) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(config: RunConfig, out_dir: Path, trace_path) -> int:
+def cmd_analyze(config: RunConfig, out_dir: Path, args) -> int:
     try:
-        trace = read_trace_csv(trace_path, config.readout)
+        trace = read_trace_csv(args.trace, config.readout)
     except (OSError, ValueError) as exc:  # unreadable or malformed: bad input
         raise ConfigError(f"analyze: {exc}") from exc
     try:
         hists = conditional_histograms(trace, config.thresholds)
         report = fidelity_vs_threshold(hists)
     except ValueError as exc:  # so is a trace that pairs no point of a class
-        raise ConfigError(f"analyze: {trace_path}: {exc}") from exc
+        raise ConfigError(f"analyze: {args.trace}: {exc}") from exc
     histograms_to_csv(hists, _output(out_dir, "histograms.csv"))
     jumps = detect_jumps(trace, config.thresholds)
     extra = {}
@@ -226,11 +227,11 @@ def cmd_analyze(config: RunConfig, out_dir: Path, trace_path) -> int:
     return EXIT_OK
 
 
-def cmd_fit(config: RunConfig, out_dir: Path, curve_paths) -> int:
+def cmd_fit(config: RunConfig, out_dir: Path, args) -> int:
     # an unreadable curve file or bad curve metadata, e.g. an unknown or
     # mixed propagator mode, is bad input, not a failed run
     try:
-        curves = [read_curve_csv(p) for p in curve_paths]
+        curves = [read_curve_csv(p) for p in args.curves]
         fit = fit_hyperfine(curves, config.field, consts=config.constants)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"fit: {exc}") from exc
@@ -252,7 +253,9 @@ def cmd_fit(config: RunConfig, out_dir: Path, curve_paths) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built once per process; argparse keeps no
-    state between parses, so every ``main`` call shares it."""
+    state between parses, so every ``main`` call shares it.  Each command's
+    subparser sets ``run`` to its ``cmd_*`` function, which ``main`` calls
+    with the config, the output directory and the parsed arguments."""
     parser = argparse.ArgumentParser(
         prog="ddread",
         description="CPMG coherence scans and single-shot nuclear-spin readout",
@@ -265,14 +268,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scale coherence outputs to unit peak "
                              "(scan and map2d only)")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("scan", help="1D coherence scan (mode from config)")
-    sub.add_parser("map2d", help="coherence on a (tau, N) grid")
+    p_scan = sub.add_parser("scan", help="1D coherence scan (mode from config)")
+    p_scan.set_defaults(run=cmd_scan)
+    p_map = sub.add_parser("map2d", help="coherence on a (tau, N) grid")
+    p_map.set_defaults(run=cmd_map2d)
     p_ssr = sub.add_parser("ssr", help="simulate a single-shot readout trace")
     p_ssr.add_argument("--points", type=int, default=5000)
+    p_ssr.set_defaults(run=cmd_ssr)
     p_an = sub.add_parser("analyze", help="histograms/fidelity/jumps of a trace")
     p_an.add_argument("--trace", required=True)
+    p_an.set_defaults(run=cmd_analyze)
     p_fit = sub.add_parser("fit", help="hyperfine fit from scan CSVs")
     p_fit.add_argument("curves", nargs="+")
+    p_fit.set_defaults(run=cmd_fit)
     return parser
 
 
@@ -284,25 +292,10 @@ def main(argv=None) -> int:
             if not 0 <= args.seed < 2**63:
                 raise ConfigError("--seed must lie in [0, 2**63)")
             config = replace(config, readout=replace(config.readout, seed=args.seed))
-        if args.command == "ssr" and args.points < 1:
-            raise ConfigError("--points must be >= 1")
-        if args.command in ("scan", "map2d"):
-            grid = _scan_grid(config, args.command)
-        elif args.normalized:
+        if args.normalized and args.command not in ("scan", "map2d"):
             raise ConfigError(f"--normalized applies to scan and map2d, "
                               f"not {args.command}")
-        out_dir = Path(args.out)
-        if args.command == "scan":
-            return cmd_scan(config, out_dir, grid, args.normalized)
-        if args.command == "map2d":
-            return cmd_map2d(config, out_dir, grid, args.normalized)
-        if args.command == "ssr":
-            return cmd_ssr(config, out_dir, args.points)
-        if args.command == "analyze":
-            return cmd_analyze(config, out_dir, args.trace)
-        if args.command == "fit":
-            return cmd_fit(config, out_dir, args.curves)
-        raise RuntimeError(f"unhandled command {args.command}")
+        return args.run(config, Path(args.out), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -207,6 +207,9 @@ def scan_2d(
     """Coherence on the (tau, N) grid of the 2D CPMG signal."""
     if len(n_list) == 0:
         raise ValueError("empty pulse-number list")
+    # numpy would turn [True, 2] into the int64 row [1, 2]
+    if any(isinstance(n, (bool, np.bool_)) for n in n_list):
+        raise ValueError("pulse numbers must be integers >= 1")
     taus = tau_axis(tau_range, step)
     n_grid = np.asarray(n_list)
     values = _bath_curve_tau(spins, fieldcfg, n_grid[None, :], taus[:, None],

@@ -577,8 +577,8 @@ def read_trace_csv(path, readout: ReadoutConfig) -> PhotonTrace:
     start with a letter are column-name rows before the first row and
     malformed after it.  A row whose width differs from the first row's,
     whose index or count is not an int64 >= 0 or whose hidden state is not
-    +1 or -1, or a seed outside [0, 2**63), raises ValueError naming its
-    line.
+    +1 or -1, a seed outside [0, 2**63), or a line that is not UTF-8 text
+    raises ValueError naming its line.
     """
     seed, counts, hidden = (_read_trace_array(path, readout.seed)
                             or _read_trace_lines(path, readout.seed))
@@ -719,38 +719,52 @@ def _comment_seed(line: str, seed: int) -> int:
     return seed
 
 
+def _text_lines(path):
+    """(line number, line) for each line of the UTF-8 text file ``path``,
+    with LF, CRLF and a lone CR as line ends; raises ValueError naming the
+    line of the first byte that does not decode."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.isascii():  # a byte that did not decode is a surrogate
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError(
+                        f"{path}, line {lineno}: not UTF-8 text") from None
+            yield lineno, line
+
+
 def _read_trace_lines(path, seed: int):
     """``read_trace_csv``'s (seed, counts, hidden states or None), one line
     at a time, naming the line it refuses."""
     width, counts, hidden = None, array("q"), array("b")  # int64, int8
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or (width is None and line[0].isalpha()):
-                continue  # blank, or a column-name row before the first row
-            try:
-                if line[0] == "#":
-                    seed = _comment_seed(line, seed)
-                    continue
-                if line[0].isalpha():  # a column-name row among the rows
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if not line or (width is None and line[0].isalpha()):
+            continue  # blank, or a column-name row before the first row
+        try:
+            if line[0] == "#":
+                seed = _comment_seed(line, seed)
+                continue
+            if line[0].isalpha():  # a column-name row among the rows
+                raise ValueError
+            row = line.split(",")
+            if len(row) != width:
+                width = width or len(row)
+                if len(row) != width or width not in (2, 3):
                     raise ValueError
-                row = line.split(",")
-                if len(row) != width:
-                    width = width or len(row)
-                    if len(row) != width or width not in (2, 3):
-                        raise ValueError
-                index, count = int(row[0]), int(row[1])
-                if not (0 <= index < 2**63 and count >= 0):
+            index, count = int(row[0]), int(row[1])
+            if not (0 <= index < 2**63 and count >= 0):
+                raise ValueError
+            counts.append(count)  # OverflowError beyond int64
+            if width == 3:
+                state = int(row[2])
+                if state not in (1, -1):
                     raise ValueError
-                counts.append(count)  # OverflowError beyond int64
-                if width == 3:
-                    state = int(row[2])
-                    if state not in (1, -1):
-                        raise ValueError
-                    hidden.append(state)
-            except (ValueError, OverflowError):
-                raise ValueError(
-                    f"{path}, line {lineno}: malformed row {line!r}") from None
+                hidden.append(state)
+        except (ValueError, OverflowError):
+            raise ValueError(
+                f"{path}, line {lineno}: malformed row {line!r}") from None
     if width is None:
         raise ValueError(f"{path}: no trace rows")
     return seed, counts, hidden if width == 3 else None

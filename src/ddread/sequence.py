@@ -15,7 +15,9 @@ class CpmgSequence:
     tau: float
 
     def __post_init__(self):
-        if not isinstance(self.n_pulses, (int, np.integer)) or self.n_pulses < 1:
+        if (isinstance(self.n_pulses, bool)
+                or not isinstance(self.n_pulses, (int, np.integer))
+                or self.n_pulses < 1):
             raise ValueError("n_pulses must be an integer >= 1")
         if not (self.tau > 0):
             raise ValueError("tau must be positive")

@@ -493,12 +493,12 @@ def _cpmg_from_cycles(cycles: tuple, halves: tuple, n_pulses) -> tuple:
     """CPMG-N from the cycle and half-cycle pairs: cycle**(N // 2), then the
     half-cycle for odd N.  Every pulse number of the kernel is checked
     here: a finite integer >= 1, which an integer array is but for the
-    bound."""
+    bound, and not a bool, which numpy would count as 0 or 1."""
     n_pulses = np.asarray(n_pulses)
     valid = n_pulses >= 1
     if n_pulses.dtype.kind not in "iu":
         valid &= (n_pulses < np.inf) & (np.trunc(n_pulses) == n_pulses)
-    if not np.all(valid):
+    if n_pulses.dtype.kind == "b" or not np.all(valid):
         raise ValueError("pulse numbers must be integers >= 1")
     k, odd = np.divmod(n_pulses, 2)
     odd = odd == 1

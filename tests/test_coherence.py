@@ -279,12 +279,15 @@ _N_ENTRIES = {
 @pytest.mark.parametrize("entry, n", [
     ("scan_n", 2.5), ("entanglement_vs_n", 0), ("entanglement_vs_n", 2.5),
     ("scan_2d", [2.5, 3]), ("conditional_propagators", 2.5),
+    ("scan_2d", [True, 2]), ("conditional_propagators", True),
+    ("conditional_propagators", np.array([True, True])),
 ], ids=str)
 def test_pulse_numbers_must_be_whole_and_positive(field_305, scan_spin, mode,
                                                   entry, n):
-    """N = 0 or 2.5 is refused wherever it enters, not scanned as nothing
-    or as N = 2 (``n_max = 2.5`` scanned N = 1, 2, 3); ``scan_n`` with
-    ``n_max = 0`` is in ``test_curve_invariants_and_errors``."""
+    """N = 0, 2.5 or a bool is refused wherever it enters, not scanned as
+    nothing, as N = 2 (``n_max = 2.5`` scanned N = 1, 2, 3) or as N = 1
+    (``True`` ran CPMG-1); ``scan_n`` with ``n_max = 0`` is in
+    ``test_curve_invariants_and_errors``."""
     with pytest.raises(ValueError):
         _N_ENTRIES[entry](scan_spin, field_305, n, mode)
 

@@ -1006,6 +1006,35 @@ def test_cli_unreadable_input_exits_2_before_any_output(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("command", ["analyze", "fit"])
+def test_cli_non_utf8_input_names_its_line(tmp_path, capsys, command, end):
+    """A byte that is not UTF-8 text, here 0xff past the first 8 KiB, exits
+    2 with the path and the line counted from the start of the file, as the
+    text reader ends lines (LF, CRLF or a lone CR); the decoder's message
+    named neither and gave a position within its chunk."""
+    if command == "analyze":
+        head = ["point_index,photon_count,hidden_state"]
+        rows = [f"{i},{2400 - 100 * (i % 2)},{1 - 2 * (i % 2)}"
+                for i in range(2000)]
+    else:
+        head = ["# axis=tau n_pulses=12 propagator_mode=magnus",
+                "tau_ns,coherence"]
+        rows = [f"{200 + 0.1 * i:.1f},0.5" for i in range(2000)]
+    text = end.join(head + rows) + end
+    path = tmp_path / "input.csv"
+    path.write_bytes(text.encode() + b"2000,24\xff0,1" + end.encode())
+    assert len(text) > 8192
+    out = tmp_path / "out"
+    args = (["analyze", "--trace", str(path)] if command == "analyze"
+            else ["fit", str(path)])
+    assert main(["--config", DEMO, "--out", str(out)] + args) == 2
+    line = len(head) + len(rows) + 1
+    assert capsys.readouterr().err == (
+        f"config error: {command}: {path}, line {line}: not UTF-8 text\n")
+    assert not out.exists()
+
+
 def test_cli_refuses_the_removed_readout_threshold(tmp_path):
     doc = dict(BASE, thresholds={"init_low": 2300, "init_high": 2520,
                                  "readout_threshold": 2400})

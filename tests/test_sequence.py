@@ -38,5 +38,7 @@ def test_pulse_spacing_structure():
 def test_invalid_sequences_rejected():
     with pytest.raises(ValueError):
         CpmgSequence(0, 1e-7)
+    with pytest.raises(ValueError, match="n_pulses"):  # not CPMG-1
+        CpmgSequence(True, 248e-9)
     with pytest.raises(ValueError):
         CpmgSequence(4, 0.0)
