@@ -54,9 +54,10 @@ class ThresholdPolicy:
     init_high: int = 2520
 
     def __post_init__(self):
-        if min(self.init_low, self.init_high) < 0:
+        # refused unless in range, so that NaN, which declares nothing, fails
+        if not (self.init_low >= 0 and self.init_high >= 0):
             raise ValueError("thresholds must be non-negative")
-        if self.init_high < self.init_low:
+        if not self.init_high >= self.init_low:
             raise ValueError("init_high must be >= init_low")
 
     def declared(self, counts: np.ndarray) -> tuple:

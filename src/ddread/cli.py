@@ -36,8 +36,8 @@ from .analysis import (
 from .coherence import CoherenceCurve, scan_2d, scan_n, scan_tau
 from .config import (NS, TAU_KEYS, TWO_PI_KHZ, ConfigError, RunConfig,
                      load_config, snapshot_json)
-from .measurement import (_text_lines, _write_rows, read_trace_csv, simulate_trace,
-                          trace_to_csv)
+from .measurement import (_provenance_line, _text_lines, _write_rows, read_trace_csv,
+                          simulate_trace, trace_to_csv)
 from .spincore import DegenerateFrameError, FieldConfig
 
 EXIT_OK = 0
@@ -47,7 +47,7 @@ EXIT_LOW_STATS = 4
 
 
 def _header(config: RunConfig) -> str:
-    return f"# config_sha256={config.content_hash()} seed={config.seed}\n"
+    return _provenance_line(config.content_hash(), config.seed)
 
 
 def _output(out_dir: Path, name: str) -> Path:

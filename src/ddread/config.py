@@ -1,10 +1,13 @@
 """YAML run configuration: strict schema, boundary units, content hashing.
 
 All user-facing quantities carry their unit in the key name (kHz, ns, s,
-gauss); conversion to internal angular rad/s and SI happens here and nowhere
-else.  Unknown keys anywhere in the document are rejected so typos fail loudly
-instead of silently falling back to defaults, and so is a key given twice in
-one mapping, which YAML forbids and PyYAML would let the last value win.
+gauss).  This module converts the document to internal angular rad/s and SI,
+except ``RunConfig.scan``, which keeps the document's ns values because the
+benchmark reads them; each file's reader and writer convert their own
+columns.  Unknown keys anywhere in the document are rejected so typos fail
+loudly instead of silently falling back to defaults, and so is a key given
+twice in one mapping, which YAML forbids and PyYAML would let the last value
+win.
 """
 
 from __future__ import annotations

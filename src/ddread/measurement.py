@@ -36,6 +36,7 @@ from .spincore import (
     HyperfineSpin,
     PhysicalConstants,
     conditional_propagators,
+    cpmg_cayley_klein,
     effective_frame,
     spin_operator,
 )
@@ -109,7 +110,8 @@ def measurement_channel(
         spin, fieldcfg, seq.n_pulses, seq.tau, propagator_mode, consts
     )
     _, vecs = np.linalg.eigh(spin_operator(frame.n_perp))
-    kraus_0, kraus_1 = _kraus_pair(u_plus, u_minus)
+    kraus_0 = (u_minus - 1.0j * u_plus) / 2.0
+    kraus_1 = (u_minus + 1.0j * u_plus) / 2.0
     # label "up" the locked state more likely to give the bright outcome 0,
     # so high photon counts track hidden state +1
     p0 = [float(np.linalg.norm(kraus_0 @ vecs[:, j]) ** 2) for j in (0, 1)]
@@ -118,11 +120,6 @@ def measurement_channel(
         kraus_0=kraus_0, kraus_1=kraus_1,
         basis_up=vecs[:, i_up], basis_down=vecs[:, 1 - i_up],
     )
-
-
-def _kraus_pair(u_plus: np.ndarray, u_minus: np.ndarray):
-    """(K_0, K_1) of ``measurement_channel`` for (batches of) propagator pairs."""
-    return (u_minus - 1.0j * u_plus) / 2.0, (u_minus + 1.0j * u_plus) / 2.0
 
 
 def entanglement_vs_n(
@@ -135,33 +132,27 @@ def entanglement_vs_n(
 ):
     """Electron-nuclear entanglement entropy (bits) versus pulse number.
 
-    The nuclear input is the balanced superposition of the locked states,
-    (|up> + |down>)/sqrt(2).  Returns (n values, entropies, phases) where the
-    phase is the conditional rotation angle 2*N*Phi extracted from the
-    propagator pair (entropy maxima sit at pi/2 mod pi).
+    With U_plus^dag U_minus = w - i v.sigma, a nuclear state of Bloch vector
+    r leaves the electron's two branches the overlap |<U_plus psi|U_minus
+    psi>|^2 = w^2 + (v.r)^2.  The nuclear input is the balanced
+    superposition of the locked states whose Bloch vector is orthogonal to
+    v: of all relative phases it gives the most entanglement, the binary
+    entropy h((1 + |w|) / 2).  Returns (n values, entropies, phases) where
+    the phase is the conditional rotation angle 2*N*Phi = atan2(|v|, |w|)
+    in [0, pi/2], half the eigenphase gap of U_plus^dag U_minus (entropy
+    maxima sit at pi/2).
     """
-    frame = effective_frame(spin, fieldcfg, consts)
     ns = n_axis(n_max)
-    u_plus, u_minus = conditional_propagators(
-        spin, fieldcfg, ns, tau, propagator_mode, consts
-    )
-    kraus_0, kraus_1 = _kraus_pair(u_plus, u_minus)
-    # (|up> + |down>) / sqrt(2) does not depend on which locked state the
-    # channel labels "up", so the label is not needed here
-    _, vecs = np.linalg.eigh(spin_operator(frame.n_perp))
-    psi_n = (vecs[:, 0] + vecs[:, 1]) / np.sqrt(2.0)
-    # joint state before readout, one row per electron outcome
-    block = np.stack([kraus_0 @ psi_n, kraus_1 @ psi_n], axis=1)
-    block /= np.linalg.norm(block, axis=(1, 2))[:, None, None]
-    # reduced electron state: trace over the nucleus
-    rho_e = block @ block.conj().transpose(0, 2, 1)
-    evals = np.clip(np.linalg.eigvalsh(rho_e), 1e-18, 1.0)
-    entropies = -(evals * np.log2(evals)).sum(axis=1)
-    # the eigenphase gap of U_plus^dag U_minus is twice the conditional
-    # rotation angle 2 N Phi
-    u_rel = np.linalg.eigvals(u_plus.conj().transpose(0, 2, 1) @ u_minus)
-    phases = np.abs(np.angle(u_rel[:, 0] / u_rel[:, 1])) / 2.0
-    return ns, entropies, phases
+    (alpha, beta), _ = cpmg_cayley_klein(spin, fieldcfg, ns, tau,
+                                         propagator_mode, consts)
+    # the pair (a, b) of U_plus^dag U_minus: w = Re a is the coherence, and
+    # |v| = hypot(Im a, |b|); neither depends on the pairs' axes
+    a = alpha[0].conj() * alpha[1] + beta[0] * beta[1].conj()
+    b = alpha[0].conj() * beta[1] - beta[0] * alpha[1].conj()
+    w = np.abs(a.real)
+    evals = np.clip(np.stack([1.0 + w, 1.0 - w]) / 2.0, 1e-18, 1.0)
+    entropies = -(evals * np.log2(evals)).sum(axis=0)
+    return ns, entropies, np.arctan2(np.hypot(a.imag, np.abs(b)), w)
 
 
 # numpy's largest Poisson mean: int64 max less ten of its square roots
@@ -193,7 +184,11 @@ class ReadoutConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.cycles_per_point >= 1:
+        # a float or bool would run as whole cycles or fail in the sampler
+        if (isinstance(self.cycles_per_point, bool)
+                or not isinstance(self.cycles_per_point, (int, np.integer))):
+            raise ValueError("cycles_per_point must be an integer")
+        if self.cycles_per_point < 1:
             raise ValueError("cycles_per_point must be >= 1")
         rates = (self.photon_rate_bright, self.photon_rate_dark)
         if not all(rate >= 0 for rate in rates):
@@ -547,8 +542,14 @@ def trace_to_csv(trace: PhotonTrace, path, config_hash: str = "") -> None:
         columns.append(trace.hidden_states)
         head += ",hidden_state"
     if config_hash:
-        head = f"# config_sha256={config_hash} seed={trace.seed}\n{head}"
+        head = _provenance_line(config_hash, trace.seed) + head
     _write_rows(path, head + "\n", ",".join(["%d"] * len(columns)) + "\n", columns)
+
+
+def _provenance_line(config_hash: str, seed: int) -> str:
+    """The comment line that heads a run's CSV files: the config's hash and
+    the seed, which ``_comment_seed`` reads back."""
+    return f"# config_sha256={config_hash} seed={seed}\n"
 
 
 def _write_rows(path, head: str, row: str, columns) -> None:

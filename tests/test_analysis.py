@@ -156,6 +156,28 @@ def test_fidelity_shift_invariance():
     assert report2.optimal_threshold == report.optimal_threshold + shift
 
 
+@pytest.mark.parametrize("low, high, message", [
+    (-1, 2520, "thresholds must be non-negative"),
+    (2300, -1, "thresholds must be non-negative"),
+    (2520, 2300, "init_high must be >= init_low"),
+], ids=["negative-low", "negative-high", "inverted"])
+def test_threshold_policy_refuses_bad_bounds(low, high, message):
+    with pytest.raises(ValueError, match=message):
+        ThresholdPolicy(low, high)
+
+
+@pytest.mark.parametrize("field", ["fidelity_up", "fidelity_down",
+                                   "init_fidelity_up", "init_fidelity_down"])
+def test_fidelity_report_refuses_probabilities_above_one(field):
+    fields = dict(fidelity_up=1.0, fidelity_down=0.5, init_fidelity_up=None,
+                  init_fidelity_down=None, optimal_threshold=2400,
+                  threshold_curve=np.array([[2400.0, 1.0, 0.5, 0.75]]),
+                  n_pairs_up=1, n_pairs_down=1, low_statistics=True)
+    FidelityReport(**fields)
+    with pytest.raises(ValueError, match="fidelities must lie in"):
+        FidelityReport(**{**fields, field: 1.5})
+
+
 def test_report_json_is_json_dumps():
     """``report_json`` writes what ``json.dumps(payload, indent=2,
     sort_keys=True)`` writes, byte for byte, for the payloads ``analyze``
@@ -284,6 +306,15 @@ def test_fit_requires_metadata(field_305, scan_spin):
                           values=np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
         fit_hyperfine([bare], field_305)
+    bare_n = CoherenceCurve(axis="n", abscissa=np.array([1, 2]),
+                            values=np.array([0.5, 0.6]))
+    with pytest.raises(ValueError, match="N-scan curve is missing its tau"):
+        fit_hyperfine([bare_n], field_305)
+    with pytest.raises(ValueError, match="at least one coherence curve"):
+        fit_hyperfine([], field_305)
+    curve = scan_n([scan_spin], field_305, 300e-9, 4)
+    with pytest.raises(ValueError, match="n_grid must be >= 1"):
+        fit_hyperfine([curve], field_305, n_grid=0)
 
 
 def test_fit_degenerate_for_decoupled_data(field_305):

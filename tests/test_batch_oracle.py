@@ -12,10 +12,11 @@ The one-stage kernel built each branch's 2 x 2 matrices in a loop over the
 branches and took the coherence as 0.5 Re Tr(U_plus^dag U_minus).  The
 two-stage kernel computes both branches' Cayley-Klein pairs on one branch
 axis (in magnus mode the plus branch alone, the minus branch being it with
-beta negated) and builds matrices only for their callers, so the matrices,
-and the channel and entanglement curve made from them, must be equal; the
-coherence, now Re(conj(alpha_plus) alpha_minus + conj(beta_plus)
-beta_minus) of the pairs, rounds differently and is bounded in ulps.
+beta negated) and builds matrices only for their callers, so the matrices
+and the channel made from them must be equal, and so must the exact-mode
+entanglement curve made from their first rows; the coherence, now
+Re(conj(alpha_plus) alpha_minus + conj(beta_plus) beta_minus) of the pairs,
+rounds differently and is bounded in ulps.
 
 The serial fit refines the starts of ``fit_hyperfine`` one after another
 with ``scipy.optimize.least_squares``.  It is the oracle for the minimum
@@ -217,6 +218,15 @@ def one_stage_propagators(spin, fieldcfg, n_pulses, taus, propagator_mode="exact
     return _one_stage_pair(cycles, halves, n_pulses, frame)
 
 
+def one_stage_pairs(spin, fieldcfg, n_pulses, taus, propagator_mode="exact",
+                    consts=DEFAULT_CONSTANTS):
+    """``cpmg_cayley_klein`` from the one-stage kernel: the first rows of
+    its matrices, in lab axes."""
+    u = np.stack(one_stage_propagators(spin, fieldcfg, n_pulses, taus,
+                                       propagator_mode, consts))
+    return (u[..., 0, 0], u[..., 0, 1]), None
+
+
 def matrix_coherence_rows(a_vecs, fieldcfg, n_pulses, taus, propagator_mode, consts):
     """0.5 Re Tr(U_plus^dag U_minus) of the one-stage kernel's matrices."""
     u_plus, u_minus = one_stage_propagators(a_vecs, fieldcfg, n_pulses, taus,
@@ -277,19 +287,29 @@ def test_two_stage_matrices_equal_the_one_stage_kernel(field_305, bath_305, mode
 @pytest.mark.parametrize("mode", MODES)
 def test_channel_and_entanglement_equal_the_one_stage_kernel(
         field_691, readout_spin, readout_seq, monkeypatch, mode):
+    """The channel from the one-stage matrices, and the entanglement curve
+    from their first rows.  In magnus mode those rows are in lab axes and
+    the kernel's pairs in frame axes, so the curve rounds differently."""
     def outputs():
         channel = measurement.measurement_channel(readout_spin, field_691,
                                                   readout_seq, mode)
         return ([channel.kraus_0, channel.kraus_1, channel.basis_up,
-                 channel.basis_down]
-                + list(measurement.entanglement_vs_n(readout_spin, field_691,
-                                                     readout_seq.tau, 48, mode)))
+                 channel.basis_down],
+                measurement.entanglement_vs_n(readout_spin, field_691,
+                                              readout_seq.tau, 48, mode))
 
-    got = outputs()
+    got_channel, got_curve = outputs()
     monkeypatch.setattr(measurement, "conditional_propagators",
                         one_stage_propagators)
-    for a, b in zip(got, outputs()):
+    monkeypatch.setattr(measurement, "cpmg_cayley_klein", one_stage_pairs)
+    want_channel, want_curve = outputs()
+    for a, b in zip(got_channel, want_channel):
         assert np.array_equal(a, b)
+    for a, b in zip(got_curve, want_curve):
+        if mode == "exact":
+            assert np.array_equal(a, b)
+        else:
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
 
 
 # ------------------------------------------------------------------ bath

@@ -7,6 +7,7 @@ import pytest
 
 from ddread.coherence import (
     CoherenceCurve,
+    CoherenceMap2D,
     coherence_bath,
     coherence_single,
     find_dips,
@@ -263,6 +264,22 @@ def test_curve_invariants_and_errors(field_305, scan_spin):
         with pytest.raises(ValueError, match="pulse numbers"):
             CoherenceCurve(axis="n", abscissa=np.array([1.0, n]),
                            values=np.array([0.5, 0.5]), tau=300e-9)
+    with pytest.raises(ValueError, match="length mismatch"):
+        CoherenceCurve(axis="tau", abscissa=np.array([1.0, 2.0]),
+                       values=np.array([0.5]))
+    with pytest.raises(ValueError, match="shape inconsistent"):
+        CoherenceMap2D(tau_grid=np.array([1.0, 2.0]), n_grid=np.array([2]),
+                       values=np.full((1, 2), 0.5))
+    with pytest.raises(ValueError, match="empty pulse-number list"):
+        scan_2d([scan_spin], field_305, (300e-9, 310e-9), 5e-9, [])
+    empty = CoherenceCurve(axis="tau", abscissa=np.array([]),
+                           values=np.array([]))
+    with pytest.raises(ValueError, match="empty curve"):
+        find_dips(empty)
+    three = CoherenceCurve(axis="n", abscissa=np.array([1, 2, 3]),
+                           values=np.array([0.5, 0.2, 0.5]), tau=300e-9)
+    with pytest.raises(ValueError, match="too short"):
+        oscillation_period(three)
 
 
 # each entry point of a pulse number, called on (spin, field, N, mode)

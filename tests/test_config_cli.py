@@ -479,6 +479,38 @@ def test_cli_bad_physics_value_exits_2_before_any_output(tmp_path, capsys, old,
     assert not out.exists()
 
 
+# the demo's readout section, up to the blank line after it
+_DEMO_READOUT = Path(DEMO).read_text().split("readout:\n")[1].split("\n\n")[0]
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (_DEMO_SPINS, "spins: []\n",
+     "ssr: config must define exactly one target spin"),
+    (_DEMO_SPINS, _DEMO_SPINS + "  - a_par_khz: 100.0\n    a_perp_khz: 50.0\n",
+     "ssr: config must define exactly one target spin"),
+    (None, "", "config: missing required keys ['field_gauss', 'sequence']"),
+    ("readout:\n" + _DEMO_READOUT, "readout: 5", "readout: expected a mapping"),
+    ("field_gauss: 691.0\n", "field_gauss: abc\n",
+     "config.field_gauss: expected a number, got 'abc'"),
+    (_DEMO_SPINS, "spins:\n  - a_vec_khz: [1, 2]\n",
+     "spins[0].a_vec_khz: expected 3 numbers"),
+], ids=["no-spin", "two-spins", "empty", "readout-int", "field-str",
+        "a_vec-2"])
+def test_cli_bad_document_exits_2_before_any_output(tmp_path, capsys, old,
+                                                    new, message):
+    """A document of the wrong shape, or one that ``ssr`` cannot read out,
+    is one ``config error:`` line, before the output directory is made;
+    ``old`` None replaces the whole document."""
+    text = Path(DEMO).read_text()
+    assert old is None or old in text
+    path = write_text(tmp_path, new if old is None else text.replace(old, new, 1))
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "ssr",
+                 "--points", "2"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**63), "18446744073709551623"])
 def test_cli_seed_out_of_range_exits_2_before_any_output(tmp_path, capsys,
                                                          seed):
@@ -898,6 +930,7 @@ _BAD_CURVE_METADATA = [
     ("# axis=tau propagator_mode=exact", "missing n_pulses metadata"),
     ("# axis=tau n_pulses=abc", "bad n_pulses metadata 'abc'"),
     ("# axis=n tau_ns=1e", "bad tau_ns metadata '1e'"),
+    ("# config_sha256=00 seed=7", "missing or unknown axis metadata"),
 ]
 
 

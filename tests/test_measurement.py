@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ddread.analysis import ThresholdPolicy
 from ddread.measurement import (
     MeasurementChannel,
     PhotonTrace,
@@ -140,25 +141,52 @@ def joint_premeasurement_state(channel, nuclear_state_vec):
     return psi / np.linalg.norm(psi)
 
 
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def bloch_vector(psi):
+    return np.real(psi.conj() @ PAULI @ psi)
+
+
+def entropy_for_input(channel, nuclear_state_vec):
+    """Entanglement entropy (bits) of the pre-measurement joint state."""
+    psi = joint_premeasurement_state(channel, nuclear_state_vec).reshape(2, 2)
+    evals = np.clip(np.linalg.eigvalsh(psi @ psi.conj().T), 1e-18, 1.0)
+    return -(evals * np.log2(evals)).sum()
+
+
 def test_entanglement_matches_per_n_channels(field_305, scan_spin):
-    """The batched curve against one measurement channel per pulse number."""
+    """The batched curve against one measurement channel per pulse number.
+
+    The reference input is the balanced superposition of the locked states
+    whose Bloch vector is orthogonal to the axis v of U_plus^dag U_minus =
+    w - i v.sigma, and no other relative phase gives more entropy."""
     tau = 470e-9
+    relative_phases = np.linspace(0.0, 2.0 * np.pi, 72, endpoint=False)
     for mode in ("exact", "magnus"):
         ns, entropy, phases = entanglement_vs_n(scan_spin, field_305, tau, 33,
                                                 mode)
         for n, s_n, phase in zip(ns, entropy, phases):
             ch = measurement_channel(scan_spin, field_305,
                                      CpmgSequence(int(n), tau), mode)
-            psi = joint_premeasurement_state(
-                ch, (ch.basis_up + ch.basis_down) / np.sqrt(2.0))
-            evals = np.clip(np.linalg.eigvalsh(
-                psi.reshape(2, 2) @ psi.reshape(2, 2).conj().T), 1e-18, 1.0)
-            assert s_n == pytest.approx(-(evals * np.log2(evals)).sum(), abs=1e-12)
             u_minus = ch.kraus_0 + ch.kraus_1
             u_plus = 1.0j * (ch.kraus_0 - ch.kraus_1)
-            u_rel = np.linalg.eigvals(u_plus.conj().T @ u_minus)
+            u_rel = u_plus.conj().T @ u_minus
+            v = np.real(0.5j * np.trace(u_rel @ PAULI, axis1=1, axis2=2))
+            up, down = ch.basis_up, ch.basis_down
+            # Bloch vectors of (up + down)/sqrt(2) and (up + i down)/sqrt(2)
+            r_re = bloch_vector((up + down) / np.sqrt(2.0))
+            r_im = bloch_vector((up + 1.0j * down) / np.sqrt(2.0))
+            phi = np.arctan2(-(r_re @ v), r_im @ v)
+            best = (up + np.exp(1.0j * phi) * down) / np.sqrt(2.0)
+            assert abs(bloch_vector(best) @ v) < 1e-12
+            assert s_n == pytest.approx(entropy_for_input(ch, best), abs=1e-12)
+            for chi in relative_phases:
+                other = (up + np.exp(1.0j * chi) * down) / np.sqrt(2.0)
+                assert entropy_for_input(ch, other) <= s_n + 1e-12
+            u_eig = np.linalg.eigvals(u_rel)
             assert phase == pytest.approx(
-                abs(np.angle(u_rel[0] / u_rel[1])) / 2.0, abs=1e-12)
+                abs(np.angle(u_eig[0] / u_eig[1])) / 2.0, abs=1e-12)
 
 
 def test_entanglement_pi_periodic(field_691, readout_spin):
@@ -169,8 +197,13 @@ def test_entanglement_pi_periodic(field_691, readout_spin):
 
 
 def test_readout_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cycles_per_point must be >= 1"):
         ReadoutConfig(cycles_per_point=0)
+    # a float would fail in the sampler, a bool run one-cycle points
+    for cycles in (2.5, 40000.0, True):
+        with pytest.raises(ValueError, match="cycles_per_point must be an integer"):
+            ReadoutConfig(cycles_per_point=cycles)
+    assert ReadoutConfig(cycles_per_point=np.int64(8)).cycles_per_point == 8
     with pytest.raises(ValueError):
         ReadoutConfig(photon_rate_bright=-0.1)
     with pytest.raises(ValueError):
@@ -208,11 +241,13 @@ def test_readout_config_validation():
     *(lambda key=key: ReadoutConfig(**{key: np.nan}) for key in (
         "cycles_per_point", "photon_rate_bright", "photon_rate_dark",
         "t1n_up", "t1n_down", "point_duration")),
+    *(lambda key=key: ThresholdPolicy(**{key: np.nan})
+      for key in ("init_low", "init_high")),
 ], ids=["field", "gamma_n", "cycles", "bright", "dark", "t1n_up", "t1n_down",
-        "point_duration"])
+        "point_duration", "init_low", "init_high"])
 def test_range_checks_refuse_nan(make):
     """NaN fails every range check: two NaN T1s, say, would give a trace
-    with no jump and no warning."""
+    with no jump and no warning, and a NaN threshold declares no point."""
     with pytest.raises(ValueError):
         make()
 
@@ -695,7 +730,7 @@ def test_row_parser_hands_over_a_short_first_row(width, row):
         assert m._parse_rows(row + b"\n" + rest, width) is None
 
 
-def test_photon_trace_validation():
+def test_photon_trace_validation(field_691, readout_spin, readout_seq):
     cfg = ReadoutConfig()
     with pytest.raises(ValueError):
         PhotonTrace(points=np.array([1, 2]), hidden_states=np.array([1]),
@@ -703,3 +738,8 @@ def test_photon_trace_validation():
     with pytest.raises(ValueError):
         PhotonTrace(points=np.array([-1]), hidden_states=np.array([1]),
                     config=cfg)
+    with pytest.raises(ValueError, match="hidden states must be"):
+        PhotonTrace(points=np.array([1, 2]), hidden_states=np.array([1, 0]),
+                    config=cfg)
+    with pytest.raises(ValueError, match="n_points must be >= 1"):
+        simulate_trace(readout_spin, field_691, readout_seq, cfg, 0)

@@ -13,6 +13,7 @@ from ddread.sequence import CpmgSequence
 from ddread.spincore import (
     DEFAULT_CONSTANTS,
     DegenerateFrameError,
+    EffectiveFrame,
     FieldConfig,
     HyperfineSpin,
     conditional_propagator_exact,
@@ -166,6 +167,12 @@ def test_degenerate_frame_raises():
     cancel = -2.0 * 6.73e7 * 1e-4
     with pytest.raises(DegenerateFrameError):
         effective_frame(HyperfineSpin(np.array([0.0, 0.0, cancel])), b)
+    # a frame built by hand, which effective_frame would refuse
+    still = EffectiveFrame(omega=0.0, n_par=np.array([0.0, 0.0, 1.0]),
+                           n_perp=np.array([1.0, 0.0, 0.0]), a_par=0.0,
+                           a_perp=0.0)
+    with pytest.raises(DegenerateFrameError, match="omega > 0"):
+        conditional_propagator_magnus(still, CpmgSequence(4, 300e-9), "plus")
 
 
 # ---------------------------------------------------------------- filter
@@ -271,6 +278,9 @@ def test_magnus_batch_matches_single_calls(field_305, scan_spin):
 def test_kernel_rejects_bad_mode_and_pulse_number(field_305, scan_spin):
     with pytest.raises(ValueError):
         conditional_propagators(scan_spin, field_305, 4, 300e-9, "approximate")
+    with pytest.raises(ValueError, match="branch must be 'plus' or 'minus'"):
+        conditional_propagator_exact(scan_spin, field_305,
+                                     CpmgSequence(4, 300e-9), "up")
     for mode in ("exact", "magnus"):
         for n in (np.array([2, 0]), np.array([2, 2.5]), np.inf, np.nan):
             with pytest.raises(ValueError, match="pulse numbers"):
@@ -280,6 +290,7 @@ def test_kernel_rejects_bad_mode_and_pulse_number(field_305, scan_spin):
 @pytest.mark.parametrize("row, message", [
     ([1e200, 0.0, 0.0], "beyond float's range"),
     ([1e154, 1e154, 1e154], "beyond float's range"),
+    ([1.0, np.nan, 0.0], "components must be finite"),
 ])
 def test_a_stack_is_checked_as_a_spin_is(field_305, scan_spin, row, message):
     """A (P, 3) stack row that ``HyperfineSpin`` refuses is refused by the
@@ -297,6 +308,13 @@ def test_a_stack_is_checked_as_a_spin_is(field_305, scan_spin, row, message):
     for mode in ("exact", "magnus"):
         with pytest.raises(ValueError, match=message):
             cpmg_cayley_klein(stack, field_305, 4, 300e-9, mode)
+
+
+def test_a_spin_has_three_components(field_305):
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        HyperfineSpin(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match=r"shape \(P, 3\)"):
+        effective_frame(np.ones((2, 2)), field_305)
 
 
 def test_decoupled_spin_pure_precession(field_305):
