@@ -70,7 +70,7 @@ def _require_keys(section: dict, allowed: set, required: set, where: str):
         raise ConfigError(f"{where}: expected a mapping")
     unknown = set(section) - allowed
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}")
     missing = required - set(section)
     if missing:
         raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
@@ -88,27 +88,22 @@ def _integer(value, name: str, low: int = -2**63) -> int:
     return value
 
 
-def _real(value, name: str, scale: float = 1.0,
-          infinite_ok: bool = False) -> float:
+def _real(value, name: str, scale: float = 1.0) -> float:
     """``value`` times ``scale`` as a float: ``value`` a finite int or float,
-    or also an infinite one where ``infinite_ok``; never NaN.  A product
-    beyond float's range counts as infinite."""
+    and the product finite too."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name}: expected a number, got {value!r}")
     try:
         v = float(value) * scale
     except OverflowError:  # an int beyond float's range
-        v = math.inf if value > 0 else -math.inf
-    if math.isnan(v) or math.isinf(v) and not infinite_ok:
-        kind = "a number" if infinite_ok else "a finite number"
-        raise ConfigError(f"{name}: expected {kind}, got {value!r}")
+        v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError(f"{name}: expected a finite number, got {value!r}")
     return v
 
 
 _ns = partial(_real, scale=NS)
 _khz = partial(_real, scale=TWO_PI_KHZ)  # to angular rad/s
-# an infinite T1 is a frozen one: its flip probability is 0
-_lifetime = partial(_real, infinite_ok=True)
 
 
 def _refuse_non_json(value, name: str):
@@ -172,8 +167,8 @@ _SECTIONS = {
         "cycles_per_point": ("cycles_per_point", _integer),
         "photon_rate_bright": ("photon_rate_bright", _real),
         "photon_rate_dark": ("photon_rate_dark", _real),
-        "t1n_up_s": ("t1n_up", _lifetime),
-        "t1n_down_s": ("t1n_down", _lifetime),
+        "t1n_up_s": ("t1n_up", _real),
+        "t1n_down_s": ("t1n_down", _real),
         "point_duration_s": ("point_duration", _real),
         "electron_init_error": ("electron_init_error", _real),
         "pi_pulse_error": ("pi_pulse_error", _real),
@@ -296,31 +291,9 @@ def load_config(path) -> RunConfig:
 
 def snapshot_json(config: RunConfig) -> str:
     """Round-trippable snapshot in strict JSON: the raw document plus its
-    hash.  JSON has no infinity, so an infinite number (a frozen T1) is
-    written as the out-of-range number 1e999, which JSON readers read back
-    as infinity."""
-    text = json.dumps(
-        {"config": _mark_infinite(config.raw),
-         "config_sha256": config.content_hash(), "seed": config.seed},
+    hash."""
+    return json.dumps(
+        {"config": config.raw, "config_sha256": config.content_hash(),
+         "seed": config.seed},
         indent=2, sort_keys=True, allow_nan=False,
     )
-    for sign in ("", "-"):
-        text = text.replace(json.dumps(sign + _INFINITY), sign + "1e999")
-    return text
-
-
-# Stands in for +-inf while the snapshot is encoded.  A config string equal
-# to it, which YAML can spell only with a "\0" escape, would come out as
-# infinity too; no key takes a string like it.
-_INFINITY = "\x00inf"
-
-
-def _mark_infinite(value):
-    """``value`` with each infinite float as ``_INFINITY``, signed."""
-    if isinstance(value, dict):
-        return {k: _mark_infinite(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_mark_infinite(v) for v in value]
-    if isinstance(value, float) and math.isinf(value):
-        return _INFINITY if value > 0 else "-" + _INFINITY
-    return value

@@ -184,10 +184,13 @@ class ReadoutConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # a float or bool would run as whole cycles or fail in the sampler
-        if (isinstance(self.cycles_per_point, bool)
-                or not isinstance(self.cycles_per_point, (int, np.integer))):
-            raise ValueError("cycles_per_point must be an integer")
+        # a float or bool count would run as whole cycles or fail in the
+        # sampler; a float seed fails there too, and a bool one is written
+        # as seed=True, which the trace reader refuses
+        for name in ("cycles_per_point", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if self.cycles_per_point < 1:
             raise ValueError("cycles_per_point must be >= 1")
         rates = (self.photon_rate_bright, self.photon_rate_dark)

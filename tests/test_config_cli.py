@@ -11,7 +11,7 @@ import yaml
 
 from ddread.cli import main, read_curve_csv
 from ddread.config import ConfigError, load_config, parse_config, snapshot_json
-from ddread.measurement import read_trace_csv
+from ddread.measurement import read_trace_csv, simulate_trace
 from ddread.spincore import effective_frame
 
 from conftest import TWO_PI_KHZ
@@ -92,7 +92,7 @@ _EVERY_KEY = {
         "photon_rate_bright": ("photon_rate_bright", 0.07, 0.07),
         "photon_rate_dark": ("photon_rate_dark", 0.05, 0.05),
         "t1n_up_s": ("t1n_up", 5.0, 5.0),
-        "t1n_down_s": ("t1n_down", float("inf"), float("inf")),
+        "t1n_down_s": ("t1n_down", 1e300, 1e300),
         "point_duration_s": ("point_duration", 0.2, 0.2),
         "electron_init_error": ("electron_init_error", 0.05, 0.05),
         "pi_pulse_error": ("pi_pulse_error", 1e-4, 1e-4),
@@ -100,6 +100,12 @@ _EVERY_KEY = {
     "thresholds": {"init_low": ("init_low", 2200, 2200),
                    "init_high": ("init_high", 2600, 2600)},
 }
+
+
+def _every_key_document():
+    """BASE with every key of ``_EVERY_KEY`` set."""
+    return {**BASE, **{name: {key: value for key, (_, value, _) in keys.items()}
+                       for name, keys in _EVERY_KEY.items()}}
 
 
 def test_schema_sets_each_field_by_one_key():
@@ -111,9 +117,7 @@ def test_schema_sets_each_field_by_one_key():
     from ddread.config import _SECTIONS
 
     assert set(_SECTIONS) == set(_EVERY_KEY)
-    doc = {**BASE, **{name: {key: value for key, (_, value, _) in keys.items()}
-                      for name, keys in _EVERY_KEY.items()}}
-    cfg = parse_config(doc)
+    cfg = parse_config(_every_key_document())
     for name, keys in _EVERY_KEY.items():
         cls, table = _SECTIONS[name]
         assert {key: attr for key, (attr, _) in table.items()} == {
@@ -127,12 +131,19 @@ def test_schema_sets_each_field_by_one_key():
 
 
 def test_snapshot_roundtrip(tmp_path):
-    path = write_config(tmp_path, BASE)
-    cfg = load_config(path)
-    snap = json.loads(snapshot_json(cfg))
-    cfg2 = parse_config(snap["config"])
-    assert cfg2.content_hash() == cfg.content_hash()
-    assert snap["config_sha256"] == cfg.content_hash()
+    """BASE, the every-key document (a 1e300 T1 included) and the demo
+    config each read back from their snapshot to the same document, in
+    strict JSON with no infinity."""
+    for path in (write_config(tmp_path, BASE),
+                 write_config(tmp_path, _every_key_document(), "every.yaml"),
+                 DEMO):
+        cfg = load_config(path)
+        text = snapshot_json(cfg)
+        assert not any(word in text for word in ("Infinity", "NaN", "1e999"))
+        snap = json.loads(text)
+        cfg2 = parse_config(snap["config"])
+        assert cfg2.content_hash() == cfg.content_hash()
+        assert snap["config_sha256"] == cfg.content_hash()
 
 
 # --------------------------------------------------------------------- CLI
@@ -262,51 +273,61 @@ def test_cli_nan_exits_2(tmp_path, capsys, section, key):
 
 @pytest.mark.parametrize("section,key,value", [
     pytest.param(s, k, v, id=f"{k}={v}")
-    for s, k in _FLOAT_KEYS if k not in ("t1n_up_s", "t1n_down_s")
-    for v in (_INF, -_INF)] + [
+    for s, k in _FLOAT_KEYS for v in (_INF, -_INF)] + [
     pytest.param(None, "field_gauss", 10**400, id="field_gauss=10**400")] + [
     pytest.param("spins", k, 1.0e306, id=f"{k}=1e306")
     for k in ("a_par_khz", "a_perp_khz", "a_vec_khz[1]")])
 def test_cli_infinite_exits_2(tmp_path, capsys, section, key, value):
     """An infinite value, an int beyond float's range, or a kHz value whose
-    rad/s is beyond it, is refused for every float key but a T1, with no
-    warning from the physics behind it."""
+    rad/s is beyond it, is refused for every float key, a T1 too, as one
+    ``config error:`` line with no warning from the physics behind it,
+    before the output directory is made."""
     doc, name = _with_value(section, key, value)
     path = write_config(tmp_path, doc)
-    assert main(["--config", path, "--out", str(tmp_path), "scan"]) == 2
-    err = capsys.readouterr().err
-    assert f"config error: {name}: expected a finite number" in err
-    assert "Warning" not in err
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "scan"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {name}: expected a finite number, got {value!r}\n")
+    assert not out.exists()
 
 
 def test_cli_infinite_t1_is_frozen(tmp_path):
-    """An infinite T1 never flips: the run exits 0, the hidden state stays
-    where the first point put it, and the snapshot is strict JSON that reads
-    back to the same document."""
-    doc = yaml.safe_load(Path(DEMO).read_text())
-    doc["readout"].update(t1n_up_s=_INF, t1n_down_s=_INF)
-    path = write_config(tmp_path, doc)
+    """A T1 of 1e300 s is a frozen one: its per-cycle flip probability is
+    exactly 0, so ``ssr`` writes the trace of an infinite T1, whose hidden
+    state stays where the first point put it, and the snapshot is strict
+    JSON that reads back to the same document."""
+    text = Path(DEMO).read_text()
+    for key in ("t1n_up_s", "t1n_down_s"):
+        assert f"  {key}: 15.0\n" in text
+        text = text.replace(f"  {key}: 15.0\n", f"  {key}: 1.0e+300\n")
+    path = write_text(tmp_path, text)
     # 400 points are 76 s, five times the demo's finite T1
     assert main(["--config", path, "--out", str(tmp_path), "ssr",
                  "--points", "400"]) == 0
-    rows = (tmp_path / "trace.csv").read_text().splitlines()[2:]
-    assert len({row.split(",")[2] for row in rows}) == 1
-    text = (tmp_path / "config_snapshot.json").read_text()
-    assert '"t1n_up_s": 1e999' in text and "Infinity" not in text
-    snap = json.loads(text)
+    cfg = load_config(DEMO)
+    trace = read_trace_csv(tmp_path / "trace.csv", cfg.readout)
+    frozen = simulate_trace(
+        cfg.spins[0], cfg.field, cfg.sequence,
+        replace(cfg.readout, t1n_up=_INF, t1n_down=_INF), 400,
+        cfg.propagator_mode, cfg.constants)
+    assert np.array_equal(trace.points, frozen.points)
+    assert np.array_equal(trace.hidden_states, frozen.hidden_states)
+    assert len(set(trace.hidden_states)) == 1
+    snap = json.loads((tmp_path / "config_snapshot.json").read_text())
     assert parse_config(snap["config"]).content_hash() == snap["config_sha256"]
     assert snap["config_sha256"] == load_config(path).content_hash()
 
 
 def test_snapshot_json_refuses_nan():
     """No NaN reaches a snapshot: ``parse_config`` refuses NaN in every key
-    it reads, scan.n_max too, and a document that holds one anyway makes
-    the snapshot raise."""
+    it reads, scan.n_max too, and a document that holds one, or an
+    infinity, anyway makes the snapshot raise."""
     with pytest.raises(ConfigError, match="scan.n_max"):
         parse_config({**BASE, "scan": {"mode": "tau", "n_max": _NAN}})
-    cfg = replace(parse_config(BASE), raw={**BASE, "scan": {"n_max": _NAN}})
-    with pytest.raises(ValueError):
-        snapshot_json(cfg)
+    for bad in (_NAN, _INF, -_INF):
+        cfg = replace(parse_config(BASE), raw={**BASE, "scan": {"n_max": bad}})
+        with pytest.raises(ValueError):
+            snapshot_json(cfg)
 
 
 def write_text(tmp_path, text):
@@ -494,8 +515,14 @@ _DEMO_READOUT = Path(DEMO).read_text().split("readout:\n")[1].split("\n\n")[0]
      "config.field_gauss: expected a number, got 'abc'"),
     (_DEMO_SPINS, "spins:\n  - a_vec_khz: [1, 2]\n",
      "spins[0].a_vec_khz: expected 3 numbers"),
+    # Python cannot order an int key and a str key
+    ("field_gauss: 691.0\n", "field_gauss: 691.0\n1: x\nfoo: y\n",
+     "config: unknown keys [1, 'foo']"),
+    ("sequence:\n  n_pulses: 12\n  tau_ns: 248.0\n",
+     "sequence: {n_pulses: 12, tau_ns: 248, 2: x, bar: y}\n",
+     "sequence: unknown keys [2, 'bar']"),
 ], ids=["no-spin", "two-spins", "empty", "readout-int", "field-str",
-        "a_vec-2"])
+        "a_vec-2", "top-int-and-str-keys", "sequence-int-and-str-keys"])
 def test_cli_bad_document_exits_2_before_any_output(tmp_path, capsys, old,
                                                     new, message):
     """A document of the wrong shape, or one that ``ssr`` cannot read out,

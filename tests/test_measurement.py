@@ -211,8 +211,13 @@ def test_readout_config_validation():
     with pytest.raises(ValueError):
         ReadoutConfig(t1n_up=0.0)
     for seed in (-1, 2**63, 2**64 + 7):  # a seed is a Philox key word in int64
-        with pytest.raises(ValueError, match="seed"):
+        with pytest.raises(ValueError, match="seed must lie in"):
             ReadoutConfig(seed=seed)
+    # a float seed would fail in the sampler, a bool one be written as True
+    for seed in (2.5, 7.0, True):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            ReadoutConfig(seed=seed)
+    assert ReadoutConfig(seed=np.int64(7)).seed == 7
     # a point's photon mean is at most its larger rate times its cycles,
     # which must lie within numpy's Poisson range
     from ddread.measurement import _POISSON_MAX
