@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .coherence import CoherenceCurve, _coherence_rows
-from .measurement import PhotonTrace, _write_rows
+from .measurement import PhotonTrace, _require_integer, _write_rows
 from .spincore import (
     DEFAULT_CONSTANTS,
     FieldConfig,
@@ -267,8 +267,10 @@ def estimate_t1n(
 
     Boundary (censored) dwells must already be excluded.  For an exponential
     the MLE of the mean is the sample mean; the 95% confidence interval uses
-    the standard error mean/sqrt(n).
+    the standard error mean/sqrt(n).  ``point_duration`` must be > 0.
     """
+    if not point_duration > 0:
+        raise ValueError("point_duration must be > 0")
     results = []
     for dw in (dwells_up, dwells_down):
         dw = np.asarray(dw, dtype=float)
@@ -304,7 +306,7 @@ def _fit_cells(curves):
     return n_pulses, taus
 
 
-def _fit_model_values(params, cells, fieldcfg, consts, propagator_mode="exact"):
+def _fit_model_values(params, cells, fieldcfg, consts, propagator_mode):
     """Forward model of ``fit_hyperfine`` for a (P, 2) array of (a_par, a_perp)
     at the (pulse numbers, taus) ``cells`` of ``_fit_cells``.
 
@@ -451,6 +453,7 @@ def fit_hyperfine(
     curves = list(curves)
     if not curves:
         raise ValueError("need at least one coherence curve")
+    _require_integer("n_grid", n_grid)
     if n_grid < 1:
         raise ValueError("n_grid must be >= 1")
     for c in curves:
@@ -465,15 +468,13 @@ def fit_hyperfine(
     data = np.concatenate([c.values for c in curves])
     cells = _fit_cells(curves)
 
-    def residual_rows(model, valid):
-        # in place; a point that realises no frame scores 1e3 in every cell
+    def residuals(points):
+        # a point that realises no frame scores 1e3 in every cell
+        model, valid = _fit_model_values(points, cells, fieldcfg, consts,
+                                         propagator_mode)
         model -= data
         model[~valid] = 1e3
         return model
-
-    def residuals(points):
-        return residual_rows(*_fit_model_values(points, cells, fieldcfg, consts,
-                                                propagator_mode))
 
     lo, hi = _FIT_GRID
     grid = np.linspace(lo, hi, n_grid)
@@ -485,20 +486,19 @@ def fit_hyperfine(
     wall = 2.0 * consts.gamma_n * fieldcfg.b_magnitude
     x, f = _refine(starts, residuals, lo / 10.0,
                    np.array([hi * 2.0, min(hi * 2.0, wall)]))
-    res_norm, a_par, a_perp = min(
-        (float(np.linalg.norm(r)), float(ap), float(at)) for r, (ap, at) in zip(f, x))
+    res_norm, a_par, a_perp, best = min(
+        (float(np.linalg.norm(r)), float(ap), float(at), i)
+        for i, (r, (ap, at)) in enumerate(zip(f, x)))
     # Identifiability: if the fitted model is flat (decoupled-spin data) the
     # parallel component never enters the signal, so any a_par value is as
-    # good as another; flag instead of reporting a spurious coupling.  Also
-    # probe a_par directly in case the residual is insensitive to it.
+    # good as another; flag instead of reporting a spurious coupling.  A
+    # winner that realises no frame scores 1e3 in every cell, so it is never
+    # flat.  Also probe a_par directly in case the residual is insensitive
+    # to it.
+    flat = float(np.max(np.abs(f[best] + data - 1.0))) < 1e-3
     probe = max(abs(a_par) * 0.1, 0.01 * lo)
-    model, valid = _fit_model_values(
-        [(a_par, a_perp), (a_par + probe, a_perp),
-         (max(a_par - probe, lo / 10.0), a_perp)],
-        cells, fieldcfg, consts, propagator_mode)
-    flat = bool(valid[0]) and float(np.max(np.abs(model[0] - 1.0))) < 1e-3
-    r_plus, r_minus = (np.linalg.norm(r)
-                       for r in residual_rows(model[1:], valid[1:]))
+    r_plus, r_minus = (np.linalg.norm(r) for r in residuals(
+        [(a_par + probe, a_perp), (max(a_par - probe, lo / 10.0), a_perp)]))
     insensitive = (max(r_plus, r_minus) - res_norm) < 1e-8 * max(1.0, res_norm)
     degenerate = bool(flat or insensitive)
     return HyperfineFit(a_par=a_par, a_perp=a_perp, residual=res_norm,

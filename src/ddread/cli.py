@@ -57,15 +57,7 @@ def _output(out_dir: Path, name: str) -> Path:
     return out_dir / name
 
 
-def _unit_peak(values: np.ndarray, normalized: bool) -> np.ndarray:
-    """``values`` over their peak |value| when ``normalized`` and not all 0."""
-    if not normalized:
-        return values
-    peak = np.max(np.abs(values))
-    return values / peak if peak > 0 else values
-
-
-def _write_curve_csv(path, config, curve: CoherenceCurve, normalized: bool):
+def _write_curve_csv(path, config, curve: CoherenceCurve):
     mode = f"propagator_mode={curve.propagator_mode}"
     if curve.axis == "tau":
         meta = f"# axis=tau n_pulses={curve.n_pulses} {mode}\ntau_ns,coherence\n"
@@ -73,8 +65,7 @@ def _write_curve_csv(path, config, curve: CoherenceCurve, normalized: bool):
     else:
         meta = f"# axis=n tau_ns={curve.tau / NS:.17g} {mode}\nn_pulses,coherence\n"
         row, abscissa = "%d,%.17g\n", curve.abscissa
-    _write_rows(path, _header(config) + meta, row,
-                [abscissa, _unit_peak(curve.values, normalized)])
+    _write_rows(path, _header(config) + meta, row, [abscissa, curve.values])
 
 
 def read_curve_csv(path) -> CoherenceCurve:
@@ -127,15 +118,9 @@ def read_curve_csv(path) -> CoherenceCurve:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _scan_grid(config: RunConfig, command: str) -> list:
-    """The values of the scan keys that ``command`` (scan in the configured
-    mode, or map2d) reads; a ConfigError names the keys if one is missing."""
-    if command == "map2d":
-        keys, what = TAU_KEYS + ("n_list",), "map2d"
-    elif config.scan["mode"] == "tau":
-        keys, what = TAU_KEYS, "tau mode"
-    else:
-        keys, what = ("n_max",), "n mode"
+def _scan_grid(config: RunConfig, keys: tuple, what: str) -> list:
+    """The values of the scan ``keys``; a ConfigError says that ``what``
+    needs them if one is missing."""
     values = [config.scan.get(k) for k in keys]
     if None in values:
         raise ConfigError(f"scan: {what} needs {'/'.join(keys)}")
@@ -143,24 +128,24 @@ def _scan_grid(config: RunConfig, command: str) -> list:
 
 
 def cmd_scan(config: RunConfig, out_dir: Path, args) -> int:
-    grid = _scan_grid(config, "scan")
     mode = config.scan["mode"]
     if mode == "tau":
-        lo, hi, step = grid
+        lo, hi, step = _scan_grid(config, TAU_KEYS, "tau mode")
         curve = scan_tau(config.spins, config.field, config.sequence.n_pulses,
                          (lo * NS, hi * NS), step * NS,
                          config.propagator_mode, config.constants)
     else:
+        (n_max,) = _scan_grid(config, ("n_max",), "n mode")
         curve = scan_n(config.spins, config.field, config.sequence.tau,
-                       grid[0], config.propagator_mode, config.constants)
+                       n_max, config.propagator_mode, config.constants)
     out = _output(out_dir, f"scan_{mode}.csv")
-    _write_curve_csv(out, config, curve, args.normalized)
+    _write_curve_csv(out, config, curve)
     print(f"wrote {out}")
     return EXIT_OK
 
 
 def cmd_map2d(config: RunConfig, out_dir: Path, args) -> int:
-    lo, hi, step, n_list = _scan_grid(config, "map2d")
+    lo, hi, step, n_list = _scan_grid(config, TAU_KEYS + ("n_list",), "map2d")
     cmap = scan_2d(config.spins, config.field, (lo * NS, hi * NS), step * NS,
                    n_list, config.propagator_mode, config.constants)
     out = _output(out_dir, "map2d.csv")
@@ -168,7 +153,7 @@ def cmd_map2d(config: RunConfig, out_dir: Path, args) -> int:
     _write_rows(out, _header(config) + "tau_ns,n_pulses,coherence\n",
                 "%.17g,%d,%.17g\n",
                 [np.repeat(cmap.tau_grid / NS, n_ns), np.tile(cmap.n_grid, n_taus),
-                 _unit_peak(cmap.values, args.normalized).ravel()])
+                 cmap.values.ravel()])
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -184,7 +169,7 @@ def cmd_ssr(config: RunConfig, out_dir: Path, args) -> int:
     out = _output(out_dir, "trace.csv")
     trace_to_csv(trace, out, config.content_hash())
     snap = out_dir / "config_snapshot.json"
-    snap.write_text(snapshot_json(config))
+    snap.write_text(snapshot_json(config), encoding="utf-8")
     print(f"wrote {out}")
     print(f"wrote {snap}")
     return EXIT_OK
@@ -217,7 +202,7 @@ def cmd_analyze(config: RunConfig, out_dir: Path, args) -> int:
     payload["config_sha256"] = config.content_hash()
     payload["seed"] = trace.seed
     out = out_dir / "fidelity_report.json"
-    out.write_text(report_json(payload))
+    out.write_text(report_json(payload), encoding="utf-8")
     print(f"wrote {out}")
     print(f"wrote {out_dir / 'histograms.csv'}")
     if report.low_statistics:
@@ -245,7 +230,7 @@ def cmd_fit(config: RunConfig, out_dir: Path, args) -> int:
         "seed": config.seed,
     }
     out = _output(out_dir, "hyperfine_fit.json")
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    out.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -264,9 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--normalized", action="store_true",
-                        help="scale coherence outputs to unit peak "
-                             "(scan and map2d only)")
     sub = parser.add_subparsers(dest="command", required=True)
     p_scan = sub.add_parser("scan", help="1D coherence scan (mode from config)")
     p_scan.set_defaults(run=cmd_scan)
@@ -292,9 +274,6 @@ def main(argv=None) -> int:
             if not 0 <= args.seed < 2**63:
                 raise ConfigError("--seed must lie in [0, 2**63)")
             config = replace(config, readout=replace(config.readout, seed=args.seed))
-        if args.normalized and args.command not in ("scan", "map2d"):
-            raise ConfigError(f"--normalized applies to scan and map2d, "
-                              f"not {args.command}")
         return args.run(config, Path(args.out), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -275,7 +275,7 @@ def load_config(path) -> RunConfig:
     """Read and validate a YAML config file; a file that cannot be read, as
     well as one that does not parse or validate, raises ConfigError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = yaml.load(fh, Loader=_StrictLoader)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc

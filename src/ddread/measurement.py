@@ -159,6 +159,13 @@ def entanglement_vs_n(
 _POISSON_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 
 
+def _require_integer(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an int or numpy integer; a bool
+    is refused too."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer")
+
+
 @dataclass(frozen=True)
 class ReadoutConfig:
     """Calibration constants of the single-shot readout engine.
@@ -188,9 +195,7 @@ class ReadoutConfig:
         # sampler; a float seed fails there too, and a bool one is written
         # as seed=True, which the trace reader refuses
         for name in ("cycles_per_point", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer")
+            _require_integer(name, getattr(self, name))
         if self.cycles_per_point < 1:
             raise ValueError("cycles_per_point must be >= 1")
         rates = (self.photon_rate_bright, self.photon_rate_dark)
@@ -474,6 +479,7 @@ def simulate_trace(
     working point is exactly quantum-non-demolition; "exact" exposes the
     residual measurement back-action instead.
     """
+    _require_integer("n_points", n_points)
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     channel = measurement_channel(spin, fieldcfg, seq, propagator_mode, consts)
@@ -561,7 +567,7 @@ def _write_rows(path, head: str, row: str, columns) -> None:
     format per block of ``_CSV_BLOCK`` rows.  Each column's values go in as
     its own Python type, so an int64 prints exactly beside a float column."""
     n, width = len(columns[0]), len(columns)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(head)
         for start in range(0, n, _CSV_BLOCK):
             stop = min(start + _CSV_BLOCK, n)

@@ -294,6 +294,10 @@ def test_t1_estimator_consistency():
 def test_t1_insufficient_dwells():
     with pytest.raises(ValueError):
         estimate_t1n(np.array([5] * 9), np.array([5] * 20), 0.1)
+    # a lifetime and its interval scale with the point duration
+    for duration in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="point_duration must be > 0"):
+            estimate_t1n(np.array([5] * 20), np.array([5] * 20), duration)
 
 
 # ---------------------------------------------------------------- fitting
@@ -315,6 +319,9 @@ def test_fit_requires_metadata(field_305, scan_spin):
     curve = scan_n([scan_spin], field_305, 300e-9, 4)
     with pytest.raises(ValueError, match="n_grid must be >= 1"):
         fit_hyperfine([curve], field_305, n_grid=0)
+    for n_grid in (True, 2.5, 4.0):  # True would fit on a 1 x 1 grid
+        with pytest.raises(ValueError, match="n_grid must be an integer"):
+            fit_hyperfine([curve], field_305, n_grid=n_grid)
 
 
 def test_fit_degenerate_for_decoupled_data(field_305):
@@ -346,7 +353,7 @@ def test_fit_truth_is_global_minimum(field_305):
 
     data = np.concatenate([c.values for c in curves])
     model, valid = _fit_model_values([(a_par, a_perp)], _fit_cells(curves),
-                                     field_305, DEFAULT_CONSTANTS)
+                                     field_305, DEFAULT_CONSTANTS, "exact")
     assert valid[0]
     res_truth = np.linalg.norm(model[0] - data)
     assert res_truth <= fit.residual + 1e-9
@@ -470,7 +477,8 @@ def test_refinement_keeps_a_start_without_a_frame(field_305, scan_spin):
     cells = _fit_cells([curve])
 
     def residuals(points):
-        model, valid = _fit_model_values(points, cells, field_305, DEFAULT_CONSTANTS)
+        model, valid = _fit_model_values(points, cells, field_305, DEFAULT_CONSTANTS,
+                                         "exact")
         model -= curve.values
         model[~valid] = 1e3
         return model
@@ -511,8 +519,8 @@ def test_fit_coarse_grid_is_one_model_call(field_305, scan_spin, monkeypatch,
     assert refinement[0] == 3 * min(5, n_grid * n_grid)
     assert all(r % 3 == 0 and r > 0 for r in refinement)
     assert all(later <= earlier for earlier, later in zip(refinement, refinement[1:]))
-    # the probe at the fit and at a_par +/- probe
-    assert rows[-1] == 3
+    # the probe at a_par +/- probe; the fit's own row comes from the refinement
+    assert rows[-1] == 2
 
 
 def test_criterion_7_fit_makes_few_model_calls(field_305, monkeypatch):

@@ -422,7 +422,8 @@ def test_fit_model_blocks_are_bounded_and_exact(field_305, fit_curves,
     rng = np.random.default_rng(78)
     points = rng.uniform(2.0 * np.pi * 1e3, 2.0 * np.pi * 2e6, (45, 2))
     cells = _fit_cells(curves)
-    whole, valid = _fit_model_values(points, cells, field_305, DEFAULT_CONSTANTS)
+    whole, valid = _fit_model_values(points, cells, field_305, DEFAULT_CONSTANTS,
+                                     "exact")
     assert valid.sum() > 3
 
     shapes = []
@@ -436,7 +437,7 @@ def test_fit_model_blocks_are_bounded_and_exact(field_305, fit_curves,
     monkeypatch.setattr(analysis, "_coherence_rows", recording)
     monkeypatch.setattr(analysis, "_FIT_BLOCK_CELLS", block_rows * n_cells + 1)
     blocked, blocked_valid = _fit_model_values(points, cells, field_305,
-                                               DEFAULT_CONSTANTS)
+                                               DEFAULT_CONSTANTS, "exact")
     assert np.array_equal(blocked_valid, valid)
     assert np.array_equal(blocked, whole, equal_nan=True)
     assert [s[1] for s in shapes] == [n_cells] * len(shapes)

@@ -585,41 +585,16 @@ def test_cli_missing_scan_key_exits_2_before_any_output(tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [
-    ["ssr", "--points", "2"], ["analyze", "--trace", "trace.csv"],
-    ["fit", "scan_tau.csv"]], ids=["ssr", "analyze", "fit"])
-def test_cli_normalized_elsewhere_exits_2_before_any_output(tmp_path, capsys,
-                                                            command):
-    """``--normalized`` scales coherence outputs only; the commands that
-    write none refuse it rather than ignore it."""
+@pytest.mark.parametrize("command", ["scan", "map2d"])
+def test_cli_normalized_is_not_an_option(tmp_path, capsys, command):
+    """Curve files hold the coherence as computed, which ``fit`` inverts;
+    argparse refuses a ``--normalized`` flag before any output."""
     out = tmp_path / "out"
-    assert main(["--config", DEMO, "--out", str(out), "--normalized"]
-                + command) == 2
-    assert (f"config error: --normalized applies to scan and map2d, "
-            f"not {command[0]}") in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", DEMO, "--out", str(out), "--normalized", command])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --normalized" in capsys.readouterr().err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("command, name, n_header", [
-    ("scan", "scan_tau.csv", 3), ("map2d", "map2d.csv", 2)])
-def test_cli_normalized_divides_by_the_peak(tmp_path, command, name, n_header):
-    """``--normalized`` divides each value by the peak |value| of the run and
-    changes nothing else in the file."""
-    plain, unit = tmp_path / "plain", tmp_path / "unit"
-    assert main(["--config", DEMO, "--out", str(plain), command]) == 0
-    assert main(["--config", DEMO, "--out", str(unit), "--normalized",
-                 command]) == 0
-    plain_lines = (plain / name).read_text().splitlines()
-    unit_lines = (unit / name).read_text().splitlines()
-    assert unit_lines[:n_header] == plain_lines[:n_header]
-    plain_rows = [line.rsplit(",", 1) for line in plain_lines[n_header:]]
-    unit_rows = [line.rsplit(",", 1) for line in unit_lines[n_header:]]
-    assert [key for key, _ in unit_rows] == [key for key, _ in plain_rows]
-    values = np.array([float(v) for _, v in plain_rows])
-    peak = np.max(np.abs(values))
-    assert peak < 1.0  # so the division shows
-    # 17 significant digits give each value back exactly
-    assert np.array_equal([float(v) for _, v in unit_rows], values / peak)
 
 
 def test_cli_scan_deterministic_and_flat_for_decoupled(tmp_path, capsys):
@@ -925,7 +900,7 @@ def test_cli_parser_is_built_once(tmp_path, capsys):
         assert exc.value.code == 2
         assert "--trace" in capsys.readouterr().err
         # a flag of one call does not carry into the next
-        assert main(["--config", DEMO, "--normalized", "--out", str(tmp_path),
+        assert main(["--config", DEMO, "--seed", "-1", "--out", str(tmp_path),
                      "ssr", "--points", "1"]) == 2
         assert main(["--config", DEMO, "--out", str(tmp_path),
                      "ssr", "--points", "1"]) == 0

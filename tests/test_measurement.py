@@ -748,3 +748,7 @@ def test_photon_trace_validation(field_691, readout_spin, readout_seq):
                     config=cfg)
     with pytest.raises(ValueError, match="n_points must be >= 1"):
         simulate_trace(readout_spin, field_691, readout_seq, cfg, 0)
+    # a bool would run as one point, a float fail deep in the sampler
+    for n_points in (True, 2.5, 3.0):
+        with pytest.raises(ValueError, match="n_points must be an integer"):
+            simulate_trace(readout_spin, field_691, readout_seq, cfg, n_points)
